@@ -1,35 +1,31 @@
-"""Batched multi-config sweep benchmark: one batched pass vs N runs.
+"""Batched sweep benchmark: one fused batched pass vs one turbo run per cell.
 
 Times an 8-cell A&J prefetch-distance sweep (the Figure-6-style
-distance axis) on one workload three ways:
+distance axis) on one workload two ways:
 
-* **batch tier** — all cells execute in a single
-  :func:`repro.machine.batch.run_batch` pass at ``tier="batch"``: one
-  shared front-end dispatches per-block chains while per-cell cache
-  hierarchies (L1/L2/LLC + MSHRs) track each cell's timing;
-* **batchturbo tier** — the same single pass at ``tier="batchturbo"``:
-  hot loop nests are fused into one generated superblock closure that
-  steps every cell per iteration (turbo-style loop fusion across
-  cells); and
-* **sequential** — the same cells run one at a time through a fresh
-  :class:`~repro.machine.machine.Machine` per cell, once per engine
-  tier (reference / fast / turbo).
+* **batched** — all cells execute in a single
+  :func:`repro.machine.batch.run_batch` pass: hot loop nests are fused
+  into one generated stepper that advances every cell per iteration,
+  while per-cell cache hierarchies (L1/L2/LLC + MSHRs) track each
+  cell's timing;
+* **per-cell turbo** — the same cells run one at a time, each on a
+  fresh ``turbo`` :class:`~repro.machine.machine.Machine` (the fastest
+  sequential engine, and what a sweep would cost without batching).
 
-A second ladder — the 32-cell **distance x cache-scale grid**
-(:func:`measure_grid`) — times the two batch tiers against each other
-on divergent cell configs (four cache scales per distance), the shape
-the batched superblock's per-cell overlays exist for.
+The two sides run as interleaved pairs, alternating which goes first,
+and the report gives the per-pair ratios' median and quartiles plus how
+many pairs the batched pass won.  Cell construction is excluded from
+both timings (it is identical on both sides).
 
 Distances start at 2: at distance 1 the A&J pass folds the loop
 increment into the prefetch advance, which changes instruction shape
-per cell and (correctly) forces the batch tier's per-cell fallback —
-a valid configuration, but then the benchmark would be measuring the
-fallback path, not the batch engine.
+per cell and (correctly) forces the per-cell fallback — a valid
+configuration, but then the benchmark would be measuring the fallback
+path, not the batched pass.
 
 Every batched cell must be bit-identical (value + full counter vector)
-across both batch tiers and to its sequential fast-engine twin — a
-sweep benchmark whose cells computed different things would be
-meaningless.
+to its sequential twin — a sweep benchmark whose cells computed
+different things would be meaningless.
 
 Standalone use (writes ``BENCH_sweep.json`` next to this file)::
 
@@ -38,19 +34,15 @@ Standalone use (writes ``BENCH_sweep.json`` next to this file)::
 or as a bench test::
 
     pytest benchmarks/bench_sweep.py --benchmark-only
-
-See docs/PERFORMANCE.md for how to read the emitted JSON (including
-why the measured batchturbo-vs-batch ratio is workload-dependent and
-Amdahl-bounded by the genuinely simulated miss work both tiers share).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
-from dataclasses import replace
 
 from pathlib import Path
 
@@ -66,19 +58,9 @@ from repro.workloads.registry import make_workload
 #: The 8-cell distance axis (>= 2; see module docstring).
 DEFAULT_DISTANCES = (2, 4, 8, 12, 16, 24, 32, 48)
 
-#: Cache-scale axis of the 32-cell grid ladder (distances x scales).
-DEFAULT_GRID_SCALES = (1, 2, 4, 8)
-
-#: Batched execution tiers, block-dispatch baseline first.
-BATCH_TIERS = ("batch", "batchturbo")
-
 DEFAULT_WORKLOAD = "BFS-tiny"
 
-#: Sequential comparators, slowest first.  ``reference`` is the
-#: canonical sequential replay a sweep would otherwise cost (and the
-#: tier the CI floor is measured against); fast/turbo show the batch
-#: tier still beats the compiled single-config engines.
-SEQUENTIAL_ENGINES = ("reference", "fast", "turbo")
+DEFAULT_PAIRS = 10
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent / "BENCH_sweep.json"
 
@@ -92,7 +74,7 @@ def _build_cells(
     workload's data segments, so cells are never reused across timed
     passes.
     """
-    config = MachineConfig()
+    config = MachineConfig(engine="turbo")
     cells = []
     entry = None
     for distance in distances:
@@ -108,150 +90,81 @@ def _signature(result) -> dict:
     return {"value": result.value, **result.counters.as_dict()}
 
 
-def _time_tiers(
-    build, entry_hint: str, reps: int
-) -> tuple[dict, list[dict]]:
-    """Best-of-``reps`` wall-clock per batch tier, tiers interleaved
-    within each rep so machine drift hits both equally.  Asserts every
-    pass actually batched and that the tiers are bit-identical
-    per-cell; returns ``({tier: seconds}, signatures)``."""
-    tier_s = {tier: float("inf") for tier in BATCH_TIERS}
-    signatures: dict[str, list[dict]] = {}
-    for _ in range(reps):
-        for tier in BATCH_TIERS:
-            cells, entry = build()
-            start = time.perf_counter()
-            outcome = run_batch(cells, function=entry, tier=tier)
-            tier_s[tier] = min(tier_s[tier], time.perf_counter() - start)
-            if not outcome.batched:
-                raise AssertionError(
-                    f"{entry_hint}: sweep fell back to sequential "
-                    f"replay ({outcome.reason}) — the benchmark would "
-                    "not be measuring the batch engine"
-                )
-            signatures[tier] = [_signature(r) for r in outcome.results]
-    if signatures["batchturbo"] != signatures["batch"]:
+def _time_batched(workload, scale, distances) -> tuple[float, list]:
+    cells, entry = _build_cells(workload, scale, distances)
+    start = time.perf_counter()
+    outcome = run_batch(cells, function=entry)
+    seconds = time.perf_counter() - start
+    if not outcome.batched:
         raise AssertionError(
-            f"{entry_hint}: batchturbo cells are not bit-identical "
-            "with the block-dispatch batch tier"
+            f"{workload}: sweep fell back to sequential replay "
+            f"({outcome.reason}) — the benchmark would not be measuring "
+            "the batched pass"
         )
-    return tier_s, signatures["batch"]
+    return seconds, [_signature(r) for r in outcome.results]
+
+
+def _time_per_cell(workload, scale, distances) -> tuple[float, list]:
+    cells, entry = _build_cells(workload, scale, distances)
+    start = time.perf_counter()
+    results = [
+        Machine(cell.module, cell.space, config=cell.config).run(entry)
+        for cell in cells
+    ]
+    seconds = time.perf_counter() - start
+    return seconds, [_signature(r) for r in results]
 
 
 def measure_sweep(
     workload: str = DEFAULT_WORKLOAD,
     scale: str = "tiny",
     distances: tuple = DEFAULT_DISTANCES,
-    reps: int = 3,
+    pairs: int = DEFAULT_PAIRS,
 ) -> dict:
-    """Batched (both tiers) vs sequential wall-clock for one sweep.
+    """Batched pass vs per-cell turbo runs over ``pairs`` interleaved
+    pairs (order alternating per pair).
 
-    Returns ``{"batched_s", "tiers": {tier: s}, "batchturbo_vs_batch",
-    "sequential_s": {engine: s}, "speedup": {engine: ratio}, ...}``
-    where each time is the best of ``reps`` (cell construction
-    excluded — it is identical on all sides).  ``batched_s`` and the
-    engine speedups stay keyed to the block-dispatch batch tier so the
-    report is comparable with earlier revisions.
+    Returns ``{"batched_s", "per_cell_turbo_s", "speedup", ...}``: the
+    two time lists, and ``speedup`` = per-cell / batched per pair as
+    ``{"median", "quartiles", "wins", "pairs"}``.  Raises
+    ``AssertionError`` if any batched cell differs from its per-cell
+    twin.
     """
-    tier_s, signatures = _time_tiers(
-        lambda: _build_cells(workload, scale, distances),
-        f"{workload} distance ladder",
-        reps,
-    )
-    batched_s = tier_s["batch"]
-
-    sequential_s: dict[str, float] = {}
-    for engine in SEQUENTIAL_ENGINES:
-        best = float("inf")
-        for _ in range(reps):
-            cells, entry = _build_cells(workload, scale, distances)
-            start = time.perf_counter()
-            results = [
-                Machine(
-                    cell.module,
-                    cell.space,
-                    config=replace(cell.config, engine=engine),
-                ).run(entry)
-                for cell in cells
-            ]
-            best = min(best, time.perf_counter() - start)
-        sequential_s[engine] = best
-        for index, result in enumerate(results):
-            if _signature(result) != signatures[index]:
+    batched_s: list[float] = []
+    per_cell_s: list[float] = []
+    for pair in range(pairs):
+        sides = [_time_batched, _time_per_cell]
+        if pair % 2:
+            sides.reverse()
+        timings = {}
+        for side in sides:
+            timings[side] = side(workload, scale, distances)
+        batched, batched_sig = timings[_time_batched]
+        per_cell, per_cell_sig = timings[_time_per_cell]
+        for index, (got, want) in enumerate(zip(batched_sig, per_cell_sig)):
+            if got != want:
                 raise AssertionError(
                     f"{workload}: batched cell {index} (distance "
-                    f"{distances[index]}) is not bit-identical with the "
-                    f"sequential {engine} engine"
+                    f"{distances[index]}) is not bit-identical with its "
+                    "per-cell turbo run"
                 )
-
+        batched_s.append(batched)
+        per_cell_s.append(per_cell)
+    ratios = [p / max(b, 1e-9) for p, b in zip(per_cell_s, batched_s)]
+    q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
     return {
         "workload": workload,
         "scale": scale,
         "distances": list(distances),
         "cells": len(distances),
-        "batched_s": round(batched_s, 6),
-        "tiers": {
-            tier: round(seconds, 6) for tier, seconds in tier_s.items()
-        },
-        "batchturbo_vs_batch": round(
-            tier_s["batch"] / max(tier_s["batchturbo"], 1e-9), 3
-        ),
-        "sequential_s": {
-            engine: round(seconds, 6)
-            for engine, seconds in sequential_s.items()
-        },
+        "batched_s": [round(s, 6) for s in batched_s],
+        "per_cell_turbo_s": [round(s, 6) for s in per_cell_s],
         "speedup": {
-            engine: round(seconds / max(batched_s, 1e-9), 3)
-            for engine, seconds in sequential_s.items()
+            "median": round(median, 3),
+            "quartiles": [round(q1, 3), round(q3, 3)],
+            "wins": sum(1 for ratio in ratios if ratio > 1.0),
+            "pairs": len(ratios),
         },
-    }
-
-
-def measure_grid(
-    workload: str = DEFAULT_WORKLOAD,
-    scale: str = "tiny",
-    distances: tuple = DEFAULT_DISTANCES,
-    cache_scales: tuple = DEFAULT_GRID_SCALES,
-    reps: int = 3,
-) -> dict:
-    """The 32-cell distance x cache-scale grid: batch vs batchturbo.
-
-    Divergent cell configs (one cache hierarchy scaling per column)
-    exercise the batched superblock's per-cell overlays; sequential
-    comparators are omitted — cross-tier bit-identity is the oracle
-    and the 8-cell ladder already anchors the sequential baselines.
-    """
-
-    def build():
-        base_cells, entry = _build_cells(
-            workload, scale, tuple(distances) * len(cache_scales)
-        )
-        cells = []
-        for position, cell in enumerate(base_cells):
-            cache_scale = cache_scales[position // len(distances)]
-            config = cell.config
-            if cache_scale != 1:
-                config = replace(
-                    config, memory=config.memory.scaled(cache_scale)
-                )
-            cells.append(BatchCell(cell.module, cell.space, config))
-        return cells, entry
-
-    tier_s, _ = _time_tiers(
-        build, f"{workload} distance x cache-scale grid", reps
-    )
-    return {
-        "workload": workload,
-        "scale": scale,
-        "distances": list(distances),
-        "cache_scales": list(cache_scales),
-        "cells": len(distances) * len(cache_scales),
-        "tiers": {
-            tier: round(seconds, 6) for tier, seconds in tier_s.items()
-        },
-        "batchturbo_vs_batch": round(
-            tier_s["batch"] / max(tier_s["batchturbo"], 1e-9), 3
-        ),
     }
 
 
@@ -259,19 +172,15 @@ def measure_grid(
 # pytest-benchmark entry point
 # ----------------------------------------------------------------------
 def test_batched_distance_sweep(benchmark):
-    report = benchmark.pedantic(measure_sweep, iterations=1, rounds=1)
+    report = benchmark.pedantic(
+        measure_sweep, kwargs={"pairs": 5}, iterations=1, rounds=1
+    )
     print()
     print(json.dumps(report["speedup"], indent=2))
-    # The batch tier must amortize the shared front-end: well above the
-    # sequential replay it replaces, and no worse than running the
-    # compiled fast engine once per cell.
-    assert report["speedup"]["reference"] >= 3.0, report["speedup"]
-    assert report["speedup"]["fast"] >= 1.0, report["speedup"]
-    # The fused superblock tier must beat the block-dispatch chains it
-    # replaces.  The in-bench floor is deliberately loose (CI enforces
-    # the calibrated one via ci_perf_check.py); see docs/PERFORMANCE.md
-    # for measured per-workload ratios and the Amdahl ceiling.
-    assert report["batchturbo_vs_batch"] >= 1.1, report
+    # The batched pass must beat one fresh turbo run per cell, the
+    # fastest sequential alternative.  The in-bench floor is loose; CI
+    # enforces the calibrated one via ci_perf_check.py.
+    assert report["speedup"]["median"] >= 1.0, report["speedup"]
 
 
 # ----------------------------------------------------------------------
@@ -289,15 +198,10 @@ def main() -> int:
         metavar="D",
     )
     parser.add_argument(
-        "--reps", type=int, default=3, help="repetitions (min is kept)"
-    )
-    parser.add_argument(
-        "--grid-scales",
+        "--pairs",
         type=int,
-        nargs="+",
-        default=list(DEFAULT_GRID_SCALES),
-        metavar="S",
-        help="cache-scale axis of the distance x cache-scale grid",
+        default=DEFAULT_PAIRS,
+        help="interleaved batched/per-cell pairs (default 10)",
     )
     parser.add_argument(
         "--output", type=Path, default=DEFAULT_OUTPUT, metavar="PATH"
@@ -305,36 +209,20 @@ def main() -> int:
     args = parser.parse_args()
 
     report = measure_sweep(
-        args.workload, args.scale, tuple(args.distances), reps=args.reps
-    )
-    report["grid32"] = measure_grid(
-        args.workload,
-        args.scale,
-        tuple(args.distances),
-        tuple(args.grid_scales),
-        reps=args.reps,
+        args.workload, args.scale, tuple(args.distances), pairs=args.pairs
     )
     args.output.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
+    speedup = report["speedup"]
+    q1, q3 = speedup["quartiles"]
     print(f"wrote {args.output}")
     print(
         f"  {report['workload']}@{report['scale']}: "
-        f"{report['cells']}-cell distance sweep "
-        f"batched={report['batched_s']:.3f}s "
-        f"batchturbo={report['tiers']['batchturbo']:.3f}s "
-        f"({report['batchturbo_vs_batch']:.2f}x)"
-    )
-    for engine in SEQUENTIAL_ENGINES:
-        print(
-            f"  vs {engine:9s} {report['sequential_s'][engine]:.3f}s "
-            f"-> {report['speedup'][engine]:.2f}x"
-        )
-    grid = report["grid32"]
-    print(
-        f"  {grid['cells']}-cell grid (x{len(grid['cache_scales'])} "
-        f"cache scales): batch={grid['tiers']['batch']:.3f}s "
-        f"batchturbo={grid['tiers']['batchturbo']:.3f}s "
-        f"({grid['batchturbo_vs_batch']:.2f}x)"
+        f"{report['cells']}-cell distance sweep, batched "
+        f"{statistics.median(report['batched_s']):.3f}s vs per-cell turbo "
+        f"{statistics.median(report['per_cell_turbo_s']):.3f}s (medians) "
+        f"-> {speedup['median']:.2f}x (quartiles {q1:.2f}-{q3:.2f}x), "
+        f"won {speedup['wins']}/{speedup['pairs']} pairs"
     )
     return 0
 

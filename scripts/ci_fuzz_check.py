@@ -18,9 +18,7 @@ Six gates, all with fixed seeds so the job is deterministic:
    proving the finder and the minimizer both work.
 5. **Batch axis** — every corpus case plus ``--batch-budget`` generated
    programs must be bit-identical between the batched multi-config
-   runner (:func:`repro.machine.batch.run_batch`, exercised at both
-   the block-dispatch ``batch`` tier and the fused-superblock
-   ``batchturbo`` tier) and fresh sequential
+   runner (:func:`repro.machine.batch.run_batch`) and fresh sequential
    ``Machine`` runs of the same cells, over both a uniform cache-scale
    batch and a divergent A&J-distance batch.
 6. **Code-cache axis** — every corpus case plus ``--codecache-budget``
@@ -189,8 +187,8 @@ def check_batch_axis(budget: int, seed: int) -> bool:
         return False
     elapsed = time.perf_counter() - start
     print(
-        f"OK: {total} case(s) bit-identical between batched (both "
-        f"tiers) and sequential execution in {elapsed:.1f}s"
+        f"OK: {total} case(s) bit-identical between batched and "
+        f"sequential execution in {elapsed:.1f}s"
     )
     return True
 

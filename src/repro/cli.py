@@ -175,12 +175,8 @@ def _format_sweep_table(result) -> str:
         ratio = f"{base / cycles:>8.3f}" if base and cycles else f"{'-':>8}"
         if entry["cached"]:
             source = "cache"
-        elif entry["batched"]:
-            # The executed batch tier: "batchturbo" for fused
-            # superblock batches, "batch" for per-block chains.
-            source = entry.get("tier") or "batch"
         else:
-            source = "replay"
+            source = "batch" if entry["batched"] else "replay"
         distance = entry["distance"] if entry["distance"] is not None else "-"
         scale = f"1/{entry['cache_scale']}"
         lines.append(
@@ -189,7 +185,7 @@ def _format_sweep_table(result) -> str:
         )
     execution = result.execution
     groups = ", ".join(
-        f"{g['scheme']}:{g.get('tier') or 'batch' if g['batched'] else 'replay'}"
+        f"{g['scheme']}:{'batch' if g['batched'] else 'replay'}"
         + (
             f" ({g.get('reason_code') or ''}{': ' if g.get('reason_code') else ''}"
             f"{g['reason']})"

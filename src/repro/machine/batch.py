@@ -5,8 +5,10 @@ workload, many configs" — distance sweeps, scheme ablations, cache-size
 ablations.  Run sequentially, each cell re-decodes and re-dispatches
 the same instruction stream.  This engine runs all cells in one pass:
 
-* **shared front-end** — the module is compiled once; uniform
-  instructions (identical operands across cells) execute exactly once
+* **shared front-end** — the module is compiled once: every hot loop
+  nest becomes one fused stepper that runs all cells per iteration
+  (:mod:`repro.machine.batchturbo`), and the remaining blocks execute
+  uniform instructions (identical operands across cells) exactly once
   through the *same* closure factories the sequential fast engine uses
   (:mod:`repro.machine.blockengine`), on a single shared register file;
 * **per-cell back-end** — every memory operation visits each cell's
@@ -38,11 +40,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from repro.ir.nodes import Function, IRError, Module
+from repro.ir.nodes import IRError, Module
 from repro.ir.opcodes import BINOP_EXPR, Opcode
 from repro.machine.blockengine import (
     _BINOP_FACTORIES,
-    _FELL_THROUGH,
     _RETURNED,
     _const_op,
     _edge_copies,
@@ -51,9 +52,7 @@ from repro.machine.blockengine import (
     _select_op,
 )
 from repro.machine.config import MachineConfig
-from repro.machine.interpreter import ExecutionLimitExceeded
 from repro.machine.machine import Machine, RunResult
-from repro.machine.pmu import Counters
 from repro.mem.address import AddressSpace
 from repro.mem.batch import CellState, shared_space
 
@@ -942,91 +941,6 @@ class _BatchBlockCompiler:
         return tuple(ops)
 
 
-class BatchCompiledFunction:
-    """One function compiled for all cells at once."""
-
-    def __init__(
-        self,
-        plan: _FunctionPlan,
-        blocks: tuple,
-        block_names: tuple,
-        entry_index: int,
-        register_count: int,
-        needs_overlay: bool,
-        ret_divergent: bool,
-    ) -> None:
-        self.plan = plan
-        self._blocks = blocks
-        self._block_names = block_names
-        self._entry = entry_index
-        self._register_count = register_count
-        self._needs_overlay = needs_overlay
-        self.ret_divergent = ret_divergent
-
-    def stats(self) -> dict:
-        return {
-            "blocks": len(self._blocks),
-            "ops": sum(len(ops) for ops in self._blocks),
-            "registers": self._register_count,
-            "divergent_registers": len(self.plan.divergent),
-        }
-
-    def __call__(self, bm: "BatchMachine", args: Sequence[int] = ()):
-        function = self.plan.functions[0]
-        if len(args) != len(function.params):
-            raise IRError(
-                f"{function.name} expects {len(function.params)} args, "
-                f"got {len(args)}"
-            )
-        st = _BatchFrame()
-        st.counters = bm.cell_counters
-        st.mem_loads = bm.load_ports
-        st.mem_stores = bm.store_ports
-        st.mem_prefetches = bm.prefetch_ports
-        st.sp_load = bm.space.load
-        st.sp_store = bm.space.store
-        st.invoke = bm._invoke
-        st.cycles = [int(counters.cycles) for counters in st.counters]
-        st.retired = 0
-        st.loads = 0
-        st.stores = 0
-        st.taken = 0
-        st.value = 0
-        if self._needs_overlay:
-            st.D = [
-                [0] * self._register_count for _ in range(bm.ncells)
-            ]
-        else:
-            st.D = ()
-        max_instructions = bm.config.max_instructions
-        st.max_instructions = max_instructions
-
-        R = [0] * self._register_count
-        for slot, value in enumerate(args):
-            R[slot] = int(value)
-
-        blocks = self._blocks
-        bi = self._entry
-        while True:
-            if st.retired > max_instructions:
-                raise ExecutionLimitExceeded(
-                    f"{function.name}: exceeded {max_instructions} "
-                    f"instructions"
-                )
-            st.next = _FELL_THROUGH
-            for op in blocks[bi]:
-                op(R, st)
-            nxt = st.next
-            if nxt < 0:
-                if nxt == _RETURNED:
-                    return st.value
-                raise IRError(
-                    f"block {self._block_names[bi]} fell through "
-                    f"without terminator"
-                )
-            bi = nxt
-
-
 # ----------------------------------------------------------------------
 # The batch machine + the public entry point.
 # ----------------------------------------------------------------------
@@ -1036,44 +950,25 @@ _COST_FIELDS = (
 )
 
 
-#: The batched execution tiers ``BatchMachine`` can compile for.
-BATCH_TIERS = ("batch", "batchturbo")
-
-
-def resolve_tier(cells: Sequence[BatchCell], tier: Optional[str]) -> str:
-    """The tier a batch should run at: an explicit request wins, else
-    the cells' engine knob decides — ``engine="turbo"`` cells get the
-    batched superblock tier, everything else the per-block chains."""
-    if tier is not None:
-        if tier not in BATCH_TIERS:
-            raise ValueError(f"unknown batch tier {tier!r}")
-        return tier
-    if cells and cells[0].config.engine == "turbo":
-        return "batchturbo"
-    return "batch"
-
-
 class BatchMachine:
     """N simulated processes sharing one front-end.
 
     Raises :class:`BatchDivergence` at construction when the cells
     cannot be batched; never at run time (the analysis is static).
-
-    ``tier`` selects the execution tier (see :func:`resolve_tier`):
-    ``"batch"`` runs per-block closure chains, ``"batchturbo"`` adds a
-    fused superblock per hot loop nest
-    (:mod:`repro.machine.batchturbo`) and, past the vector cell-count
-    threshold, the vectorized L1 tag lane.
+    Every function compiles to the per-block batch chains plus a fused
+    superblock per hot loop nest (:mod:`repro.machine.batchturbo`),
+    whatever engine the cells' configs name.
     """
 
-    def __init__(
-        self, cells: Sequence[BatchCell], tier: Optional[str] = None
-    ) -> None:
+    def __init__(self, cells: Sequence[BatchCell]) -> None:
+        # Imported here: batchturbo builds on this module's analysis
+        # and per-block compiler, so a module-level import would cycle.
+        from repro.machine.batchturbo import CellBindings
+
         if not cells:
             raise ValueError("batch needs at least one cell")
         self.ncells = len(cells)
         self.config = cells[0].config
-        self.tier = resolve_tier(cells, tier)
         for index, cell in enumerate(cells):
             for field_name in _COST_FIELDS:
                 if getattr(cell.config, field_name) != getattr(
@@ -1102,58 +997,17 @@ class BatchMachine:
         self.prefetch_ports = [cell.prefetch for cell in self.cells]
         self.cell_configs = [cell.config for cell in cells]
         self._compiled: dict = {}
-        self.bindings = None
-        self.vector = False
-        if self.tier == "batchturbo":
-            from repro.mem.batch import build_lane, vector_threshold
-
-            from repro.machine.batchturbo import CellBindings
-
-            self.vector = self.ncells >= vector_threshold()
-            lane = build_lane(self.cells) if self.vector else None
-            self.bindings = CellBindings(self.cells, self.space, lane)
+        self.bindings = CellBindings(self.cells, self.space)
 
     # ------------------------------------------------------------------
-    def _compile(self, name: str) -> BatchCompiledFunction:
+    def _compile(self, name: str):
         compiled = self._compiled.get(name)
         if compiled is None:
-            plan = self.plans[name]
-            if self.tier == "batchturbo":
-                from repro.machine.codecache import (
-                    load_or_compile_batch,
-                    resolve,
-                )
+            from repro.machine.batchturbo import compile_batch_turbo
 
-                cache = resolve(self.config.code_cache)
-                compiled = load_or_compile_batch(
-                    cache,
-                    plan,
-                    self.plans,
-                    self.config,
-                    self.cell_configs,
-                    self.vector,
-                )
-            else:
-                compiler = _BatchBlockCompiler(
-                    plan, self.plans, self.config
-                )
-                blocks = tuple(
-                    compiler.compile_block(aligned)
-                    for aligned in zip(
-                        *(list(f.blocks) for f in plan.functions)
-                    )
-                )
-                compiled = BatchCompiledFunction(
-                    plan,
-                    blocks,
-                    tuple(
-                        block.name for block in plan.functions[0].blocks
-                    ),
-                    compiler.block_index[plan.functions[0].entry.name],
-                    len(compiler.slots),
-                    compiler.has_divergence,
-                    plan.ret_divergent,
-                )
+            compiled = compile_batch_turbo(
+                self.plans[name], self.plans, self.config, self.cell_configs
+            )
             self._compiled[name] = compiled
         return compiled
 
@@ -1188,17 +1042,14 @@ class BatchMachine:
 class BatchOutcome:
     """Per-cell results + whether the batched fast path was used.
 
-    ``tier`` is the tier that actually executed (``"batch"``,
-    ``"batchturbo"``, or ``"replay"`` for the sequential fallback);
     ``reason_code`` is the stable :data:`FALLBACK_CODES` label behind a
-    human-readable ``reason``.
+    human-readable ``reason`` when the cells were replayed one by one.
     """
 
     results: list
     batched: bool
     reason: Optional[str] = None
     reason_code: Optional[str] = None
-    tier: Optional[str] = None
 
 
 def run_batch(
@@ -1209,24 +1060,30 @@ def run_batch(
 ) -> BatchOutcome:
     """Run every cell, batched when the cells align, else sequentially.
 
-    The outcome's ``results`` are bit-identical either way; ``batched``,
-    ``tier`` and ``reason``/``reason_code`` report which path executed
-    (the qa oracle asserts the identity, the sweep service counts the
-    fallback codes as ``batch.fallback.<code>`` metrics).
+    The outcome's ``results`` are bit-identical either way; ``batched``
+    and ``reason``/``reason_code`` report which path executed (the qa
+    oracle asserts the identity, the sweep service counts the fallback
+    codes as ``batch.fallback.<code>`` metrics).  There is one batched
+    tier, so ``tier`` must be None; it stays in the signature because
+    wrappers pass it positionally (``perfbench/tracer.py`` does), and a
+    retired tier name gets a targeted error instead of a ``TypeError``.
     """
+    if tier is not None:
+        raise ValueError(
+            f"the tier= argument was removed (got {tier!r}): every "
+            "batched run uses the fused superblock tier; drop tier="
+        )
     cells = list(cells)
     reason: Optional[str] = None
     reason_code: Optional[str] = None
     if len(cells) >= 2:
         try:
-            machine = BatchMachine(cells, tier=tier)
+            machine = BatchMachine(cells)
         except BatchDivergence as error:
             reason = str(error)
             reason_code = error.code
         else:
-            return BatchOutcome(
-                machine.run(function, args), True, tier=machine.tier
-            )
+            return BatchOutcome(machine.run(function, args), True)
     else:
         reason = "single cell"
         reason_code = "single-cell"
@@ -1236,4 +1093,4 @@ def run_batch(
         )
         for cell in cells
     ]
-    return BatchOutcome(results, False, reason, reason_code, "replay")
+    return BatchOutcome(results, False, reason, reason_code)

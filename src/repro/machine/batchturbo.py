@@ -1,10 +1,10 @@
 """Batched superblock tier: turbo-style loop fusion across sweep cells.
 
-The per-block batch engine (:mod:`repro.machine.batch`) already shares
-one front-end across N sweep cells, but it still pays, per loop
+The per-block batch chains (:mod:`repro.machine.batch`) share one
+front-end across N sweep cells, but they still pay, per loop
 iteration, one closure call per op plus a dispatch round trip per
 block — and every memory op's closure re-binds its per-cell state.
-This tier fuses the same loop nests the sequential turbo tier fuses
+This module fuses the same loop nests the sequential turbo tier fuses
 (the analysis is shared, :mod:`repro.machine.fusion`) into one
 generated function per nest that steps **all cells per iteration**:
 
@@ -27,7 +27,7 @@ generated function per nest that steps **all cells per iteration**:
   per-cell materialization loop per terminator.  Nothing observes a
   cell's clock between materialization points (batched runs never
   sample or trace), so deferral is invisible — the ``_now`` handed to
-  every port call is bit-identical to the per-block engine's.
+  every port call is bit-identical to the per-block chains'.
 
 **Guards.**  Batched runs have exactly one observation point: the
 instruction-budget check at block dispatch.  The generated function
@@ -40,17 +40,6 @@ When the guard trips the stepper flushes and returns at an exact block
 header; the entry guard declines with ``-1`` instead, and per-block
 dispatch replays to the exact boundary — the budget raise fires at the
 identical block the sequential engines fire it at.
-
-**Vectorized tag checks.**  Past a cell-count threshold
-(:func:`repro.mem.batch.vector_threshold`) each uniform-address memory
-site first asks the :class:`repro.mem.batch.L1TagVector` lane for all
-cells at once whether the line is its set's MRU — a guaranteed L1 hit
-whose LRU refresh is a structural no-op — and only the cells that
-cannot be answered vectorially fall back to the per-cell dict probe.
-The lane is routing-only: hits found through it execute the same
-inlined hit arm, and every port call marks the cell dirty so the
-mirror is rebuilt from the structural views before it is trusted
-again.  State is bit-identical with the lane on or off.
 """
 
 from __future__ import annotations
@@ -66,7 +55,6 @@ from repro.machine.batch import (
     _FunctionPlan,
     _aligned_phis,
     _aligned_rest,
-    BatchCompiledFunction,
     _BatchFrame,
 )
 from repro.machine.blockengine import _FELL_THROUGH, _RETURNED
@@ -244,12 +232,10 @@ class CellBindings:
         "l1_sets",
         "l1_masks",
         "l1_lats",
-        "mems",
         "sp_find",
-        "lane",
     )
 
-    def __init__(self, cells, space, lane=None) -> None:
+    def __init__(self, cells, space) -> None:
         fronts = [cell.mem.front() for cell in cells]
         self.n = len(cells)
         self.rng = range(self.n)
@@ -258,9 +244,7 @@ class CellBindings:
         self.l1_sets = [front._l1_sets for front in fronts]
         self.l1_masks = [front._l1_mask for front in fronts]
         self.l1_lats = [front._l1_lat for front in fronts]
-        self.mems = [cell.mem for cell in cells]
         self.sp_find = space._find
-        self.lane = lane
 
 
 # ----------------------------------------------------------------------
@@ -285,7 +269,6 @@ class _BatchSuperblockCodegen:
         compiler: _BatchBlockCompiler,
         unit: _Unit,
         cell_configs: Sequence[MachineConfig],
-        vector: bool,
     ) -> None:
         self.plan = plan
         self.config = config
@@ -294,7 +277,6 @@ class _BatchSuperblockCodegen:
         self.divergent = plan.divergent
         self.function = plan.functions[0]
         self.unit = unit
-        self.vector = vector
         self.l1_masks = [
             cfg.memory.l1.sets - 1 for cfg in cell_configs
         ]
@@ -771,8 +753,6 @@ class _BatchSuperblockCodegen:
         ("L1L", "cd.l1_lats"),
         ("C", "cd.counters"),
         ("UN", "cd.unused"),
-        ("MEMS", "cd.mems"),
-        ("LANE", "cd.lane"),
         ("sp_find", "cd.sp_find"),
     )
 
@@ -806,7 +786,7 @@ class _BatchSuperblockCodegen:
         used = set(
             re.findall(
                 r"\b(?:cy|D|LD|SR|PF|sp_load|sp_store|RNG|L1S|L1M|L1L"
-                r"|C|UN|MEMS|LANE|sp_find)\b",
+                r"|C|UN|sp_find)\b",
                 "\n".join(body),
             )
         )
@@ -887,36 +867,20 @@ class _BatchSuperblockCodegen:
             if dst_divergent:
                 self._emit_functional("_v = ", "sp_load(_a)", None)
             self.emit("_line = _a >> 6")
-            if self.vector:
-                self.emit("_hits = LANE.probe(_line)")
             now = self._now_expr()
             self.emit("for _i in RNG:")
             self.indent += 1
             self.emit(f"_now = {now}")
-            if self.vector:
-                self.emit("if _hits[_i]:")
-                self.indent += 1
-                self._emit_un(True)
-                self.emit(f"cy[_i] = _now + {lat}")
-                self.indent -= 1
-                self.emit("else:")
-                self.indent += 1
             self.emit(f"_set = L1S[_i][_line & {mask}]")
             self.emit("_f = _set.pop(_line, None)")
             self.emit("if _f is None:")
             self.emit(f"    cy[_i] = _now + LD[_i](_a, _now, {pc})")
-            if self.vector:
-                self.emit("    LANE.dirty(_i)")
             self.emit("else:")
             self.indent += 1
             self.emit("_set[_line] = _f")
-            if self.vector:
-                self.emit("LANE.note(_i, _line)")
             self._emit_un(True)
             self.emit(f"cy[_i] = _now + {lat}")
             self.indent -= 1
-            if self.vector:
-                self.indent -= 1
             if dst_divergent:
                 self.emit(f"D[_i][{dst_slot}] = _v")
             self.indent -= 1
@@ -938,13 +902,9 @@ class _BatchSuperblockCodegen:
             self.emit("_f = _set.pop(_line, None)")
             self.emit("if _f is None:")
             self.emit(f"    cy[_i] = _now + LD[_i](_a, _now, {pc})")
-            if self.vector:
-                self.emit("    LANE.dirty(_i)")
             self.emit("else:")
             self.indent += 1
             self.emit("_set[_line] = _f")
-            if self.vector:
-                self.emit("LANE.note(_i, _line)")
             self._emit_un(True)
             self.emit(f"cy[_i] = _now + {lat}")
             self.indent -= 1
@@ -960,36 +920,20 @@ class _BatchSuperblockCodegen:
         mask = self._mask_expr()
         self.emit(f"_a = {self.uexpr(aspec)}")
         self.emit("_line = _a >> 6")
-        if self.vector:
-            self.emit("_hits = LANE.probe(_line)")
         now = self._now_expr()
         self.emit("for _i in RNG:")
         self.indent += 1
         self.emit(f"_now = {now}")
-        if self.vector:
-            self.emit("if _hits[_i]:")
-            self.indent += 1
-            self._emit_un(False)
-            self.emit("cy[_i] = _now + 1")
-            self.indent -= 1
-            self.emit("else:")
-            self.indent += 1
         self.emit(f"_set = L1S[_i][_line & {mask}]")
         self.emit("_f = _set.pop(_line, None)")
         self.emit("if _f is None:")
         self.emit(f"    cy[_i] = _now + SR[_i](_a, _now, {pc})")
-        if self.vector:
-            self.emit("    LANE.dirty(_i)")
         self.emit("else:")
         self.indent += 1
         self.emit("_set[_line] = _f")
-        if self.vector:
-            self.emit("LANE.note(_i, _line)")
         self._emit_un(False)
         self.emit("cy[_i] = _now + 1")
         self.indent -= 1
-        if self.vector:
-            self.indent -= 1
         self.indent -= 1
         self._consume()
         value = self.uexpr(vspec)
@@ -1010,12 +954,6 @@ class _BatchSuperblockCodegen:
             self.emit(f"_a = {self.cexpr(aspec)}")
         self.emit(f"_now = {now}")
         self.emit("cy[_i] = _now")
-        if self.vector:
-            # The prefetch port only mutates L1 state through an MSHR
-            # drain, and drains exactly under this condition.
-            self.emit("_m = MEMS[_i]")
-            self.emit("if _m._mshr and _now >= _m._mshr_next_ready:")
-            self.emit("    LANE.dirty(_i)")
         self.emit(f"PF[_i](_a, _now, {pc})")
         self.indent -= 1
         self._consume()
@@ -1246,10 +1184,9 @@ def _build_batch_superblock(
     compiler: _BatchBlockCompiler,
     unit: _Unit,
     cell_configs: Sequence[MachineConfig],
-    vector: bool,
 ) -> BatchSuperblock:
     codegen = _BatchSuperblockCodegen(
-        plan, config, compiler, unit, cell_configs, vector
+        plan, config, compiler, unit, cell_configs
     )
     source = codegen.generate()
     filename = f"<batchsb:{plan.name}:{unit.header}:{next(_counter)}>"
@@ -1268,14 +1205,15 @@ def _build_batch_superblock(
     )
 
 
-class BatchTurboCompiledFunction(BatchCompiledFunction):
-    """The batch tier's per-block chains plus batch superblocks.
+class BatchTurboCompiledFunction:
+    """One aligned function compiled for all cells: the per-block batch
+    chains plus a batch superblock per fusable loop nest.
 
-    Unfused blocks dispatch exactly as the per-block batch engine
-    does; a fused header hands control to the generated stepper, which
-    runs whole iterations for all cells until the budget guard trips
-    (or declines with ``-1``) — per-block dispatch then replays to the
-    exact boundary and re-enters bulk at the next fused header.
+    Unfused blocks dispatch through their per-block chains; a fused
+    header hands control to the generated stepper, which runs whole
+    iterations for all cells until the budget guard trips (or declines
+    with ``-1``) — per-block dispatch then replays to the exact
+    boundary and re-enters bulk at the next fused header.
     """
 
     def __init__(
@@ -1286,18 +1224,14 @@ class BatchTurboCompiledFunction(BatchCompiledFunction):
         entry_index: int,
         register_count: int,
         needs_overlay: bool,
-        ret_divergent: bool,
         superblocks: tuple,
     ) -> None:
-        super().__init__(
-            plan,
-            blocks,
-            block_names,
-            entry_index,
-            register_count,
-            needs_overlay,
-            ret_divergent,
-        )
+        self.plan = plan
+        self._blocks = blocks
+        self._block_names = block_names
+        self._entry = entry_index
+        self._register_count = register_count
+        self._needs_overlay = needs_overlay
         self._superblocks = superblocks
         self.bulk_calls = 0
         self.bulk_iters = 0
@@ -1308,18 +1242,20 @@ class BatchTurboCompiledFunction(BatchCompiledFunction):
         return [sb for sb in self._superblocks if sb is not None]
 
     def stats(self) -> dict:
-        stats = super().stats()
         fused = self.superblocks()
-        stats["superblocks"] = len(fused)
-        stats["fused_blocks"] = sum(len(sb.path) for sb in fused)
-        stats["max_fusion_depth"] = max(
-            (sb.depth for sb in fused), default=0
-        )
-        stats["bulk_calls"] = self.bulk_calls
-        stats["bulk_iters"] = self.bulk_iters
-        stats["guard_declines"] = self.guard_declines
-        stats["adaptive_cleared"] = self.adaptive_cleared
-        return stats
+        return {
+            "blocks": len(self._blocks),
+            "ops": sum(len(ops) for ops in self._blocks),
+            "registers": self._register_count,
+            "divergent_registers": len(self.plan.divergent),
+            "superblocks": len(fused),
+            "fused_blocks": sum(len(sb.path) for sb in fused),
+            "max_fusion_depth": max((sb.depth for sb in fused), default=0),
+            "bulk_calls": self.bulk_calls,
+            "bulk_iters": self.bulk_iters,
+            "guard_declines": self.guard_declines,
+            "adaptive_cleared": self.adaptive_cleared,
+        }
 
     def __call__(self, bm, args: Sequence[int] = ()):
         function = self.plan.functions[0]
@@ -1351,7 +1287,6 @@ class BatchTurboCompiledFunction(BatchCompiledFunction):
         max_instructions = bm.config.max_instructions
         st.max_instructions = max_instructions
         cd = bm.bindings
-        lane = cd.lane
 
         R = [0] * self._register_count
         for slot, value in enumerate(args):
@@ -1390,10 +1325,6 @@ class BatchTurboCompiledFunction(BatchCompiledFunction):
                 st.next = _FELL_THROUGH
                 for op in blocks[bi]:
                     op(R, st)
-                if lane is not None:
-                    # Per-block op closures call the ports directly,
-                    # outside the note/dirty discipline.
-                    lane.dirty_all()
                 nxt = st.next
                 if nxt < 0:
                     if nxt == _RETURNED:
@@ -1419,13 +1350,12 @@ def compile_batch_turbo(
     plans: dict,
     config: MachineConfig,
     cell_configs: Sequence[MachineConfig],
-    vector: bool = False,
 ) -> BatchTurboCompiledFunction:
-    """Compile one aligned function plan for the batchturbo tier: the
-    per-block batch chains plus a batch superblock per fusable loop
-    nest (verdicts from the shared :mod:`repro.machine.fusion`
-    analysis on cell 0, exact for every cell because alignment pins
-    opcode shape and divergent WORK amounts are banned)."""
+    """Compile one aligned function plan for all cells: the per-block
+    batch chains plus a batch superblock per fusable loop nest
+    (verdicts from the shared :mod:`repro.machine.fusion` analysis on
+    cell 0, exact for every cell because alignment pins opcode shape
+    and divergent WORK amounts are banned)."""
     compiler = _BatchBlockCompiler(plan, plans, config)
     blocks = tuple(
         compiler.compile_block(aligned)
@@ -1436,7 +1366,7 @@ def compile_batch_turbo(
     for unit in discover_units(function0).values():
         superblocks[compiler.block_index[unit.header]] = (
             _build_batch_superblock(
-                plan, config, compiler, unit, cell_configs, vector
+                plan, config, compiler, unit, cell_configs
             )
         )
     return BatchTurboCompiledFunction(
@@ -1446,6 +1376,5 @@ def compile_batch_turbo(
         compiler.block_index[function0.entry.name],
         len(compiler.slots),
         compiler.has_divergence,
-        plan.ret_divergent,
         tuple(superblocks),
     )

@@ -213,133 +213,6 @@ def _load_turbo(
     return TurboCompiledFunction(base, tuple(superblocks))
 
 
-def _cell_vector(plan, cell_configs) -> list:
-    """Ordered per-cell fingerprints ``"<ir>:<cfg>:<mem>"`` for one
-    aligned function plan.
-
-    The *sorted* digest of this vector goes into the cache key (a
-    permutation of the same cells is the same compilation workload up
-    to PT-table order), while the ordered vector itself is embedded in
-    the payload — the generated steppers index per-cell constant
-    tables positionally, so a load under a different cell order must
-    invalidate and recompile rather than run with permuted tables.
-    """
-    from repro.service.store import config_fingerprint
-
-    return [
-        f"{ir_fingerprint(function)}"
-        f":{config_fingerprint(config)}"
-        f":{config_fingerprint(config.memory)}"
-        for function, config in zip(plan.functions, cell_configs)
-    ]
-
-
-def _cells_digest(vector: list) -> str:
-    text = "|".join(sorted(vector))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
-
-
-def _pack_batch(compiled) -> dict:
-    superblocks = []
-    for sb in compiled._superblocks:
-        if sb is None:
-            superblocks.append(None)
-            continue
-        name = compiled.plan.name
-        superblocks.append(
-            {
-                "header": sb.header,
-                "header_index": sb.header_index,
-                "path": list(sb.path),
-                "depth": sb.depth,
-                "bound_cycles": sb.bound_cycles,
-                "bound_retired": sb.bound_retired,
-                "source": sb.source,
-                "code": _encode_code(
-                    sb.source, f"<batchsb:{name}:{sb.header}:cached>"
-                ),
-                "ptables": [list(table) for table in sb.ptables],
-            }
-        )
-    return {"blocks": len(compiled._blocks), "superblocks": superblocks}
-
-
-def _load_batch(payload: dict, plan, plans, config, ncells: int):
-    from repro.machine.batch import _BatchBlockCompiler
-    from repro.machine.batchturbo import (
-        BatchSuperblock,
-        BatchTurboCompiledFunction,
-    )
-
-    compiler = _BatchBlockCompiler(plan, plans, config)
-    blocks = tuple(
-        compiler.compile_block(aligned)
-        for aligned in zip(*(list(f.blocks) for f in plan.functions))
-    )
-    entries = payload.get("superblocks")
-    if not isinstance(entries, list) or payload.get("blocks") != len(
-        blocks
-    ):
-        raise CodeCacheInvalid("superblock table shape drifted")
-    if len(entries) != len(blocks):
-        raise CodeCacheInvalid("superblock table length drifted")
-    superblocks: list = [None] * len(blocks)
-    for index, entry in enumerate(entries):
-        if entry is None:
-            continue
-        if not isinstance(entry, dict):
-            raise CodeCacheInvalid("superblock entry is not a mapping")
-        header = entry.get("header")
-        if (
-            header not in compiler.block_index
-            or compiler.block_index[header] != entry.get("header_index")
-            or entry.get("header_index") != index
-        ):
-            raise CodeCacheInvalid(f"header {header!r} drifted")
-        bound_retired = entry.get("bound_retired")
-        bound_cycles = entry.get("bound_cycles")
-        if (
-            not isinstance(bound_retired, int)
-            or bound_retired < 1
-            or not isinstance(bound_cycles, int)
-            or bound_cycles < 1
-        ):
-            raise CodeCacheInvalid("implausible superblock bounds")
-        source = entry.get("source")
-        if not isinstance(source, str):
-            raise CodeCacheInvalid("superblock source missing")
-        tables = entry.get("ptables")
-        if not isinstance(tables, list) or any(
-            not isinstance(table, list)
-            or len(table) != ncells
-            or any(not isinstance(value, int) for value in table)
-            for table in tables
-        ):
-            raise CodeCacheInvalid("per-cell constant tables drifted")
-        run = _exec_blob(entry["code"], {}, "__batchsb")
-        superblocks[index] = BatchSuperblock(
-            header=header,
-            header_index=index,
-            path=tuple(entry.get("path", ())),
-            depth=int(entry.get("depth", 1)),
-            run=run,
-            source=source,
-            bound_cycles=bound_cycles,
-            bound_retired=bound_retired,
-            ptables=tuple(tuple(table) for table in tables),
-        )
-    return BatchTurboCompiledFunction(
-        plan,
-        blocks,
-        tuple(block.name for block in plan.functions[0].blocks),
-        compiler.block_index[plan.functions[0].entry.name],
-        len(compiler.slots),
-        compiler.has_divergence,
-        plan.ret_divergent,
-        tuple(superblocks),
-    )
-
-
 def _pack_translate(compiled: CompiledFunction) -> dict:
     return {
         "source": compiled.source,
@@ -498,112 +371,6 @@ class CodeCache:
             if payload.get("ir") != fingerprint:
                 raise CodeCacheInvalid("stale IR fingerprint")
             return load(payload, function, config)
-
-
-# ----------------------------------------------------------------------
-# The batched superblock tier's entry point
-# ----------------------------------------------------------------------
-def batch_key(cache: CodeCache, plan, config, vector_digest: str,
-              ncells: int, lane: bool):
-    from repro.service.store import CacheKey, config_fingerprint
-
-    function = plan.functions[0]
-    return CacheKey.make(
-        cache.KIND,
-        plan.name,
-        "-",  # codegen does not depend on workload scale
-        config_fingerprint(config),
-        engine="batchturbo",
-        mem=config_fingerprint(config.memory),
-        ir=ir_fingerprint(function),
-        cells=vector_digest,
-        ncells=ncells,
-        lane=lane,
-        cache_tag=sys.implementation.cache_tag,
-        codecache_schema=CODECACHE_SCHEMA,
-    )
-
-
-def load_or_compile_batch(
-    cache: Optional[CodeCache],
-    plan,
-    plans,
-    config: MachineConfig,
-    cell_configs,
-    vector: bool,
-):
-    """The BatchMachine-facing entry point for the batchturbo tier:
-    cached load when possible, fresh compile (recorded, re-put)
-    otherwise; a ``None`` cache compiles in place.
-
-    The key hashes the *sorted* per-cell fingerprint vector; the
-    payload embeds the *ordered* vector and a load under a permuted
-    cell order invalidates (the steppers' PT tables are positional).
-    """
-    from repro.machine.batchturbo import compile_batch_turbo
-
-    if cache is None:
-        return compile_batch_turbo(
-            plan, plans, config, cell_configs, vector
-        )
-
-    ordered = _cell_vector(plan, cell_configs)
-    key = batch_key(
-        cache, plan, config, _cells_digest(ordered), len(ordered), vector
-    )
-    payload = cache.store.get(key)
-    if payload is not None:
-        try:
-            with obs_telemetry.phase(
-                "engine.load", workload=plan.name, engine="batchturbo"
-            ):
-                if payload.get("schema") != CODECACHE_SCHEMA:
-                    raise CodeCacheInvalid("codecache schema mismatch")
-                if payload.get("engine") != "batchturbo":
-                    raise CodeCacheInvalid("engine mismatch")
-                if payload.get("function") != plan.name:
-                    raise CodeCacheInvalid("function name mismatch")
-                if (
-                    payload.get("cache_tag")
-                    != sys.implementation.cache_tag
-                ):
-                    raise CodeCacheInvalid(
-                        "interpreter cache tag mismatch"
-                    )
-                if payload.get("cell_vector") != ordered:
-                    raise CodeCacheInvalid(
-                        "cell fingerprint vector drifted"
-                    )
-                compiled = _load_batch(
-                    payload, plan, plans, config, len(ordered)
-                )
-        except Exception:
-            cache._count("invalidated")
-        else:
-            cache._count("hits")
-            return compiled
-    else:
-        cache._count("misses")
-
-    with obs_telemetry.phase(
-        "engine.codegen", workload=plan.name, engine="batchturbo"
-    ):
-        compiled = compile_batch_turbo(
-            plan, plans, config, cell_configs, vector
-        )
-    try:
-        body = _pack_batch(compiled)
-        body.update(
-            schema=CODECACHE_SCHEMA,
-            engine="batchturbo",
-            function=plan.name,
-            cell_vector=ordered,
-            cache_tag=sys.implementation.cache_tag,
-        )
-        cache.store.put(key, body)
-    except Exception:
-        cache._count("put_errors")
-    return compiled
 
 
 # ----------------------------------------------------------------------

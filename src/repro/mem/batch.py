@@ -10,75 +10,28 @@ keeps private is the full microarchitectural state: L1/L2/LLC tags and
 recency, MSHR occupancy, hardware prefetchers, and its own
 :class:`~repro.machine.pmu.Counters`.
 
-How the tag checks are vectorized (and when they are not)
----------------------------------------------------------
+Why the tag checks are not vectorized
+-------------------------------------
 Probing N cells for one line address looks like an obvious candidate
-for a vectorized compare (one array of tags per level, one ``==``
-across cells) — but every probe also *mutates* per-cell state (LRU
-recency, MSHR slots, stride tables), and cells stop agreeing after the
-first capacity difference, so a full vectorized hierarchy walk is off
-the table.  What *can* be vectorized exactly is the dominant steady
-state: an L1 hit on the **most recently used** line of its set.  For an
-MRU hit the LRU refresh (pop + re-insert) is a structural no-op, so
-knowing "cell i would MRU-hit" is enough to skip the dict probe
-entirely and only bump counters/clocks.
-
-:class:`L1TagVector` keeps a per-cell mirror of each L1 set's MRU line
-(numpy ``int64`` matrix when numpy is importable, per-cell
-``array('q')`` rows otherwise) and answers one gathered compare per
-probe.  The mirror is a pure *routing accelerator*: a positive answer
-is only trusted for a clean cell, any port call (which can fill, evict,
-or drain behind the mirror's back) marks the cell dirty, and dirty
-rows are rebuilt from the structural set views before the next probe —
-so simulated state is bit-identical with the mirror on or off.  Below
-:data:`VECTOR_CELL_THRESHOLD` cells the gather costs more than N scalar
-dict probes, so the batched superblock tier only arms the lane past the
-threshold (``REPRO_BATCH_VECTOR_CELLS`` overrides it); the per-block
-batch engine keeps the scalar L1 fast-path ports
-(:mod:`repro.mem.fastpath`) either way — the same ports the sequential
-engines bind.
+for a vectorized compare, but every probe also *mutates* per-cell state
+(LRU recency, MSHR slots, stride tables), and cells stop agreeing after
+the first capacity difference.  A numpy mirror of each L1 set's MRU
+line was tried and measured 1.45-2.19x slower than the scalar dict
+probes the batched steppers inline (docs/PERFORMANCE.md), so each cell
+keeps the scalar L1 fast-path views of :mod:`repro.mem.fastpath` — the
+same ones the sequential engines bind.
 """
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.machine.pmu import Counters
 from repro.mem.address import AddressSpace
 from repro.mem.hierarchy import MemorySystem
 
-try:  # pragma: no cover - exercised via either branch per environment
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy is a baked-in dependency
-    _np = None
-
 if TYPE_CHECKING:  # pragma: no cover - hint only, avoids an import cycle
     from repro.machine.config import MachineConfig
-
-#: Cell count at which the batched superblock tier arms the vectorized
-#: L1 tag lane.  Measured on the bench_sweep BFS-tiny ladders the
-#: scalar dict probes beat the gather at 8, 32 and 64 cells (the
-#: per-probe numpy dispatch plus dirty-row rebuilds outweigh the
-#: vectorized compare until far larger batches), so the default sits
-#: above every sweep shape the benchmarks exercise and the lane is
-#: effectively opt-in via ``REPRO_BATCH_VECTOR_CELLS``; see
-#: docs/PERFORMANCE.md for the numbers.
-VECTOR_CELL_THRESHOLD = 256
-
-
-def vector_threshold() -> int:
-    """The active lane-activation threshold (env-overridable for tests
-    and benchmarks: ``REPRO_BATCH_VECTOR_CELLS=1`` forces the lane on
-    for any batch, ``0`` disables it)."""
-    raw = os.environ.get("REPRO_BATCH_VECTOR_CELLS")
-    if raw is None:
-        return VECTOR_CELL_THRESHOLD
-    try:
-        value = int(raw)
-    except ValueError:
-        return VECTOR_CELL_THRESHOLD
-    return value if value > 0 else (1 << 62)
 
 
 class CellState:
@@ -124,128 +77,6 @@ def space_mismatch(
         if mine.values != theirs.values:
             return f"segment {mine.name!r} initial contents differ"
     return None
-
-
-class L1TagVector:
-    """Vectorized per-cell L1 MRU-line mirror for the batched tiers.
-
-    One row per cell, one slot per L1 set, holding the line number of
-    that set's most-recently-used way (``-1`` when empty).  ``probe``
-    answers "would this line MRU-hit in cell i?" for all cells at once;
-    a positive answer licenses the caller to skip the dict probe
-    because the LRU refresh of an MRU hit is a structural no-op.
-
-    Exactness protocol (the mirror routes, it never decides state):
-
-    * a *negative* answer is never trusted as a miss — the caller falls
-      back to the ordinary dict probe, which also handles non-MRU hits;
-    * after a non-MRU hit's re-insert or a port-side fill, the caller
-      calls :meth:`note` (the line is now its set's MRU);
-    * any port call that may touch other sets (demand miss fills, MSHR
-      drains, back-invalidations) marks the whole cell dirty via
-      :meth:`dirty`; dirty rows are rebuilt from the structural set
-      views (dict order is LRU→MRU, so the MRU is the *last* key) on
-      the next probe.
-    """
-
-    __slots__ = (
-        "n",
-        "_sets",
-        "_masks",
-        "_dirty",
-        "_mru",
-        "_rows",
-        "_vmasks",
-        "probes",
-        "rebuilds",
-    )
-
-    def __init__(self, l1_sets: Sequence[list], l1_masks: Sequence[int]):
-        self.n = len(l1_sets)
-        self._sets = list(l1_sets)  # per-cell structural set views
-        self._masks = list(l1_masks)
-        self._dirty = bytearray([1] * self.n)  # start dirty: rebuild first
-        if _np is not None:
-            width = max(len(sets) for sets in self._sets)
-            self._mru = _np.full((self.n, width), -1, dtype=_np.int64)
-            self._rows = _np.arange(self.n)
-            self._vmasks = _np.asarray(self._masks, dtype=_np.int64)
-        else:
-            import array
-
-            self._mru = [
-                array.array("q", [-1] * len(sets)) for sets in self._sets
-            ]
-            self._rows = None
-            self._vmasks = None
-        self.probes = 0
-        self.rebuilds = 0
-
-    # ------------------------------------------------------------------
-    def dirty(self, i: int) -> None:
-        """Cell ``i``'s mirror can no longer be trusted (a port call may
-        have filled/evicted/drained); rebuild before the next probe."""
-        self._dirty[i] = 1
-
-    def dirty_all(self) -> None:
-        """Invalidate every cell (per-block dispatch ran memory ops
-        outside the generated code's note/dirty discipline)."""
-        for i in range(self.n):
-            self._dirty[i] = 1
-
-    def _rebuild(self, i: int) -> None:
-        self.rebuilds += 1
-        row = self._mru[i]
-        for index, bucket in enumerate(self._sets[i]):
-            row[index] = next(reversed(bucket)) if bucket else -1
-        self._dirty[i] = 0
-
-    def note(self, i: int, line: int) -> None:
-        """``line`` just became the MRU of its set in cell ``i``."""
-        self._mru[i][line & self._masks[i]] = line
-
-    def probe(self, line: int):
-        """Per-cell truthy flags: True where ``line`` is that cell's
-        set-MRU (a guaranteed L1 hit whose LRU refresh is a no-op)."""
-        self.probes += 1
-        dirty = self._dirty
-        if 1 in dirty:
-            rebuild = self._rebuild
-            for i in range(self.n):
-                if dirty[i]:
-                    rebuild(i)
-        if self._rows is not None:
-            # .tolist() so the caller's per-cell branch tests plain
-            # bools instead of paying numpy scalar indexing per cell.
-            return (
-                self._mru[self._rows, line & self._vmasks] == line
-            ).tolist()
-        mru = self._mru
-        masks = self._masks
-        return [mru[i][line & masks[i]] == line for i in range(self.n)]
-
-    # ------------------------------------------------------------------
-    def scan_consistent(self) -> bool:
-        """True iff every *clean* cell's mirror matches a fresh
-        structural scan (property-test hook)."""
-        for i in range(self.n):
-            if self._dirty[i]:
-                continue
-            row = self._mru[i]
-            for index, bucket in enumerate(self._sets[i]):
-                expect = next(reversed(bucket)) if bucket else -1
-                if row[index] != expect:
-                    return False
-        return True
-
-
-def build_lane(cells: Sequence[CellState]) -> L1TagVector:
-    """An :class:`L1TagVector` over ``cells``'s L1 structural views."""
-    fronts = [cell.mem.front() for cell in cells]
-    return L1TagVector(
-        [front._l1_sets for front in fronts],
-        [front._l1_mask for front in fronts],
-    )
 
 
 def shared_space(spaces: Sequence[AddressSpace]) -> AddressSpace:

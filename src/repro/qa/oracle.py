@@ -460,11 +460,9 @@ def check_batch(
     Runs the spec through :func:`repro.machine.batch.run_batch` on two
     cell shapes — a *uniform* batch (identical modules, cache
     capacities scaled per cell) and a *divergent-immediate* batch (A&J
-    injection at a different distance per cell) — once per batch
-    execution tier (block-dispatch ``batch`` and fused-superblock
-    ``batchturbo``), and demands every cell be bit-identical (return
-    value + full PMU counter vector) to a fresh sequential
-    :class:`Machine` run of the same module/config.
+    injection at a different distance per cell) — and demands every
+    cell be bit-identical (return value + full PMU counter vector) to a
+    fresh sequential :class:`Machine` run of the same module/config.
 
     Unlike :func:`check_program`'s cells this path runs **unprofiled**
     (no LBR/PEBS sampling, no tracing): the batch tier excludes
@@ -503,21 +501,13 @@ def check_batch(
             cells.append(BatchCell(module, space, base))
         return cells
 
-    # Every axis runs once per batch tier: the per-block chains and the
-    # fused superblock tier must both be bit-identical with sequential
-    # (and hence with each other) on every cell.
-    combos = [
-        (f"{base_label}/{tier}", make, tier)
-        for base_label, make in (
-            ("batch-uniform", uniform_cells),
-            ("batch-aj", aj_cells),
-        )
-        for tier in ("batch", "batchturbo")
-    ]
     outcomes: dict = {}
-    for label, make, tier in combos:
+    for label, make in (
+        ("batch-uniform", uniform_cells),
+        ("batch-aj", aj_cells),
+    ):
         try:
-            outcome = run_batch(make(), function=config.function, tier=tier)
+            outcome = run_batch(make(), function=config.function)
         except Exception as error:
             raise OracleFailure(
                 "exception", f"run_batch raised {error!r}", label

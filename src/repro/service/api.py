@@ -617,7 +617,6 @@ class TuningService:
                     "cache_scale": cache_scale,
                     "cached": payload is not None,
                     "batched": None,
-                    "tier": None,
                     "run": payload,
                 }
             )
@@ -698,7 +697,6 @@ class TuningService:
             scheme=scheme,
             cells=len(indices),
             batched=outcome.batched,
-            tier=outcome.tier,
             reason=outcome.reason,
         )
         self.metrics.inc(
@@ -716,7 +714,6 @@ class TuningService:
             scheme=scheme,
             cells=len(indices),
             batched=outcome.batched,
-            tier=outcome.tier,
         )
 
         for position, index in enumerate(indices):
@@ -731,12 +728,10 @@ class TuningService:
             self._put(keys[index], payload)
             cell["run"] = payload
             cell["batched"] = outcome.batched
-            cell["tier"] = outcome.tier
         return {
             "scheme": scheme,
             "cells": len(indices),
             "batched": outcome.batched,
-            "tier": outcome.tier,
             "reason": outcome.reason,
             "reason_code": outcome.reason_code,
         }

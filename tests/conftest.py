@@ -10,7 +10,6 @@ import pytest
 from repro.ir.builder import IRBuilder
 from repro.ir.nodes import Module
 from repro.machine.config import MachineConfig
-from repro.machine.machine import Machine
 from repro.mem.address import AddressSpace
 from repro.mem.config import CacheConfig, MemoryConfig
 
@@ -215,8 +214,3 @@ def indirect_loop():
 @pytest.fixture()
 def nested_indirect():
     return build_nested_indirect()
-
-
-def run_on(module, space, config=None, engine="translate", function="main"):
-    machine = Machine(module, space, config=config, engine=engine)
-    return machine.run(function)

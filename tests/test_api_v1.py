@@ -296,6 +296,35 @@ class TestSweep:
         assert swept.result.value == single.value
         assert swept.result.counters.as_dict() == dict(single.counters)
 
+    def test_batched_sweep_cells_match_single_runs(self):
+        """Every scheme's cells run in one batched pass, and each cell's
+        full run payload equals that cell computed alone on a fresh
+        service with the same (cache-scaled) machine config."""
+        from dataclasses import replace
+
+        from repro.service.api import run_to_payload
+
+        service = TuningService()
+        result = api.sweep(
+            "micro-tiny", "tiny", service=service,
+            schemes=("baseline", "aj", "apt-get"), distances=(2, 4),
+            cache_scales=(1, 2),
+        )
+        assert len(result.cells) == 8  # 2 baseline + 4 aj + 2 apt-get
+        assert all(group["batched"] for group in result.execution["groups"])
+        for cell in result.cells:
+            assert cell["batched"] is True, cell
+            config = service.config
+            if cell["cache_scale"] != 1:
+                config = replace(
+                    config, memory=config.memory.scaled(cell["cache_scale"])
+                )
+            alone = TuningService(machine_config=config).run(
+                "micro-tiny", "tiny", scheme=cell["scheme"],
+                distance=cell["distance"] or 32,
+            )
+            assert cell["run"] == run_to_payload(alone), cell["scheme"]
+
     def test_sweep_cells_share_artifacts_with_single_runs(self, tmp_path):
         """Per-cell artifacts reuse the sequential run keys: a sweep
         primes the cache for single runs and vice versa."""

@@ -1,8 +1,8 @@
-"""The batched superblock tier (``tier="batchturbo"``): shared fusion
+"""The batched superblock tier every batched sweep runs: shared fusion
 verdicts with the turbo engine, guarded-nest discovery and execution,
-budget-boundary replay exactness, tier resolution/fallback plumbing,
-the vectorized L1 tag lane, the batch code cache, and the service/CLI
-surfaces that report which tier ran."""
+budget-boundary replay exactness, the ``run_batch`` contract and its
+fallback plumbing, and the service/CLI surfaces that report whether a
+sweep group ran batched."""
 
 from __future__ import annotations
 
@@ -15,16 +15,12 @@ import pytest
 from repro.ir.builder import IRBuilder
 from repro.ir.nodes import Module
 from repro.ir.verifier import verify_module
-from repro.machine import codecache
 from repro.machine.batch import (
-    BATCH_TIERS,
     BatchCell,
     BatchMachine,
     FALLBACK_CODES,
-    resolve_tier,
     run_batch,
 )
-from repro.machine.config import MachineConfig
 from repro.machine.fusion import (
     GuardedUnit,
     discover_units,
@@ -35,7 +31,6 @@ from repro.machine.interpreter import ExecutionLimitExceeded
 from repro.machine.machine import Machine
 from repro.machine.superblock import compile_turbo
 from repro.mem.address import AddressSpace
-from repro.mem.batch import vector_threshold
 from repro.workloads.registry import TINY_SUITE, make_workload
 from tests.conftest import tiny_memory
 from tests.test_machine_batch import build_kernel, fast_config
@@ -175,8 +170,8 @@ class TestGuardedNestFusion:
             rebuilds.append(
                 build_guarded_nest(enter_on_true=enter_on_true)[:2]
             )
-        outcome = run_batch(cells, tier="batchturbo")
-        assert outcome.batched and outcome.tier == "batchturbo"
+        outcome = run_batch(cells)
+        assert outcome.batched
         assert_cells_match_sequential(outcome, rebuilds, configs)
 
 
@@ -199,7 +194,7 @@ class TestVerdictAgreement:
             cells.append(
                 BatchCell(cell_module, cell_space, fast_config(tiny_memory()))
             )
-        bm = BatchMachine(cells, tier="batchturbo")
+        bm = BatchMachine(cells)
         btf = bm._compile(entry)
         batch_headers = {sb.header for sb in btf.superblocks()}
 
@@ -253,7 +248,7 @@ class TestBudgetBoundaryReplay:
                 )
                 cells.append(BatchCell(cell_module, cell_space, cfg))
             try:
-                outcome = run_batch(cells, tier="batchturbo")
+                outcome = run_batch(cells)
             except ExecutionLimitExceeded:
                 batched = [("limit",), ("limit",)]
             else:
@@ -270,42 +265,52 @@ class TestBudgetBoundaryReplay:
 
 
 # ----------------------------------------------------------------------
-# Tier resolution + fallback reporting
+# The run_batch contract + fallback reporting
 # ----------------------------------------------------------------------
-class TestTierPlumbing:
-    def test_resolve_tier(self):
-        module, space = build_kernel()
-        fast_cells = [BatchCell(module, space, fast_config())]
-        turbo_cells = [
-            BatchCell(
-                module, space, replace(fast_config(), engine="turbo")
-            )
-        ]
-        for tier in BATCH_TIERS:
-            assert resolve_tier(fast_cells, tier) == tier
-            assert resolve_tier(turbo_cells, tier) == tier
-        assert resolve_tier(fast_cells, None) == "batch"
-        assert resolve_tier(turbo_cells, None) == "batchturbo"
-        with pytest.raises(ValueError, match="unknown batch tier"):
-            resolve_tier(fast_cells, "warp")
+class TestRunBatchContract:
+    """What callers that wrap or rebind ``run_batch`` rely on."""
 
-    def test_turbo_engine_cells_pick_batchturbo(self):
-        config = replace(fast_config(tiny_memory()), engine="turbo")
-        cells = [
-            BatchCell(*build_kernel(), config),
-            BatchCell(*build_kernel(), config),
-        ]
-        outcome = run_batch(cells)
+    def test_run_batch_signature_and_retired_tiers(self):
+        import inspect
+
+        from repro.service.api import TuningService
+
+        params = inspect.signature(run_batch).parameters
+        assert list(params) == ["cells", "function", "args", "tier"]
+        assert params["function"].default == "main"
+        assert params["args"].default == ()
+        assert params["tier"].default is None
+        config = fast_config(tiny_memory())
+        cells = [BatchCell(*build_kernel(), config) for _ in range(2)]
+        # Four positional arguments with tier=None still run batched.
+        outcome = run_batch(cells, "main", (), None)
         assert outcome.batched
-        assert outcome.tier == "batchturbo"
+        assert not hasattr(outcome, "tier")
+        for retired in ("batch", "batchturbo"):
+            with pytest.raises(ValueError, match="tier= argument was removed"):
+                run_batch(cells, tier=retired)
+        # Sweep groups still say whether they ran batched.
+        payload = TuningService().sweep(
+            "micro-tiny", "tiny", schemes=("aj",), distances=(2, 4)
+        )
+        (group,) = payload["execution"]["groups"]
+        assert group["batched"] is True
+        assert "tier" not in group
+
+
+class TestTierPlumbing:
+    def test_turbo_engine_cells_pick_batchturbo(self):
+        # The fused tier is the only one: cells of any engine get it.
+        for engine in ("turbo", "fast"):
+            config = replace(fast_config(tiny_memory()), engine=engine)
+            cells = [BatchCell(*build_kernel(), config) for _ in range(2)]
+            assert BatchMachine(cells)._compile("main").superblocks(), engine
+            assert run_batch(cells).batched, engine
 
     def test_single_cell_replays(self):
         config = fast_config(tiny_memory())
-        outcome = run_batch(
-            [BatchCell(*build_kernel(), config)], tier="batchturbo"
-        )
+        outcome = run_batch([BatchCell(*build_kernel(), config)])
         assert not outcome.batched
-        assert outcome.tier == "replay"
         assert outcome.reason_code == "single-cell"
         module, space = build_kernel()
         value, _ = run_sequential(module, space, config)
@@ -317,9 +322,8 @@ class TestTierPlumbing:
             BatchCell(*build_kernel(distance=None), config),
             BatchCell(*build_kernel(distance=4), config),
         ]
-        outcome = run_batch(cells, tier="batchturbo")
+        outcome = run_batch(cells)
         assert not outcome.batched
-        assert outcome.tier == "replay"
         assert outcome.reason_code in FALLBACK_CODES
         rebuilds = [
             build_kernel(distance=None),
@@ -328,102 +332,6 @@ class TestTierPlumbing:
         assert_cells_match_sequential(
             outcome, rebuilds, [config, config]
         )
-
-
-# ----------------------------------------------------------------------
-# Vectorized L1 tag lane
-# ----------------------------------------------------------------------
-class TestVectorLane:
-    def test_threshold_default_keeps_lane_off(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH_VECTOR_CELLS", raising=False)
-        assert vector_threshold() == 256
-        config = fast_config(tiny_memory())
-        cells = [BatchCell(*build_kernel(), config) for _ in range(4)]
-        bm = BatchMachine(cells, tier="batchturbo")
-        assert bm.vector is False
-        monkeypatch.setenv("REPRO_BATCH_VECTOR_CELLS", "0")
-        assert vector_threshold() > (1 << 32)
-
-    def test_forced_lane_is_bit_identical_and_consistent(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_VECTOR_CELLS", "1")
-        memory = tiny_memory()
-        configs = [fast_config(memory.scaled(s)) for s in (1, 2, 4, 8)]
-        cells = [
-            BatchCell(*build_kernel(n=200), config) for config in configs
-        ]
-        bm = BatchMachine(cells, tier="batchturbo")
-        assert bm.vector is True
-        lane = bm.bindings.lane
-        assert lane is not None
-        results = bm.run("main")
-        assert lane.probes > 0
-        # Every clean cell's MRU mirror still matches a structural scan.
-        assert lane.scan_consistent()
-        for result, config in zip(results, configs):
-            module, space = build_kernel(n=200)
-            value, counters = run_sequential(module, space, config)
-            assert result.value == value
-            assert result.counters.as_dict() == counters
-
-
-# ----------------------------------------------------------------------
-# Batch code cache: round-trip + cell-order invalidation
-# ----------------------------------------------------------------------
-class TestBatchCodeCache:
-    @pytest.fixture()
-    def cache_dir(self, tmp_path):
-        path = str(tmp_path / "codecache")
-        yield path
-        codecache.forget(path)
-
-    def _configs(self, cache_dir, scales):
-        memory = tiny_memory()
-        return [
-            replace(
-                fast_config(memory.scaled(scale)), code_cache=cache_dir
-            )
-            for scale in scales
-        ]
-
-    def _run(self, configs):
-        cells = [
-            BatchCell(*build_kernel(n=120), config) for config in configs
-        ]
-        outcome = run_batch(cells, tier="batchturbo")
-        assert outcome.batched
-        return [
-            (r.value, r.counters.as_dict()) for r in outcome.results
-        ]
-
-    def test_warm_load_round_trips(self, cache_dir):
-        configs = self._configs(cache_dir, (1, 2, 4, 8))
-        cold = self._run(configs)
-        cache = codecache.resolve(cache_dir)
-        assert cache.stats()["misses"] == 1
-        warm = self._run(configs)
-        assert cache.stats()["hits"] == 1
-        assert warm == cold
-        for (value, counters), config in zip(warm, configs):
-            module, space = build_kernel(n=120)
-            seq_value, seq_counters = run_sequential(
-                module, space, replace(config, code_cache=None)
-            )
-            assert value == seq_value
-            assert counters == seq_counters
-
-    def test_permuted_cell_order_invalidates(self, cache_dir):
-        forward = self._run(self._configs(cache_dir, (1, 2, 4, 8)))
-        cache = codecache.resolve(cache_dir)
-        assert cache.stats()["misses"] == 1
-        # Same cell set, different order (cell 0 pinned so the key —
-        # which also hashes cell 0's batch-level config — stays the
-        # same): the sorted fingerprint vector matches but the
-        # payload's ordered vector must not — the steppers' tables are
-        # positional, so a silent hit would hand cell 1 cell 3's cache
-        # hierarchy.
-        permuted = self._run(self._configs(cache_dir, (1, 8, 4, 2)))
-        assert cache.stats()["invalidated"] == 1
-        assert permuted == [forward[0], forward[3], forward[2], forward[1]]
 
 
 # ----------------------------------------------------------------------
@@ -443,10 +351,9 @@ class TestServiceSurfaces:
         )
         (group,) = payload["execution"]["groups"]
         assert group["batched"] is True
-        assert group["tier"] == "batchturbo"
         assert group["reason_code"] is None
         for cell in payload["cells"]:
-            assert cell["tier"] == "batchturbo"
+            assert cell["batched"] is True
 
     def test_fallback_sweep_counts_reason_metric(self):
         from repro.service.api import TuningService
@@ -464,10 +371,9 @@ class TestServiceSurfaces:
         )
         (group,) = payload["execution"]["groups"]
         assert group["batched"] is False
-        assert group["tier"] == "replay"
         assert group["reason_code"] in FALLBACK_CODES
         for cell in payload["cells"]:
-            assert cell["tier"] == "replay"
+            assert cell["batched"] is False
         counters = service.metrics.counters()
         assert (
             counters.get(f"batch.fallback.{group['reason_code']}", 0) >= 1
@@ -476,14 +382,13 @@ class TestServiceSurfaces:
     def test_sweep_table_shows_executed_tier(self):
         from repro.cli import _format_sweep_table
 
-        def cell(scheme, tier, cached=False, batched=True):
+        def cell(scheme, cached=False, batched=True):
             return {
                 "scheme": scheme,
                 "distance": 4,
                 "cache_scale": 1,
                 "cached": cached,
                 "batched": batched,
-                "tier": tier,
                 "run": {"counters": {"cycles": 100.0}},
             }
 
@@ -492,9 +397,9 @@ class TestServiceSurfaces:
             scale="tiny",
             engine="turbo",
             cells=[
-                cell("aj", "batchturbo"),
-                cell("aj", None, cached=True),
-                cell("baseline", "replay", batched=False),
+                cell("aj"),
+                cell("aj", cached=True, batched=None),
+                cell("baseline", batched=False),
             ],
             execution={
                 "cached_cells": 1,
@@ -503,14 +408,12 @@ class TestServiceSurfaces:
                     {
                         "scheme": "aj",
                         "batched": True,
-                        "tier": "batchturbo",
                         "reason": None,
                         "reason_code": None,
                     },
                     {
                         "scheme": "baseline",
                         "batched": False,
-                        "tier": "replay",
                         "reason": "single cell",
                         "reason_code": "single-cell",
                     },
@@ -518,10 +421,9 @@ class TestServiceSurfaces:
             },
         )
         table = _format_sweep_table(result)
-        assert "batchturbo" in table
-        assert "cache" in table
-        assert "replay" in table
-        assert "aj:batchturbo" in table
+        sources = [line.split()[-1] for line in table.splitlines()[2:5]]
+        assert sources == ["batch", "cache", "replay"]
+        assert "aj:batch," in table
         assert "baseline:replay (single-cell: single cell)" in table
 
     def test_cache_stats_reports_fallback_counters(self, tmp_path, capsys):

@@ -279,7 +279,12 @@ def test_sweep_command(tmp_path, capsys):
     ]) == 0
     out = capsys.readouterr().out
     assert "aj" in out and "baseline" in out
-    assert "batch" in out  # at least one cell came from the batched pass
+    # Source column: the two aj cells ran in one batched pass; the lone
+    # baseline cell has nothing to batch with and is replayed.
+    rows = [line.split() for line in out.splitlines() if line.startswith("  aj ")]
+    assert [row[-1] for row in rows] == ["batch", "batch"]
+    assert "aj:batch" in out
+    assert "baseline:replay (single-cell" in out
     payload = json.loads(out_path.read_text())
     assert payload["kind"] == "SweepResult"
     assert len(payload["cells"]) == 3
