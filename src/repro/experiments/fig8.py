@@ -4,6 +4,9 @@ For each workload, sweep the injected prefetch-distance over
 D = {1, 2, 4, 8, 16, 32, 64, 128} (same slices and sites as APT-GET,
 only the distance overridden), take the best-performing distance, and
 compare against the distance APT-GET computed from one LBR profile.
+Every run goes through the tuning service's single-run cache: the LBR
+run is the suite comparison's ``apt-get`` run, and each swept distance
+is cached under its ``hint_distance`` key (which Fig 9 reuses).
 Expected shape (paper): the LBR distance is near-optimal everywhere
 (paper geomeans: 1.30x LBR vs 1.32x exhaustive best).
 """
@@ -14,12 +17,10 @@ from repro.experiments.result import ExperimentResult
 from repro.experiments.runner import (
     cached_baseline,
     cached_profile,
+    cached_run,
     geomean,
-    hints_with_distance,
-    run_with_hints,
     scale_suite,
 )
-from repro.workloads.registry import make_workload
 
 DISTANCES = (1, 2, 4, 8, 16, 32, 64, 128)
 
@@ -35,13 +36,12 @@ def run(scale: str = "small") -> ExperimentResult:
         _, hints = cached_profile(name, scale)
         if not len(hints):
             continue
-        lbr_run = run_with_hints(make_workload(name, scale), hints)
+        lbr_run = cached_run(name, scale, "apt-get")
         lbr_speedup = baseline.cycles / lbr_run.cycles
         best_speedup, best_distance = 0.0, 0
         for distance in distances:
-            swept = run_with_hints(
-                make_workload(name, scale),
-                hints_with_distance(hints, distance),
+            swept = cached_run(
+                name, scale, "apt-get", hint_distance=distance
             )
             speedup = baseline.cycles / swept.cycles
             if speedup > best_speedup:

@@ -4,6 +4,9 @@ Same injection machinery, distance either fixed for all loads (static,
 as a compile-time flag would set it) or taken from the LBR analysis.
 Expected shape (paper): static 4/16/64 reach 1.16/1.26/1.28x geomean vs
 1.30x for the LBR distance; no single static value wins everywhere.
+Runs are cached under the same single-run keys as Fig 8's sweep and the
+suite comparison's ``apt-get`` run, so after those only the distances
+they did not measure are simulated.
 """
 
 from __future__ import annotations
@@ -12,12 +15,10 @@ from repro.experiments.result import ExperimentResult
 from repro.experiments.runner import (
     cached_baseline,
     cached_profile,
+    cached_run,
     geomean,
-    hints_with_distance,
-    run_with_hints,
     scale_suite,
 )
-from repro.workloads.registry import make_workload
 
 STATIC_DISTANCES = (4, 16, 64)
 
@@ -34,14 +35,13 @@ def run(scale: str = "small") -> ExperimentResult:
             continue
         row = [name]
         for distance in STATIC_DISTANCES:
-            swept = run_with_hints(
-                make_workload(name, scale),
-                hints_with_distance(hints, distance),
+            swept = cached_run(
+                name, scale, "apt-get", hint_distance=distance
             )
             speedup = baseline.cycles / swept.cycles
             series[str(distance)].append(speedup)
             row.append(round(speedup, 3))
-        lbr_run = run_with_hints(make_workload(name, scale), hints)
+        lbr_run = cached_run(name, scale, "apt-get")
         lbr_speedup = baseline.cycles / lbr_run.cycles
         series["lbr"].append(lbr_speedup)
         row.append(round(lbr_speedup, 3))

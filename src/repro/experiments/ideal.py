@@ -6,6 +6,11 @@ timeliness) data prefetcher".  The simulator can run that ideal directly:
 ``MemoryConfig.ideal_prefetching`` serves every demand load at L1 latency
 (perfect coverage, perfect timeliness, zero overhead).  This experiment
 reports each scheme's fraction of the ideal speedup recovered.
+
+The A&J (distance 32) and APT-GET runs are the suite comparison's, read
+from the tuning service's single-run cache; only the ideal-memory run
+(the service's own hierarchy with ``ideal_prefetching`` set) is
+simulated here.
 """
 
 from __future__ import annotations
@@ -15,35 +20,35 @@ import dataclasses
 from repro.experiments.result import ExperimentResult
 from repro.experiments.runner import (
     cached_baseline,
-    cached_profile,
+    cached_run,
     geomean,
-    run_ainsworth_jones,
-    run_with_hints,
     scale_suite,
 )
-from repro.machine.config import MachineConfig, paper_like_memory
 from repro.machine.machine import Machine
 from repro.workloads.registry import make_workload
 
-IDEAL_CONFIG = MachineConfig(
-    memory=dataclasses.replace(paper_like_memory(), ideal_prefetching=True)
-)
-
 
 def run(scale: str = "small") -> ExperimentResult:
+    # Deferred: repro.service.api imports repro.experiments.
+    from repro.service.api import get_service
+
     names = scale_suite(scale)
     rows = []
     fractions_aj = []
     fractions_apt = []
+    config = get_service().config
+    ideal_config = dataclasses.replace(
+        config,
+        memory=dataclasses.replace(config.memory, ideal_prefetching=True),
+    )
     for name in names:
         baseline = cached_baseline(name, scale)
         module, space = make_workload(name, scale).build()
-        ideal = Machine(module, space, config=IDEAL_CONFIG).run("main")
+        ideal = Machine(module, space, config=ideal_config).run("main")
         ideal_speedup = baseline.cycles / ideal.counters.cycles
 
-        aj = run_ainsworth_jones(make_workload(name, scale))
-        _, hints = cached_profile(name, scale)
-        apt = run_with_hints(make_workload(name, scale), hints)
+        aj = cached_run(name, scale, "aj", distance=32)
+        apt = cached_run(name, scale, "apt-get")
         aj_speedup = baseline.cycles / aj.cycles
         apt_speedup = baseline.cycles / apt.cycles
 

@@ -91,14 +91,24 @@ class WorkloadComparison:
 
 
 # ----------------------------------------------------------------------
-# Single-scheme runners
+# Single-scheme runners.  ``config=None`` means the process-global
+# tuning service's config, so ``repro.cli experiment --engine`` reaches
+# every run an experiment makes, cached or not.
 # ----------------------------------------------------------------------
+def _config(config: Optional[MachineConfig]) -> MachineConfig:
+    if config is not None:
+        return config
+    from repro.service.api import get_service
+
+    return get_service().config
+
+
 def run_baseline(
     workload: Workload, config: Optional[MachineConfig] = None
 ) -> SchemeRun:
     with telemetry.build_phase(workload.name, scheme="baseline"):
         module, space = workload.build()
-    machine = Machine(module, space, config=config)
+    machine = Machine(module, space, config=_config(config))
     with telemetry.run_phase(machine, scheme="baseline"):
         result = machine.run(workload.entry)
     return SchemeRun("baseline", result)
@@ -115,7 +125,7 @@ def run_ainsworth_jones(
         report = AinsworthJonesPass(
             AinsworthJonesConfig(distance=distance)
         ).run(module)
-    machine = Machine(module, space, config=config)
+    machine = Machine(module, space, config=_config(config))
     with telemetry.run_phase(machine, scheme=scheme):
         result = machine.run(workload.entry)
     return SchemeRun(scheme, result, report=report)
@@ -129,7 +139,7 @@ def profile_workload(
     """One profiling run + analysis (APT-GET steps 1-5)."""
     with telemetry.build_phase(workload.name, scheme="profile"):
         module, space = workload.build()
-    machine = Machine(module, space, config=config)
+    machine = Machine(module, space, config=_config(config))
     with telemetry.run_phase(machine, scheme="profile"):
         profile = collect_profile(machine, workload.entry, period=period)
     hints = AptGet(AptGetConfig()).analyze(module, profile)
@@ -145,7 +155,7 @@ def run_with_hints(
     with telemetry.build_phase(workload.name, scheme=scheme):
         module, space = workload.build()
         report = AptGetPass(hints).run(module)
-    machine = Machine(module, space, config=config)
+    machine = Machine(module, space, config=_config(config))
     with telemetry.run_phase(machine, scheme=scheme):
         result = machine.run(workload.entry)
     return SchemeRun(scheme, result, report=report, hints=hints)
@@ -189,9 +199,10 @@ def hints_with_site(hints: HintSet, site: InjectionSite) -> HintSet:
 
 # ----------------------------------------------------------------------
 # Per-workload caches shared across experiments, backed by the tuning
-# service's artifact store (Figs 8/9/10 would otherwise re-profile the
-# same binaries).  Every call returns fresh deserialized objects, so a
-# caller mutating a cached result cannot poison other consumers.
+# service's artifact store (Figs 8/9/10 and the ideal comparison would
+# otherwise re-profile the same binaries and re-measure the same runs).
+# Every call returns fresh deserialized objects, so a caller mutating a
+# cached result cannot poison other consumers.
 # (Imports are deferred: repro.service.api imports this module.)
 # ----------------------------------------------------------------------
 def cached_baseline(name: str, scale: str = "small") -> SchemeRun:
@@ -206,6 +217,14 @@ def cached_profile(
     from repro.service.api import get_service
 
     return get_service().profile(name, scale)
+
+
+def cached_run(name: str, scale: str, scheme: str, **overrides) -> SchemeRun:
+    """One cached ``TuningService.run`` measurement: ``distance`` for
+    ``aj``, ``hint_distance``/``site`` for ``apt-get``."""
+    from repro.service.api import get_service
+
+    return get_service().run(name, scale, scheme=scheme, **overrides)
 
 
 # ----------------------------------------------------------------------

@@ -185,6 +185,41 @@ def _suite_job(
     return out
 
 
+def _hint_overrides(
+    scheme: str, hint_distance: Optional[int], site: Optional[str]
+) -> dict:
+    """Validated ``run()`` hint overrides, as artifact-key params (only
+    the ones that are set, so plain keys stay unchanged)."""
+    overrides: dict = {}
+    if hint_distance is not None:
+        if int(hint_distance) < 1:
+            raise ValueError(
+                f"hint_distance must be >= 1, got {hint_distance!r}"
+            )
+        overrides["hint_distance"] = int(hint_distance)
+    if site is not None:
+        try:
+            overrides["site"] = InjectionSite(site).value
+        except ValueError:
+            raise ValueError(
+                f"site must be 'inner' or 'outer', got {site!r}"
+            ) from None
+    if overrides and scheme != "apt-get":
+        raise ValueError(
+            f"hint_distance/site override apt-get hints; scheme {scheme!r} "
+            "has none"
+        )
+    return overrides
+
+
+def _override_hints(hints: HintSet, overrides: dict) -> HintSet:
+    if "site" in overrides:
+        hints = hints_with_site(hints, InjectionSite(overrides["site"]))
+    if "hint_distance" in overrides:
+        hints = hints_with_distance(hints, overrides["hint_distance"])
+    return hints
+
+
 #: Artifact pieces making up one workload's suite comparison.
 _SUITE_PIECES = ("profile", "baseline", "aj", "apt")
 
@@ -499,14 +534,25 @@ class TuningService:
         scheme: str = "baseline",
         distance: int = 32,
         engine: Optional[str] = None,
+        hint_distance: Optional[int] = None,
+        site: Optional[str] = None,
     ) -> SchemeRun:
         """Cached measurement of one scheme on one workload.
 
         ``scheme`` is ``baseline`` (no prefetching), ``aj`` (Ainsworth &
         Jones fixed-distance injection, parameterized by ``distance``)
         or ``apt-get`` (profile-guided hints; profiles via this cache).
+
+        ``apt-get`` runs take two optional hint overrides, the
+        sensitivity studies' knobs: ``hint_distance`` replaces every
+        hint's distance (Figs 8/9) and ``site`` (``"inner"``/``"outer"``)
+        forces every hint's injection site (Fig 10).  Each override
+        joins the artifact key only when set, so plain ``apt-get`` keys
+        are unchanged.  An override that leaves the hint set as it was
+        is answered from the plain ``apt-get`` artifact.
         """
         config = self._config_for(engine)
+        overrides = _hint_overrides(scheme, hint_distance, site)
         if scheme == "baseline":
             key = self._key("run", workload, scale, config=config,
                             scheme="baseline")
@@ -523,10 +569,17 @@ class TuningService:
             )
         elif scheme == "apt-get":
             key = self._key("run", workload, scale, config=config,
-                            scheme="apt-get")
+                            scheme="apt-get", **overrides)
 
             def compute():
                 _, hints = self.profile(workload, scale, engine=engine)
+                if overrides:
+                    overridden = _override_hints(hints, overrides)
+                    if overridden.to_json() == hints.to_json():
+                        return self.run(
+                            workload, scale, scheme="apt-get", engine=engine
+                        )
+                    hints = overridden
                 return run_with_hints(
                     make_workload(workload, scale), hints, config=config
                 )

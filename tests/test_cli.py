@@ -81,6 +81,27 @@ def test_experiment_with_json_output(tmp_path, capsys):
     assert payload["rows"]
 
 
+def test_experiment_engine_reaches_every_machine(monkeypatch, capsys):
+    """``--engine`` reaches the runner helpers' uncached runs (fig12
+    profiles and measures directly), not only the service's cache."""
+    import repro.service.api as service_api
+    from repro.machine.machine import Machine
+
+    monkeypatch.setattr(service_api, "_SERVICE", None)
+    engines = []
+    original = Machine.__init__
+
+    def recording(machine, *args, **kwargs):
+        original(machine, *args, **kwargs)
+        engines.append(machine.engine)
+
+    monkeypatch.setattr(Machine, "__init__", recording)
+    assert main(
+        ["experiment", "fig12", "--scale", "tiny", "--engine", "turbo"]
+    ) == 0
+    assert engines and set(engines) == {"turbo"}
+
+
 def test_experiment_unknown(capsys):
     assert main(["experiment", "fig99", "--scale", "tiny"]) == 2
 

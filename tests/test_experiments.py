@@ -16,7 +16,7 @@ from repro.experiments.runner import (
     suite_comparison,
 )
 from repro.core.site import InjectionSite
-from repro.workloads.registry import make_workload
+from repro.workloads.registry import TINY_SUITE, make_workload
 
 
 class TestResultContainer:
@@ -153,6 +153,47 @@ class TestRunnerCaches:
         profile_c, hints_c = cached_profile("micro-tiny")
         assert profile_c.load_miss_counts == profile_b.load_miss_counts
         assert all(h.distance != -1 for h in hints_c)
+
+
+class TestRepeatedRunsCached:
+    """The sensitivity studies re-measure no run an earlier experiment
+    already simulated: they share the service's single-run keys."""
+
+    @pytest.fixture()
+    def machine_runs(self, monkeypatch):
+        import repro.service.api as service_api
+        from repro.machine.machine import Machine
+
+        monkeypatch.setattr(service_api, "_SERVICE", None)
+        service_api.configure_service()
+        calls = []
+        original = Machine.run
+
+        def counting(machine, *args, **kwargs):
+            calls.append(machine)
+            return original(machine, *args, **kwargs)
+
+        monkeypatch.setattr(Machine, "run", counting)
+        return calls
+
+    def test_fig9_after_fig8_runs_only_new_distances(self, machine_runs):
+        from repro.experiments import fig8, fig9
+
+        fig8.run("tiny")
+        del machine_runs[:]
+        fig9.run("tiny")
+        # d=4 and d=16 for each of the five workloads; the LBR run and
+        # d=64 come from fig8's cache entries.
+        assert len(machine_runs) == 10
+
+    def test_ideal_after_suite_runs_only_ideal_memory(self, machine_runs):
+        from repro.experiments import ideal
+
+        suite_comparison("tiny")
+        del machine_runs[:]
+        ideal.run("tiny")
+        assert len(machine_runs) == len(TINY_SUITE)
+        assert all(m.config.memory.ideal_prefetching for m in machine_runs)
 
 
 class TestFormattingEdges:

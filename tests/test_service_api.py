@@ -176,6 +176,133 @@ class TestSiteReport:
         assert timely(eq1) > timely(fixed)
 
 
+@pytest.fixture()
+def machine_runs(monkeypatch):
+    """Every ``Machine.run`` call made while the test runs."""
+    from repro.machine.machine import Machine
+
+    calls = []
+    original = Machine.run
+
+    def counting(machine, *args, **kwargs):
+        calls.append(machine)
+        return original(machine, *args, **kwargs)
+
+    monkeypatch.setattr(Machine, "run", counting)
+    return calls
+
+
+class TestHintOverrides:
+    """``run(scheme="apt-get", hint_distance=..., site=...)``: the
+    sensitivity studies' runs on the single-run cache."""
+
+    def direct(self, service, hints):
+        from repro.experiments.runner import run_with_hints
+        from repro.workloads.registry import make_workload
+
+        return run_with_hints(
+            make_workload("HJ8-tiny", "tiny"), hints, config=service.config
+        )
+
+    @pytest.mark.parametrize(
+        "overrides", [{"hint_distance": 4}, {"site": "inner"},
+                      {"site": "outer"}],
+    )
+    def test_override_matches_direct_run_then_hits(
+        self, overrides, machine_runs
+    ):
+        from repro.core.site import InjectionSite
+        from repro.experiments.runner import (
+            hints_with_distance,
+            hints_with_site,
+        )
+
+        service = TuningService()
+        _, hints = service.profile("HJ8-tiny", "tiny")
+        if "site" in overrides:
+            hints = hints_with_site(hints, InjectionSite(overrides["site"]))
+        else:
+            hints = hints_with_distance(hints, overrides["hint_distance"])
+        direct = self.direct(service, hints)
+        cached = service.run(
+            "HJ8-tiny", "tiny", scheme="apt-get", **overrides
+        )
+        assert cached.result.value == direct.result.value
+        assert cached.result.counters.as_dict() == (
+            direct.result.counters.as_dict()
+        )
+        assert cached.hints.to_json() == hints.to_json()
+        del machine_runs[:]
+        hits = service.metrics.get("cache.hits")
+        again = service.run(
+            "HJ8-tiny", "tiny", scheme="apt-get", **overrides
+        )
+        assert machine_runs == []
+        assert service.metrics.get("cache.hits") == hits + 1
+        assert again.result.counters.as_dict() == (
+            cached.result.counters.as_dict()
+        )
+
+    def test_overrides_get_distinct_keys(self):
+        service = TuningService()
+        plain = service.run("HJ8-tiny", "tiny", scheme="apt-get")
+        runs = {
+            repr(overrides): service.run(
+                "HJ8-tiny", "tiny", scheme="apt-get", **overrides
+            ).cycles
+            for overrides in ({"hint_distance": 4}, {"hint_distance": 64},
+                              {"site": "inner"})
+        }
+        assert len(set(runs.values()) | {plain.cycles}) == 4
+        assert service.store.stats()["by_kind"]["run"] == 4
+
+    def test_noop_override_answered_from_plain_artifact(self, machine_runs):
+        # micro-tiny's one hint already sits on the inner site.
+        service = TuningService()
+        plain = service.run("micro-tiny", "tiny", scheme="apt-get")
+        del machine_runs[:]
+        forced = service.run(
+            "micro-tiny", "tiny", scheme="apt-get", site="inner"
+        )
+        assert machine_runs == []
+        assert forced.result.counters.as_dict() == (
+            plain.result.counters.as_dict()
+        )
+        # Stored under its own key too: a warm pass records no miss.
+        misses = service.metrics.get("cache.misses")
+        service.run("micro-tiny", "tiny", scheme="apt-get", site="inner")
+        assert service.metrics.get("cache.misses") == misses
+
+    def test_plain_key_unchanged(self):
+        from repro import api as api_v1
+
+        service = TuningService()
+        service.run("HJ8-tiny", "tiny", scheme="apt-get")
+        key = service.request_key(
+            api_v1.RunRequest(workload="HJ8-tiny", scale="tiny",
+                              scheme="apt-get")
+        )
+        assert service.store.get(key) is not None
+        assert [name for name, _ in key.params] == [
+            "engine", "mem", "scheme"
+        ]
+        assert dict(key.params)["scheme"] == "apt-get"
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"scheme": "apt-get", "site": "middle"},
+            {"scheme": "apt-get", "hint_distance": 0},
+            {"scheme": "aj", "hint_distance": 8},
+            {"scheme": "baseline", "site": "inner"},
+        ],
+    )
+    def test_bad_override_raises(self, kwargs, machine_runs):
+        with pytest.raises(ValueError):
+            TuningService().run("HJ8-tiny", "tiny", **kwargs)
+        assert machine_runs == []
+
+
 class TestEnvironmentDefaults:
     def test_get_service_reads_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "envcache"))
