@@ -7,8 +7,9 @@ Six gates, all with fixed seeds so the job is deterministic:
    its own, so a broken lazy import cannot hide behind whichever
    engine the fuzz run happens to exercise first.
 2. **Clean fuzz** — ``--budget`` generated programs (plus an Eq-1/Eq-2
-   analytic-model sweep) must pass the full differential oracle: four
-   engines x tracing on/off x every prefetch scheme, bit-identical.
+   analytic-model sweep) must pass the full differential oracle: three
+   execution tiers x tracing on/off x every prefetch scheme,
+   bit-identical.
 3. **Corpus replay** — every case under ``tests/corpus/`` must pass
    the same oracle (they are shrunk former failures or seeded
    construct-coverage programs).

@@ -9,7 +9,7 @@ the same instruction stream.  This engine runs all cells in one pass:
   nest becomes one fused stepper that runs all cells per iteration
   (:mod:`repro.machine.batchturbo`), and the remaining blocks execute
   uniform instructions (identical operands across cells) exactly once
-  through the *same* closure factories the sequential fast engine uses
+  through the *same* closure factories the sequential block engine uses
   (:mod:`repro.machine.blockengine`), on a single shared register file;
 * **per-cell back-end** — every memory operation visits each cell's
   private L1/L2/LLC+MSHR state (:class:`repro.mem.batch.CellState`) at

@@ -57,7 +57,12 @@ from repro.machine.batch import (
     _aligned_rest,
     _BatchFrame,
 )
-from repro.machine.blockengine import _FELL_THROUGH, _RETURNED
+from repro.machine.blockengine import (
+    _ADAPT_MIN_ITERS,
+    _ADAPT_WARMUP,
+    _FELL_THROUGH,
+    _RETURNED,
+)
 from repro.machine.config import MachineConfig
 from repro.machine.fusion import (
     FusionUnit as _Unit,
@@ -68,7 +73,6 @@ from repro.machine.fusion import (
     unit_entry as _entry,
 )
 from repro.machine.interpreter import ExecutionLimitExceeded
-from repro.machine.superblock import _ADAPT_MIN_ITERS, _ADAPT_WARMUP
 
 _counter = itertools.count()
 

@@ -1,4 +1,5 @@
-"""Fast execution engine: per-block chains of pre-resolved op closures.
+"""Block engine: per-block chains of pre-resolved op closures and the
+one dispatch loop every compiled engine name shares.
 
 The reference interpreter pays, for every executed instruction, an
 opcode if-chain plus one ``resolve()`` call per operand (a function
@@ -13,15 +14,18 @@ applied to our own hot loop.
 
 Relationship to the other engines:
 
+* ``turbo`` (``repro.machine.superblock``; the default ``fast`` name
+  runs it too) compiles these chains first, then fuses hot loops into
+  generated superblock steppers that plug into
+  :class:`BlockCompiledFunction`'s dispatch loop.  Blocks outside a
+  fused loop, and every block of a traced run, take the per-block
+  path.
 * ``reference`` (``repro.machine.interpreter``) is the obviously-correct
   baseline.  This engine must match it bit-for-bit on cycles, PMU
   counters, LBR contents and PEBS sample sets — asserted across the
   whole workload registry by the differential tests.
 * ``translate`` (``repro.machine.translator``) generates Python source
-  and ``exec``\\ s one function object per IR function.  The block
-  engine reaches similar inner-loop speed without any per-function
-  ``exec``/parse (its per-function compile is just closure allocation),
-  so cold-start cost stays negligible for modules with many functions.
+  and ``exec``\\ s one function object per IR function.
 
 Cost folding follows the translator exactly: runs of constant-cost ALU
 instructions accumulate a pending cycle count that is materialized at
@@ -51,6 +55,13 @@ from repro.machine.sampler import NEVER
 #: Sentinels stored in ``_Frame.next`` by terminator closures.
 _RETURNED = -1
 _FELL_THROUGH = -2
+
+#: Adaptive bulk-stepping bypass: after this many bulk calls to one
+#: superblock, a run whose average completed iterations per call is
+#: below _ADAPT_MIN_ITERS stops bulk-stepping that loop (the per-call
+#: prologue outweighs the fusion win on 1-2-trip loops).
+_ADAPT_WARMUP = 64
+_ADAPT_MIN_ITERS = 2
 
 
 class _Frame:
@@ -650,7 +661,10 @@ class _BlockCompiler:
 
 
 class BlockCompiledFunction:
-    """An IR function compiled to per-block closure chains."""
+    """An IR function compiled to per-block closure chains, plus an
+    optional fused superblock stepper per block (see
+    :mod:`repro.machine.superblock`; every slot is None when nothing is
+    fused)."""
 
     def __init__(
         self,
@@ -662,15 +676,16 @@ class BlockCompiledFunction:
         slots: Optional[dict] = None,
         block_index: Optional[dict] = None,
         block_start_pc: Optional[dict] = None,
+        superblocks: Optional[tuple] = None,
     ) -> None:
         self.function = function
         self._blocks = blocks
         self._block_names = block_names
         self._entry = entry_index
         self._register_count = register_count
-        # Compile-form metadata consumed by the turbo tier
-        # (repro.machine.superblock): the register-file layout and the
-        # block-name -> dispatch-index / start-pc maps.
+        # Compile-form metadata consumed by the superblock compiler: the
+        # register-file layout and the block-name -> dispatch-index /
+        # start-pc maps.
         self.slots = slots if slots is not None else {}
         self.block_index = (
             block_index
@@ -678,6 +693,16 @@ class BlockCompiledFunction:
             else {name: i for i, name in enumerate(block_names)}
         )
         self.block_start_pc = block_start_pc if block_start_pc is not None else {}
+        # Per-block-index superblock, None when unfused.
+        self._superblocks = superblocks or (None,) * len(blocks)
+        self._fused = any(sb is not None for sb in self._superblocks)
+        # Cumulative run-profiling tallies (telemetry's engine.run span
+        # reads these; they live on the compiled function, never in the
+        # PMU counters, so traced==untraced bit-identity is untouched).
+        self.bulk_calls = 0
+        self.bulk_iters = 0
+        self.guard_declines = 0
+        self.adaptive_cleared = 0
 
     def stats(self) -> dict:
         """Compile-shape summary (for tests and debugging)."""
@@ -688,6 +713,12 @@ class BlockCompiledFunction:
         }
 
     def __call__(self, ctx: ExecutionContext, args: Sequence[int] = ()) -> int:
+        """Run the function: blocks that are not fused headers dispatch
+        their closure chain; a fused header hands control to its
+        stepper, which runs iterations in bulk until an
+        observation-point guard trips — or declines outright (``-1``:
+        sample imminent) so the per-block path can honour the
+        observation at the exact reference boundary."""
         function = self.function
         if len(args) != len(function.params):
             raise IRError(
@@ -721,6 +752,7 @@ class BlockCompiledFunction:
             st.pebs_threshold = NEVER
             st.record_load = None
         max_instructions = config.max_instructions
+        st.max_instructions = max_instructions
         st.cycle = int(counters.cycles)
         st.retired = 0
         st.loads = 0
@@ -733,26 +765,77 @@ class BlockCompiledFunction:
             R[slot] = int(value)
 
         blocks = self._blocks
+        # Trace armed -> observation points are everywhere; bulk
+        # stepping is disabled for the whole run (same bypass rule as
+        # the memory fast path).  The list is a per-run copy: a fused
+        # loop whose *dynamic* trip counts turn out tiny (a hash-probe
+        # chain averaging 1-2 iterations) pays more in per-bulk-call
+        # prologue than fusion saves, so after a warmup its slot is
+        # cleared and dispatch falls back to the per-block path —
+        # bit-identical either way, purely a time/space trade.
+        superblocks = (
+            list(self._superblocks)
+            if self._fused and mem.trace is None
+            else None
+        )
+        if superblocks is not None:
+            front = mem.front()
+            sb_calls = [0] * len(superblocks)
+            sb_iters = [0] * len(superblocks)
+        profiled = sampler is not None
+        declined = 0
         bi = self._entry
-        while True:
-            if st.cycle >= st.next_sample:
-                st.next_sample = st.take(st.cycle)
-            if st.retired > max_instructions:
-                raise ExecutionLimitExceeded(
-                    f"{function.name}: exceeded {max_instructions} instructions"
+        try:
+            while True:
+                if st.cycle >= st.next_sample:
+                    st.next_sample = st.take(st.cycle)
+                if st.retired > max_instructions:
+                    raise ExecutionLimitExceeded(
+                        f"{function.name}: exceeded {max_instructions} instructions"
+                    )
+                if superblocks is not None:
+                    sb = superblocks[bi]
+                    if sb is not None:
+                        run = sb.run_profiled if profiled else sb.run_plain
+                        before = st.retired
+                        nxt = run(R, st, front)
+                        if nxt >= 0:
+                            calls = sb_calls[bi] + 1
+                            sb_calls[bi] = calls
+                            sb_iters[bi] += (
+                                st.retired - before
+                            ) // sb.bound_retired
+                            if calls == _ADAPT_WARMUP and (
+                                sb_iters[bi] < calls * _ADAPT_MIN_ITERS
+                            ):
+                                superblocks[bi] = None
+                            bi = nxt
+                            continue
+                        declined += 1
+                st.next = _FELL_THROUGH
+                for op in blocks[bi]:
+                    op(R, st)
+                nxt = st.next
+                if nxt < 0:
+                    if nxt == _RETURNED:
+                        return st.value
+                    raise IRError(
+                        f"block {self._block_names[bi]} fell through "
+                        f"without terminator"
+                    )
+                bi = nxt
+        finally:
+            if superblocks is not None:
+                self.bulk_calls += sum(sb_calls)
+                self.bulk_iters += sum(sb_iters)
+                self.guard_declines += declined
+                self.adaptive_cleared += sum(
+                    1
+                    for original, current in zip(
+                        self._superblocks, superblocks
+                    )
+                    if original is not None and current is None
                 )
-            st.next = _FELL_THROUGH
-            for op in blocks[bi]:
-                op(R, st)
-            nxt = st.next
-            if nxt < 0:
-                if nxt == _RETURNED:
-                    return st.value
-                raise IRError(
-                    f"block {self._block_names[bi]} fell through "
-                    f"without terminator"
-                )
-            bi = nxt
 
 
 def compile_blocks(

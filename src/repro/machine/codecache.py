@@ -1,12 +1,13 @@
 """Persistent ahead-of-time code cache for the compiled engines.
 
-Fast/turbo compilation is redone in every process: the turbo tier
-regenerates and ``compile()``s its superblock steppers, the translating
-engine its whole-function module, on every worker spawn —
-BENCH_engines.json puts the cold build at 0.1–0.4 s per workload.  This
-module makes the *pure-codegen* engines (turbo superblocks, the
-translating engine; the fast engine builds closures, not source, so it
-has nothing to serialize) first-class content-addressed artifacts:
+Compilation is redone in every process: the superblock tier
+regenerates and ``compile()``s its steppers, the translating engine its
+whole-function module, on every worker spawn — BENCH_engines.json puts
+the cold build at 0.1–0.4 s per workload.  This module makes both
+compiled forms first-class content-addressed artifacts.  The ``fast``
+engine name runs the turbo compiled form, so it is keyed as ``turbo``
+(see :func:`cache_identity`) and the two names share one entry per
+function:
 
 * **What is stored.**  Per compiled function, the generated sources
   plus their compiled code objects as base64 ``marshal`` blobs — the
@@ -55,6 +56,7 @@ import hashlib
 import marshal
 import sys
 import types
+from dataclasses import replace
 from typing import Optional
 
 from repro.ir.printer import format_function
@@ -74,10 +76,8 @@ from repro.obs import telemetry as obs_telemetry
 #: invalidate (and are rewritten) instead of being misinterpreted.
 CODECACHE_SCHEMA = 1
 
-#: Engines whose compiled form is pure codegen and therefore cacheable.
-#: ``fast`` builds closure chains (nothing to serialize); ``reference``
-#: interprets.
-CACHEABLE_ENGINES = ("turbo", "translate")
+#: Engines whose compiled form is cacheable; ``reference`` interprets.
+CACHEABLE_ENGINES = ("turbo", "fast", "translate")
 
 #: ``code_cache`` / ``REPRO_CODE_CACHE`` spellings that mean "off".
 DISABLED_VALUES = frozenset({"", "0", "off", "none", "disabled"})
@@ -92,6 +92,16 @@ def ir_fingerprint(function) -> str:
 
 class CodeCacheInvalid(Exception):
     """A cached payload failed validation (stale, torn, or foreign)."""
+
+
+def cache_identity(config: MachineConfig, engine: str) -> tuple:
+    """The (config, engine) a compiled form is keyed and built under:
+    ``fast`` runs turbo's compiled form, so it is keyed as ``turbo`` with
+    ``config.engine`` set to match — a ``fast``- and a ``turbo``-named run
+    of one function share one entry, and turbo keys are unchanged."""
+    if engine == "fast":
+        return replace(config, engine="turbo"), "turbo"
+    return config, engine
 
 
 # ----------------------------------------------------------------------
@@ -116,7 +126,7 @@ def _exec_blob(blob, namespace: dict, entry: str):
     if not isinstance(code, types.CodeType):
         raise CodeCacheInvalid("blob did not decode to a code object")
     exec(code, namespace)  # noqa: S102 - our own serialized codegen
-    fn = namespace.get(entry)
+    fn = namespace.pop(entry, None)  # no function <-> globals cycle
     if not callable(fn):
         raise CodeCacheInvalid(f"cached module defines no {entry}()")
     return fn
@@ -291,6 +301,7 @@ class CodeCache:
     def key(self, function, config: MachineConfig, engine: str):
         from repro.service.store import CacheKey, config_fingerprint
 
+        config, engine = cache_identity(config, engine)
         return CacheKey.make(
             self.KIND,
             function.name,
@@ -307,12 +318,11 @@ class CodeCache:
     def load_or_compile(self, function, config: MachineConfig, engine: str):
         """The Machine-facing entry point: cached load when possible,
         fresh compile (recorded, re-put) otherwise."""
+        config, engine = cache_identity(config, engine)
         if engine == "turbo":
             build, pack, load = compile_turbo, _pack_turbo, _load_turbo
-        elif engine == "translate":
+        else:
             build, pack, load = compile_function, _pack_translate, _load_translate
-        else:  # fast/reference: nothing serializable; compile in place.
-            return compile_blocks(function, config)
 
         key = self.key(function, config, engine)
         fingerprint = dict(key.params)["ir"]

@@ -22,9 +22,12 @@ from repro.mem.config import CacheConfig, MemoryConfig
 
 #: Canonical engine names, fastest first.
 #:
-#: * ``turbo`` — fast engine plus fused hot-loop superblocks with
-#:   steady-state bulk stepping (repro.machine.superblock).
-#: * ``fast`` — closure-chain block engine (repro.machine.blockengine).
+#: * ``turbo`` — closure-chain blocks (repro.machine.blockengine) plus
+#:   fused hot-loop superblocks with steady-state bulk stepping
+#:   (repro.machine.superblock).
+#: * ``fast`` — the default name; runs exactly turbo's compiled form.
+#:   It is not an alias: v1 results report it and run/dedup keys keep
+#:   it apart from ``turbo`` (only the code cache shares one entry).
 #: * ``translate`` — source-codegen engine (repro.machine.translator).
 #: * ``reference`` — the obviously-correct interpreter the others are
 #:   differentially tested against (repro.machine.interpreter).

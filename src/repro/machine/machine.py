@@ -24,7 +24,6 @@ from typing import Optional, Sequence
 
 from repro.ir.nodes import IRError, Module
 from repro.machine import codecache
-from repro.machine.blockengine import compile_blocks
 from repro.machine.config import (
     ENGINE_ALIASES,
     ENGINES,
@@ -90,13 +89,13 @@ class Machine:
         self.trace = None
         #: Compiled-form cache, keyed by (engine, function name) so one
         #: machine can serve several engines (e.g. translated_source()
-        #: on a machine running the fast engine).
+        #: on a machine running the turbo engine).
         self._compiled: dict[tuple[str, str], object] = {}
         #: Wall seconds spent compiling (the compile half of the
         #: compile-vs-execute split telemetry reports per engine.run).
         self._compile_seconds = 0.0
         #: Persistent AOT code cache (None unless config.code_cache is
-        #: set); load-or-compile for the pure-codegen engines.
+        #: set); load-or-compile for every compiled engine.
         self._code_cache = codecache.resolve(self.config.code_cache)
 
     # ------------------------------------------------------------------
@@ -182,19 +181,14 @@ class Machine:
         if compiled is None:
             started = time.perf_counter()
             function = self.module.function(name)
-            cache = (
-                self._code_cache
-                if engine in codecache.CACHEABLE_ENGINES
-                else None
-            )
-            if cache is not None:
-                compiled = cache.load_or_compile(function, self.config, engine)
-            elif engine == "turbo":
-                compiled = compile_turbo(function, self.config)
-            elif engine == "fast":
-                compiled = compile_blocks(function, self.config)
-            else:
+            if self._code_cache is not None:
+                compiled = self._code_cache.load_or_compile(
+                    function, self.config, engine
+                )
+            elif engine == "translate":
                 compiled = compile_function(function, self.config)
+            else:  # turbo, and fast: the name the v1 contract keeps for it
+                compiled = compile_turbo(function, self.config)
             self._compiled[key] = compiled
             self._compile_seconds += time.perf_counter() - started
         return compiled
@@ -239,10 +233,11 @@ class Machine:
 
     def engine_run_stats(self) -> dict:
         """Engine-phase profiling rollup for this machine's lifetime:
-        the compile-vs-execute wall split plus, on the turbo tier, the
-        superblock bulk-stepping/guard-bail tallies.  Read by the
-        telemetry layer at ``engine.run`` span close; pure observation
-        (compiled-function attributes, never PMU counters)."""
+        the compile-vs-execute wall split plus, on the superblock tier
+        (the turbo and fast names), the bulk-stepping/guard-bail
+        tallies.  Read by the telemetry layer at ``engine.run`` span
+        close; pure observation (compiled-function attributes, never
+        PMU counters)."""
         stats: dict = {
             "compiled_functions": len(self._compiled),
             "compile_seconds": round(self._compile_seconds, 6),

@@ -1,11 +1,13 @@
 """Turbo engine tier: fused hot-loop superblocks + steady-state bulk
 stepping on top of the block engine.
 
-The ``fast`` engine (repro.machine.blockengine) still pays, per loop
-iteration, one closure call per op plus a dispatch-loop round trip per
-basic block.  For the loop-dominated workloads the paper targets that
-dispatch overhead *is* the simulator's hot path.  This tier removes it
-in two steps:
+This is the compiled form both the ``turbo`` and the ``fast`` engine
+names run (``fast`` is kept as a name for the v1 contract and artifact
+keys).  The per-block closure chains (repro.machine.blockengine) alone
+pay, per loop iteration, one closure call per op plus a dispatch-loop
+round trip per basic block.  For the loop-dominated workloads the paper
+targets that dispatch overhead *is* the simulator's hot path.  This
+tier removes it in two steps:
 
 **Superblock fusion.**  At compile time every *linear single-latch*
 natural loop — header -> ... -> latch where each body node has exactly
@@ -78,19 +80,12 @@ from __future__ import annotations
 
 import itertools
 import re
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.ir.nodes import Function, IRError
 from repro.ir.opcodes import BINOP_EXPR, Opcode
-from repro.machine.blockengine import (
-    _FELL_THROUGH,
-    _RETURNED,
-    BlockCompiledFunction,
-    _Frame,
-    compile_blocks,
-)
+from repro.machine.blockengine import BlockCompiledFunction, compile_blocks
 from repro.machine.config import MachineConfig
-from repro.machine.context import ExecutionContext
 from repro.machine.fusion import (
     ALU_OPS as _ALU_OPS,
     FusionUnit as _Unit,
@@ -100,17 +95,8 @@ from repro.machine.fusion import (
     unit_depth as _depth,
     unit_entry as _entry,
 )
-from repro.machine.interpreter import ExecutionLimitExceeded
-from repro.machine.sampler import NEVER
 
 _counter = itertools.count()
-
-#: Adaptive bulk-stepping bypass: after this many bulk calls to one
-#: superblock, a run whose average completed iterations per call is
-#: below _ADAPT_MIN_ITERS stops bulk-stepping that loop (the per-call
-#: prologue outweighs the fusion win on 1-2-trip loops).
-_ADAPT_WARMUP = 64
-_ADAPT_MIN_ITERS = 2
 
 # Nest discovery and fusability live in repro.machine.fusion, shared
 # with the batched superblock tier (repro.machine.batchturbo) so the
@@ -479,7 +465,7 @@ class _SuperblockCodegen:
     #: body actually references are emitted (a bulk call for a
     #: short-trip loop is dominated by its prologue, so every dead bind
     #: costs real time — see the adaptive bypass in
-    #: TurboCompiledFunction).
+    #: BlockCompiledFunction.__call__).
     _BINDS = (
         ("mem_load", "st.mem_load"),
         ("mem_store", "st.mem_store"),
@@ -889,7 +875,10 @@ def _build_superblock(
         )
         namespace: dict = {}
         exec(compile(source, filename, "exec"), namespace)  # noqa: S102
-        compiled[profiled] = namespace["__superblock"]
+        # Popped, not read: a function left in its own globals is a
+        # reference cycle only the cyclic GC frees, and the default
+        # engine builds these for every short run.
+        compiled[profiled] = namespace.pop("__superblock")
         sources[profiled] = source
     return Superblock(
         header=unit.header,
@@ -906,14 +895,12 @@ def _build_superblock(
 
 
 class TurboCompiledFunction(BlockCompiledFunction):
-    """The fast engine's per-block chains plus superblock steppers.
+    """The block chains plus superblock steppers: the compiled form
+    both the ``turbo`` and ``fast`` engine names run.
 
-    Blocks that are not fused headers dispatch exactly as the fast
-    engine does; a fused header hands control to the generated stepper,
-    which runs iterations in bulk until an observation-point guard
-    trips — or declines outright (``-1``: sample imminent) so the
-    per-block path can honour the observation at the exact reference
-    boundary.  Tracing armed disables bulk stepping for the run.
+    Dispatch is the inherited loop (``BlockCompiledFunction.__call__``);
+    this class only fills its superblock slots.  Tracing armed disables
+    bulk stepping for the run.
     """
 
     def __init__(
@@ -928,15 +915,8 @@ class TurboCompiledFunction(BlockCompiledFunction):
             slots=base.slots,
             block_index=base.block_index,
             block_start_pc=base.block_start_pc,
+            superblocks=superblocks,
         )
-        self._superblocks = superblocks  # per-block-index, None when unfused
-        # Cumulative run-profiling tallies (telemetry's engine.run span
-        # reads these; they live on the compiled function, never in the
-        # PMU counters, so traced==untraced bit-identity is untouched).
-        self.bulk_calls = 0
-        self.bulk_iters = 0
-        self.guard_declines = 0
-        self.adaptive_cleared = 0
 
     def superblocks(self) -> list:
         """The fused loops (debug/test aid)."""
@@ -956,127 +936,13 @@ class TurboCompiledFunction(BlockCompiledFunction):
         stats["adaptive_cleared"] = self.adaptive_cleared
         return stats
 
-    def __call__(self, ctx: ExecutionContext, args: Sequence[int] = ()) -> int:
-        function = self.function
-        if len(args) != len(function.params):
-            raise IRError(
-                f"{function.name} expects {len(function.params)} args, "
-                f"got {len(args)}"
-            )
-        config = ctx.config
-        counters = ctx.counters
-        mem = ctx.mem
-        space = ctx.space
-        sampler = ctx.sampler
-
-        st = _Frame()
-        st.counters = counters
-        st.mem_load = mem.load_port()
-        st.mem_store = mem.store_port()
-        st.mem_prefetch = mem.prefetch_port()
-        st.sp_load = space.load
-        st.sp_store = space.store
-        st.lbr_push = ctx.lbr.push
-        st.invoke = ctx.invoke
-        st.sampler = sampler
-        if sampler is not None:
-            st.next_sample = sampler.next_at
-            st.take = sampler.take
-            st.pebs_threshold = config.effective_pebs_threshold()
-            st.record_load = sampler.record_load
-        else:
-            st.next_sample = NEVER
-            st.take = None
-            st.pebs_threshold = NEVER
-            st.record_load = None
-        max_instructions = config.max_instructions
-        st.max_instructions = max_instructions
-        st.cycle = int(counters.cycles)
-        st.retired = 0
-        st.loads = 0
-        st.stores = 0
-        st.taken = 0
-        st.value = 0
-
-        R = [0] * self._register_count
-        for slot, value in enumerate(args):  # params occupy slots 0..n-1
-            R[slot] = int(value)
-
-        blocks = self._blocks
-        # Trace armed -> observation points are everywhere; bulk
-        # stepping is disabled for the whole run (same bypass rule as
-        # the memory fast path).  The list is a per-run copy: a fused
-        # loop whose *dynamic* trip counts turn out tiny (a hash-probe
-        # chain averaging 1-2 iterations) pays more in per-bulk-call
-        # prologue than fusion saves, so after a warmup its slot is
-        # cleared and dispatch falls back to the per-block path —
-        # bit-identical either way, purely a time/space trade.
-        superblocks = list(self._superblocks) if mem.trace is None else None
-        front = mem.front() if superblocks is not None else None
-        if superblocks is not None:
-            sb_calls = [0] * len(superblocks)
-            sb_iters = [0] * len(superblocks)
-        profiled = sampler is not None
-        declined = 0
-        bi = self._entry
-        try:
-            while True:
-                if st.cycle >= st.next_sample:
-                    st.next_sample = st.take(st.cycle)
-                if st.retired > max_instructions:
-                    raise ExecutionLimitExceeded(
-                        f"{function.name}: exceeded {max_instructions} instructions"
-                    )
-                if superblocks is not None:
-                    sb = superblocks[bi]
-                    if sb is not None:
-                        run = sb.run_profiled if profiled else sb.run_plain
-                        before = st.retired
-                        nxt = run(R, st, front)
-                        if nxt >= 0:
-                            calls = sb_calls[bi] + 1
-                            sb_calls[bi] = calls
-                            sb_iters[bi] += (
-                                st.retired - before
-                            ) // sb.bound_retired
-                            if calls == _ADAPT_WARMUP and (
-                                sb_iters[bi] < calls * _ADAPT_MIN_ITERS
-                            ):
-                                superblocks[bi] = None
-                            bi = nxt
-                            continue
-                        declined += 1
-                st.next = _FELL_THROUGH
-                for op in blocks[bi]:
-                    op(R, st)
-                nxt = st.next
-                if nxt < 0:
-                    if nxt == _RETURNED:
-                        return st.value
-                    raise IRError(
-                        f"block {self._block_names[bi]} fell through "
-                        f"without terminator"
-                    )
-                bi = nxt
-        finally:
-            if superblocks is not None:
-                self.bulk_calls += sum(sb_calls)
-                self.bulk_iters += sum(sb_iters)
-                self.guard_declines += declined
-                self.adaptive_cleared += sum(
-                    1
-                    for original, current in zip(
-                        self._superblocks, superblocks
-                    )
-                    if original is not None and current is None
-                )
-
 
 def compile_turbo(
     function: Function, config: Optional[MachineConfig] = None
 ) -> TurboCompiledFunction:
-    """Compile one finalized IR function for the turbo tier: the fast
-    engine's block chains plus a fused superblock per linear loop,
+    """Compile one finalized IR function for the turbo tier (engine
+    names ``turbo`` and ``fast``): the block engine's closure chains
+    plus a fused superblock per linear loop,
     built innermost-first so outer loops absorb fused inner loops into
     one nest.  Inner loops keep their standalone superblocks registered
     at their own headers — that is where a run resumed after a

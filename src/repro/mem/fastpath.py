@@ -43,8 +43,8 @@ Design notes (why these are *views*, not shadow tables):
   depend on this module.  Every ``self.trace is not None`` arm of the
   slow path is therefore statically dead here and elided.
 
-The fast engine, the translating engine, and the turbo tier's fused
-superblocks all bind their demand entry points through
+The block engine's closures, the translating engine, and the turbo
+tier's fused superblocks all bind their demand entry points through
 :meth:`MemorySystem.load_port` / :meth:`MemorySystem.store_port`; the
 reference interpreter keeps calling the plain methods so it stays the
 obviously-correct baseline the differential tests compare against.

@@ -11,9 +11,10 @@ inside a running test session.
 The mutant plugs into the oracle as an extra engine via the ``runners``
 parameter: the returned factory builds a normal fast-engine
 :class:`Machine` whose compiled-form cache is pre-populated from the
-mutated block compiler, so every other layer (memory, PMU, tracing,
-sampling) is the production code — exactly the situation a real engine
-regression would create.
+mutated block compiler (no fused loops, so every block runs through the
+shared dispatch loop's per-block path), so every other layer (memory,
+PMU, tracing, sampling) is the production code — exactly the situation
+a real engine regression would create.
 """
 
 from __future__ import annotations

@@ -6,8 +6,9 @@ One spec is checked as ``schemes x engines x tracing``:
   Ainsworth & Jones pass (``aj``), and the full profile-guided APT-GET
   pipeline (``apt-get``: profile on the reference engine, Eq-1/Eq-2
   analysis, injection pass, strict re-verification);
-* **engines** — every canonical engine (turbo / fast / translate /
-  reference) plus any caller-supplied scratch runners (see
+* **engines** — every execution tier (turbo / translate / reference;
+  the ``fast`` name runs turbo's compiled form, so the turbo axis
+  covers it) plus any caller-supplied scratch runners (see
   :mod:`repro.qa.mutants`);
 * **tracing** — lifecycle tracing off and on.
 
@@ -82,7 +83,7 @@ def qa_memory() -> MemoryConfig:
 class OracleConfig:
     """Which slice of the differential matrix to run."""
 
-    engines: tuple = ENGINES
+    engines: tuple = tuple(e for e in ENGINES if e != "fast")
     schemes: tuple = SCHEMES
     traced_modes: tuple = (False, True)
     aj_distance: int = 4

@@ -3,6 +3,8 @@ fallback, and the service/CLI integration."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.machine import codecache
@@ -74,15 +76,18 @@ def test_turbo_warm_load_rebuilds_superblocks(cache_dir):
         assert a.source_profiled == b.source_profiled
 
 
-def test_fast_engine_is_not_cached(cache_dir):
+def test_fast_engine_shares_the_turbo_entry(cache_dir):
+    """``fast`` runs turbo's compiled form and is keyed as ``turbo``: a
+    fast run after a turbo run on one cache dir is a hit on its entry."""
+    config = _config(cache_dir)
     module, space, expected = build_indirect_loop()
-    result = Machine(
-        module, space, config=_config(cache_dir), engine="fast"
-    ).run("main")
-    assert result.value == expected
+    Machine(module, space, config=replace(config, engine="turbo")).run("main")
+    module, space, expected = build_indirect_loop()
+    fast = Machine(module, space, config=replace(config, engine="fast"))
+    assert fast.run("main").value == expected
     cache = codecache.resolve(cache_dir)
-    assert cache.hits == cache.misses == 0
-    assert cache.store.stats()["entries"] == 0
+    assert (cache.misses, cache.hits, cache.invalidated) == (1, 1, 0)
+    assert cache.store.stats()["entries"] == 1
 
 
 def test_code_cache_is_nonsemantic_for_fingerprints(cache_dir):

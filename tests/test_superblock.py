@@ -14,14 +14,11 @@ import pytest
 
 from repro.ir.builder import IRBuilder
 from repro.ir.nodes import Module
+from repro.machine.blockengine import _ADAPT_WARMUP
 from repro.machine.config import MachineConfig
 from repro.machine.interpreter import ExecutionLimitExceeded
 from repro.machine.machine import Machine
-from repro.machine.superblock import (
-    _ADAPT_WARMUP,
-    TurboCompiledFunction,
-    compile_turbo,
-)
+from repro.machine.superblock import TurboCompiledFunction, compile_turbo
 from repro.mem.address import AddressSpace
 from tests.conftest import (
     build_indirect_loop,
