@@ -39,3 +39,25 @@ def test_suite_comparison_warm_cache(benchmark, scale, tmp_path):
 
     comparisons = benchmark.pedantic(run, iterations=1, rounds=3)
     assert comparisons and all(c.error is None for c in comparisons.values())
+
+
+def test_cached_sweep_hit(benchmark):
+    """A 16-cell sweep answered entirely from the in-memory store: the
+    per-request cost of keying cells and decoding their payloads, with
+    no config derived, no digest computed and no workload built."""
+    import repro.api as api
+
+    service = TuningService()
+    request = api.SweepRequest(
+        workload="HJ8-tiny", scale="tiny",
+        schemes=("baseline", "aj", "apt-get"),
+        distances=(4, 8, 16, 32, 64, 128), cache_scales=(1, 2),
+    )
+    first = api.execute(request, service=service)  # populate
+    assert len(first.cells) == 16
+
+    result = benchmark.pedantic(
+        lambda: api.execute(request, service=service),
+        iterations=10, rounds=20,
+    )
+    assert result.execution["cached_cells"] == 16

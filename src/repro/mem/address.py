@@ -109,6 +109,26 @@ class AddressSpace:
     def segments(self) -> list[Segment]:
         return list(self._segments)
 
+    def clone(self) -> "AddressSpace":
+        """An independent copy: same segments at the same bases, each
+        with its own value list.
+
+        The lists are shallow copies sharing the (immutable) ints, so a
+        clone costs one pointer per element, and stores into the clone
+        never reach this space or any other clone.
+        """
+        twin = AddressSpace()
+        for segment in self._segments:
+            copy = Segment(
+                segment.name, segment.base, segment.elem_size,
+                list(segment.values),
+            )
+            twin._segments.append(copy)
+            twin._by_name[copy.name] = copy
+        twin._bases = list(self._bases)
+        twin._next_base = self._next_base
+        return twin
+
     # ------------------------------------------------------------------
     # Address resolution
     # ------------------------------------------------------------------

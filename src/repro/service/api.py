@@ -17,6 +17,7 @@ other consumer; store-backed reads cannot alias.
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 from dataclasses import fields as dataclass_fields
@@ -58,6 +59,7 @@ from repro.service.store import (
     MemoryStore,
     config_fingerprint,
 )
+from repro.workloads.base import Workload
 from repro.workloads.registry import make_workload
 
 #: Default ceiling on one profile/measure job (seconds); generous for
@@ -224,6 +226,10 @@ def _override_hints(hints: HintSet, overrides: dict) -> HintSet:
 _SUITE_PIECES = ("profile", "baseline", "aj", "apt")
 
 
+#: Sweep-cell configs a service keeps derived (one per requested engine
+#: and cache scale in use); the table is emptied when it fills.
+_CELL_CONFIGS_KEPT = 64
+
 #: Schemes a sweep cell may name (matches RunRequest's contract).
 SWEEP_SCHEMES = ("baseline", "aj", "apt-get")
 
@@ -272,6 +278,29 @@ def sweep_cell_grid(
     return cells
 
 
+class _SharedBuild(Workload):
+    """One build of a workload, shared by a sweep request's cells.
+
+    The wrapped workload is built on the first :meth:`build`; every call
+    then returns a private clone (a deep copy of the finalized module
+    and an :meth:`~repro.mem.address.AddressSpace.clone` of its data),
+    so no cell's passes or stores can reach another cell's inputs.
+    """
+
+    def __init__(self, workload: Workload) -> None:
+        self.name = workload.name
+        self.entry = workload.entry
+        self.nested = workload.nested
+        self._workload = workload
+        self._built = None
+
+    def build(self):
+        if self._built is None:
+            self._built = self._workload.build()
+        module, space = self._built
+        return copy.deepcopy(module), space.clone()
+
+
 class TuningService:
     """Profile-and-tuning façade over the store, pool and metrics.
 
@@ -314,7 +343,11 @@ class TuningService:
         )
         # ``code_cache`` is non-semantic (excluded from the
         # fingerprint), so artifact keys are unchanged by the above.
-        self._fingerprint = config_fingerprint(self.config)
+        #: Derived configs, each built once so that its fingerprint is
+        #: memoized: requested engine -> config, and (requested engine,
+        #: cache scale) -> sweep-cell config.
+        self._engine_configs: dict[Optional[str], MachineConfig] = {}
+        self._cell_configs: dict[tuple, MachineConfig] = {}
         self._flushed_counters: dict[str, int] = {}
         #: ``repro.serve`` agents set this False: they publish metrics
         #: through per-process snapshot files instead (one writer per
@@ -327,12 +360,15 @@ class TuningService:
     # ------------------------------------------------------------------
     def _config_for(self, engine: Optional[str]) -> MachineConfig:
         """This service's config, with a per-request engine override."""
-        if engine is None:
-            return self.config
-        engine = normalize_engine(engine)
-        if engine == self.config.engine:
-            return self.config
-        return replace(self.config, engine=engine)
+        config = self._engine_configs.get(engine)
+        if config is None:
+            config = self.config
+            if engine is not None:
+                canonical = normalize_engine(engine)
+                if canonical != config.engine:
+                    config = replace(config, engine=canonical)
+            self._engine_configs[engine] = config
+        return config
 
     def _key(
         self,
@@ -351,16 +387,11 @@ class TuningService:
         tell which engine produced an artifact.
         """
         config = config if config is not None else self.config
-        fingerprint = (
-            self._fingerprint
-            if config is self.config
-            else config_fingerprint(config)
-        )
         return CacheKey.make(
             kind,
             workload,
             scale,
-            fingerprint,
+            config_fingerprint(config),
             engine=config.engine,
             mem=config_fingerprint(config.memory),
             **params,
@@ -599,11 +630,21 @@ class TuningService:
     # Batched multi-config sweeps.
     # ------------------------------------------------------------------
     def _cell_config(
-        self, config: MachineConfig, cache_scale: int
+        self, engine: Optional[str], cache_scale: int
     ) -> MachineConfig:
-        if cache_scale == 1:
-            return config
-        return replace(config, memory=config.memory.scaled(cache_scale))
+        """The machine config of a sweep cell at ``cache_scale``."""
+        key = (engine, cache_scale)
+        config = self._cell_configs.get(key)
+        if config is None:
+            config = self._config_for(engine)
+            if cache_scale != 1:
+                config = replace(
+                    config, memory=config.memory.scaled(cache_scale)
+                )
+            if len(self._cell_configs) >= _CELL_CONFIGS_KEPT:
+                self._cell_configs.clear()
+            self._cell_configs[key] = config
+        return config
 
     def _cell_key(
         self,
@@ -657,7 +698,7 @@ class TuningService:
         misses: list[int] = []
         keys = []
         for scheme, distance, cache_scale in grid:
-            cell_config = self._cell_config(config, cache_scale)
+            cell_config = self._cell_config(engine, cache_scale)
             key = self._cell_key(
                 workload, scale, scheme, distance, cell_config
             )
@@ -680,9 +721,12 @@ class TuningService:
         by_scheme: dict[str, list[int]] = {}
         for index in misses:
             by_scheme.setdefault(cells[index]["scheme"], []).append(index)
+        source = (
+            _SharedBuild(make_workload(workload, scale)) if misses else None
+        )
         for scheme, indices in by_scheme.items():
             group_meta = self._run_sweep_group(
-                workload, scale, scheme, indices, cells, keys, config,
+                source, workload, scale, scheme, indices, cells, keys,
                 engine,
             )
             groups.append(group_meta)
@@ -704,28 +748,26 @@ class TuningService:
 
     def _run_sweep_group(
         self,
+        source: _SharedBuild,
         workload: str,
         scale: str,
         scheme: str,
         indices: list[int],
         cells: list[dict],
         keys: list,
-        config: MachineConfig,
         engine: Optional[str],
     ) -> dict:
-        """Build, batch-execute and store one scheme's missing cells."""
+        """Prepare, batch-execute and store one scheme's missing cells,
+        each on its own clone of the sweep's one build."""
         batch_cells: list[BatchCell] = []
         reports: list = []
         hint_sets: list = []
-        entry = None
         for index in indices:
             cell = cells[index]
-            cell_config = self._cell_config(config, cell["cache_scale"])
-            instance = make_workload(workload, scale)
-            entry = instance.entry
+            cell_config = self._cell_config(engine, cell["cache_scale"])
             label = self._cell_label(scheme, cell["distance"])
-            with telemetry.build_phase(instance.name, scheme=label):
-                module, space = instance.build()
+            with telemetry.build_phase(source.name, scheme=label):
+                module, space = source.build()
                 report = None
                 hints = None
                 if scheme == "aj":
@@ -734,7 +776,7 @@ class TuningService:
                     ).run(module)
                 elif scheme == "apt-get":
                     hints = self._profile_with_config(
-                        workload, scale, cell_config
+                        source, workload, scale, cell_config
                     )[1]
                     report = AptGetPass(hints).run(module)
             reports.append(report)
@@ -744,7 +786,7 @@ class TuningService:
         with telemetry.phase(
             "sweep.batch", scheme=scheme, cells=len(indices)
         ):
-            outcome = run_batch(batch_cells, function=entry)
+            outcome = run_batch(batch_cells, function=source.entry)
         telemetry.annotate(
             "sweep.outcome",
             scheme=scheme,
@@ -795,15 +837,18 @@ class TuningService:
         return f"aj-{distance}" if scheme == "aj" else scheme
 
     def _profile_with_config(
-        self, workload: str, scale: str, config: MachineConfig
+        self,
+        source: _SharedBuild,
+        workload: str,
+        scale: str,
+        config: MachineConfig,
     ) -> tuple[ExecutionProfile, HintSet]:
-        """`profile()` under an explicit (possibly cache-scaled) config."""
+        """`profile()` under an explicit (possibly cache-scaled) config,
+        profiling a clone of the sweep's build on a miss."""
         key = self._key("profile", workload, scale, config=config)
         payload = self._get(key)
         if payload is None:
-            profile, hints = profile_workload(
-                make_workload(workload, scale), config=config
-            )
+            profile, hints = profile_workload(source, config=config)
             payload = profile_to_payload(profile, hints)
             self._put(key, payload)
         return profile_from_payload(payload)

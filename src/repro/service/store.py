@@ -18,9 +18,10 @@ whose recorded key/schema does not match the request, is *quarantined*
 recompute, never a crash.
 
 :class:`MemoryStore` provides the same interface backed by an
-in-process dict of serialized entries; it is the default when no cache
-directory is configured and gives the same fresh-objects-per-read
-guarantee (payloads are re-decoded on every ``get``).
+in-process dict of serialized payloads keyed by the :class:`CacheKey`
+itself; it is the default when no cache directory is configured and
+gives the same fresh-objects-per-read guarantee (payloads are
+re-decoded on every ``get``).
 """
 
 from __future__ import annotations
@@ -49,6 +50,18 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+#: Entries kept by :func:`config_fingerprint`'s memo before it is
+#: emptied; a process holds a handful of live configs.
+_FINGERPRINT_MEMO_SIZE = 256
+
+#: ``id(config) -> (config, digest)``.  Keyed by identity, not equality:
+#: configs that compare equal can still serialize differently
+#: (``200 == 200.0``, ``True == 1``), and each must keep its own digest.
+#: Holding the config keeps its id from being reused while the entry
+#: lives.  Races between threads at most compute one digest twice.
+_fingerprint_memo: dict[int, tuple[object, str]] = {}
+
+
 def config_fingerprint(config) -> str:
     """Stable short digest of a (frozen, nested) dataclass config.
 
@@ -57,7 +70,22 @@ def config_fingerprint(config) -> str:
     location) are dropped before hashing: they change where artifacts
     live, never what is computed, so identical work must share keys
     across cache locations.
+
+    The digest is computed once per config object and memoized: configs
+    are frozen, and callers that key many artifacts reuse the same
+    objects.
     """
+    entry = _fingerprint_memo.get(id(config))
+    if entry is not None and entry[0] is config:
+        return entry[1]
+    digest = _digest_config(config)
+    if len(_fingerprint_memo) >= _FINGERPRINT_MEMO_SIZE:
+        _fingerprint_memo.clear()
+    _fingerprint_memo[id(config)] = (config, digest)
+    return digest
+
+
+def _digest_config(config) -> str:
     data = dataclasses.asdict(config)
     for name in getattr(config, "_NONSEMANTIC_FIELDS", ()):
         data.pop(name, None)
@@ -347,7 +375,10 @@ class ArtifactStore:
 class MemoryStore:
     """Dict-backed store with the same interface as :class:`ArtifactStore`.
 
-    Entries are held *serialized* and re-decoded on every ``get``, so a
+    Entries are keyed by the :class:`CacheKey` itself (two keys made by
+    :meth:`CacheKey.make` are equal exactly when their digests are), so
+    a lookup computes no digest.
+    Payloads are held *serialized* and re-decoded on every ``get``, so a
     cache hit always returns fresh objects — callers mutating a returned
     artifact can never poison the cache (the aliasing hazard the old
     ``lru_cache`` layer had).
@@ -355,28 +386,21 @@ class MemoryStore:
 
     def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
         self.metrics = metrics or MetricsRegistry()
-        self._entries: dict[str, str] = {}
-        self._kinds: dict[str, str] = {}
+        self._entries: dict[CacheKey, str] = {}
 
     def get(self, key: CacheKey) -> Optional[dict]:
-        text = self._entries.get(key.digest())
+        text = self._entries.get(key)
         if text is None:
             return None
-        payload = _decode_entry(text, key)
-        if payload is None:
-            del self._entries[key.digest()]
-            self.metrics.inc("cache.quarantined")
-        return payload
+        return json.loads(text)
 
     def put(self, key: CacheKey, payload: dict) -> None:
-        digest = key.digest()
-        self._entries[digest] = _encode_entry(key, payload)
-        self._kinds[digest] = key.kind
+        self._entries[key] = json.dumps(payload, sort_keys=True)
 
     def stats(self) -> dict:
         by_kind: dict[str, int] = {}
-        for kind in self._kinds.values():
-            by_kind[kind] = by_kind.get(kind, 0) + 1
+        for key in self._entries:
+            by_kind[key.kind] = by_kind.get(key.kind, 0) + 1
         return {
             "root": None,
             "schema": SCHEMA_VERSION,
@@ -389,7 +413,6 @@ class MemoryStore:
     def clear(self) -> int:
         removed = len(self._entries)
         self._entries.clear()
-        self._kinds.clear()
         return removed
 
     def read_metrics(self) -> dict[str, int]:

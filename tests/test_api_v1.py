@@ -296,6 +296,110 @@ class TestSweep:
         assert swept.result.value == single.value
         assert swept.result.counters.as_dict() == dict(single.counters)
 
+    def test_sweep_builds_once_and_isolates_cells(self, monkeypatch):
+        """A fresh sweep builds its workload once and gives every cell
+        (and every profile) a private clone: cell results equal single
+        runs on a fresh service, and no two cells share a value list."""
+        from dataclasses import replace
+
+        import repro.service.api as service_api
+        from repro.service.api import run_to_payload
+        from repro.workloads.hashjoin import HashJoinWorkload
+
+        builds = []
+        real_build = HashJoinWorkload._build
+
+        def counting_build(self):
+            builds.append(self)
+            return real_build(self)
+
+        monkeypatch.setattr(HashJoinWorkload, "_build", counting_build)
+        batches = []
+        real_run_batch = service_api.run_batch
+
+        def capturing_run_batch(cells, **kwargs):
+            batches.append(list(cells))
+            return real_run_batch(cells, **kwargs)
+
+        monkeypatch.setattr(service_api, "run_batch", capturing_run_batch)
+
+        service = TuningService()
+        result = api.sweep(
+            "HJ8-tiny", "tiny", service=service,
+            schemes=("baseline", "aj", "apt-get"), distances=(4, 8),
+            cache_scales=(1, 2),
+        )
+        assert len(builds) == 1
+        assert len(result.cells) == 8  # 2 baseline + 4 aj + 2 apt-get
+
+        batch_cells = [cell for batch in batches for cell in batch]
+        assert len(batch_cells) == 8
+        assert len({id(cell.module) for cell in batch_cells}) == 8
+        lists = [
+            segment.values
+            for cell in batch_cells
+            for segment in cell.space.segments()
+        ]
+        assert len({id(values) for values in lists}) == len(lists)
+
+        monkeypatch.undo()
+        for cell in result.cells:
+            config = service.config
+            if cell["cache_scale"] != 1:
+                config = replace(
+                    config, memory=config.memory.scaled(cell["cache_scale"])
+                )
+            alone = TuningService(machine_config=config).run(
+                "HJ8-tiny", "tiny", scheme=cell["scheme"],
+                distance=cell["distance"] or 32,
+            )
+            assert cell["run"]["value"] == alone.result.value, cell
+            assert cell["run"]["counters"] == (
+                alone.result.counters.as_dict()
+            ), cell
+            assert cell["run"] == run_to_payload(alone), cell
+
+    def test_cached_sweep_digests_nothing_and_builds_nothing(
+        self, monkeypatch
+    ):
+        """Answering a sweep from the in-memory cache computes no config
+        or key digest and builds no workload (counted calls)."""
+        import repro.service.store as store
+        from repro.workloads.base import Workload
+
+        service = TuningService()
+        request = api.SweepRequest(
+            workload="micro-tiny", scale="tiny",
+            schemes=("baseline", "aj", "apt-get"), distances=(2, 4),
+            cache_scales=(1, 2),
+        )
+        first = api.execute(request, service=service)
+        assert first.execution["computed_cells"] == 8
+
+        calls = []
+        real_digest = store._digest_config
+        real_key_digest = store.CacheKey.digest
+        real_build = Workload.build
+        monkeypatch.setattr(
+            store, "_digest_config",
+            lambda config: calls.append("config") or real_digest(config),
+        )
+        monkeypatch.setattr(
+            store.CacheKey, "digest",
+            lambda key: calls.append("key") or real_key_digest(key),
+        )
+        monkeypatch.setattr(
+            Workload, "build",
+            lambda self: calls.append("build") or real_build(self),
+        )
+        for _ in range(3):
+            again = api.execute(request, service=service)
+            assert again.execution["cached_cells"] == 8
+            assert [c["run"] for c in again.cells] == [
+                c["run"] for c in first.cells
+            ]
+        assert calls == []
+
     def test_batched_sweep_cells_match_single_runs(self):
         """Every scheme's cells run in one batched pass, and each cell's
         full run payload equals that cell computed alone on a fresh

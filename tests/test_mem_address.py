@@ -104,3 +104,56 @@ class TestAccess:
         assert space.load(a.base) == 1
         assert space.load(b.base) == 2
         assert space.load(a.base) == 1
+
+
+class TestClone:
+    def _space(self):
+        space = AddressSpace()
+        space.allocate("a", [1, 2, 3], elem_size=8)
+        space.allocate("b", [7, 8], elem_size=4)
+        return space
+
+    def test_same_layout_and_values(self):
+        space = self._space()
+        twin = space.clone()
+        assert [
+            (s.name, s.base, s.elem_size, s.end, s.values)
+            for s in twin.segments()
+        ] == [
+            (s.name, s.base, s.elem_size, s.end, s.values)
+            for s in space.segments()
+        ]
+        for seg in space.segments():
+            assert twin.load(seg.base) == space.load(seg.base)
+            assert twin.segment(seg.name).values == seg.values
+
+    def test_lists_are_independent(self):
+        space = self._space()
+        twin = space.clone()
+        a = space.segment("a")
+        for original, copy in zip(space.segments(), twin.segments()):
+            assert copy is not original
+            assert copy.values is not original.values
+        twin.store(a.base, 99)
+        assert space.load(a.base) == 1
+        space.store(a.address_of(1), -5)
+        assert twin.load(a.address_of(1)) == 2
+
+    def test_allocate_after_clone_lands_at_same_base(self):
+        space = self._space()
+        twin = space.clone()
+        assert twin.allocate("c", 4).base == space.allocate("c", 4).base
+        twin.allocate("d", 1)
+        with pytest.raises(MemoryError_):
+            space.segment("d")
+
+    def test_lookup_memo_is_not_shared(self):
+        space = self._space()
+        b = space.segment("b")
+        assert space.load(b.base) == 7  # primes space's last-segment memo
+        twin = space.clone()
+        assert twin._last is None
+        a = twin.segment("a")
+        assert twin.load(a.base) == 1
+        assert twin._last is a
+        assert space._last is b

@@ -47,6 +47,67 @@ class TestCacheKey:
         )
 
 
+class TestConfigFingerprintMemo:
+    """The digest is memoized per config object; the memo must never
+    change a digest, merge two configs or grow without bound."""
+
+    def test_digests_pin_the_artifact_keys(self):
+        # Literal values: every artifact key, serve dedup key and the
+        # serve-mixed golden embed these digests.
+        from dataclasses import replace
+
+        from repro.machine.config import MachineConfig
+        from repro.mem.config import MemoryConfig
+
+        default = MachineConfig(engine="fast")  # the default engine
+        assert config_fingerprint(default) == "f0dcfcdf1e5757f6"
+        assert config_fingerprint(MemoryConfig()) == "7726a6f882dab6de"
+        cell = replace(
+            MachineConfig(engine="turbo"),
+            memory=default.memory.scaled(2),
+        )
+        assert config_fingerprint(cell) == "653cdb489eb08430"
+        assert config_fingerprint(cell.memory) == "9bdfea767cedf717"
+        # Memoized answers equal the computed ones.
+        assert config_fingerprint(default) == "f0dcfcdf1e5757f6"
+        assert config_fingerprint(cell) == "653cdb489eb08430"
+
+    @pytest.mark.parametrize("float_first", [True, False])
+    def test_equal_configs_that_serialize_differently_keep_own_digest(
+        self, float_first
+    ):
+        from repro.mem.config import MemoryConfig
+
+        as_int, as_float = MemoryConfig(), MemoryConfig(dram_latency=200.0)
+        assert as_int == as_float  # equal, but their JSON differs
+        order = [as_float, as_int] if float_first else [as_int, as_float]
+        digests = {id(c): config_fingerprint(c) for c in order}
+        assert digests[id(as_int)] == "7726a6f882dab6de"
+        assert digests[id(as_float)] == "1d7ddf7e56f22944"
+        assert config_fingerprint(as_int) == "7726a6f882dab6de"
+        assert config_fingerprint(as_float) == "1d7ddf7e56f22944"
+
+    def test_code_cache_is_ignored(self):
+        from repro.machine.config import MachineConfig
+
+        plain = MachineConfig(engine="fast", code_cache=None)
+        cached = MachineConfig(engine="fast", code_cache="/somewhere")
+        assert config_fingerprint(plain) == config_fingerprint(cached)
+        assert config_fingerprint(cached) == "f0dcfcdf1e5757f6"
+
+    def test_memo_stays_bounded(self):
+        from repro.mem.config import MemoryConfig
+        from repro.service import store
+
+        configs = [
+            MemoryConfig(dram_latency=100 + i)
+            for i in range(3 * store._FINGERPRINT_MEMO_SIZE)
+        ]
+        digests = [config_fingerprint(c) for c in configs]
+        assert len(set(digests)) == len(configs)
+        assert len(store._fingerprint_memo) <= store._FINGERPRINT_MEMO_SIZE
+
+
 class TestArtifactStore:
     def test_roundtrip_returns_fresh_payloads(self, tmp_path):
         store = ArtifactStore(tmp_path)
