@@ -9,25 +9,42 @@ This module fuses the same loop nests the sequential turbo tier fuses
 generated function per nest that steps **all cells per iteration**:
 
 * uniform registers live in Python locals; divergent registers stay in
-  the per-cell overlays (``st.D``) and are touched in compact
-  ``for _i in RNG`` loops;
-* every memory site advances each cell's private L1/L2/LLC + MSHR
-  timing state in the same loop body, with the L1-hit arm inlined
-  exactly as the sequential turbo tier inlines it
-  (:mod:`repro.mem.fastpath` views, pop/re-insert LRU refresh,
-  prefetch-usefulness consumption) and misses delegating to the cell's
-  demand port;
+  the per-cell overlays (``st.D``);
+* each straight-line segment of a block is emitted in two steps: first
+  its uniform work — addresses, functional loads and stores through the
+  per-site segment caches, uniform ALU — then **one** cell loop
+  (``for _i, <views> in CELLS:``, unpacking each cell's views once)
+  that does all per-cell work in program order: divergent ALU plus the
+  timing arm of every load, store and prefetch.  The loop closes early before a uniform register it
+  reads is rewritten, and before a uniform functional access that
+  follows a divergent functional load (an A&J slice load's clamped
+  address can alias a later store, and must fault first); it always
+  closes before the terminator and its edge copies.  Hoisted values use
+  per-site temporaries (``_a<k>``, ``_l<k>``, ``_v<k>``); a divergent
+  register the loop defines and alone reads lives in a loop-local
+  (``_x<N>``), not in its overlay slot;
+* timing arms advance each cell's private L1/L2/LLC + MSHR state with
+  the L1-hit arm inlined exactly as the sequential turbo tier inlines
+  it (:mod:`repro.mem.fastpath` views, pop/re-insert LRU refresh,
+  prefetch-usefulness consumption), and so is the software-prefetch
+  arm: a mapped prefetch whose line is in the cell's L1 with no MSHR
+  drain due is counted issued and redundant in place
+  (:func:`repro.mem.fastpath.prefetch_arm`, the emitter turbo uses
+  too).  Everything else calls the cell's port;
 * per-iteration retired/load/store/taken counts fold into compile-time
   constants applied once per back edge — uniform across cells by
   construction (divergent WORK amounts reject the batch up front);
 * constant cycle costs are *deferred*, not materialized per op: the
-  compile-time pending constant rides in the codegen, and one runtime
-  local ``_pc`` carries pending cycles across back edges, so the
-  common iteration pays one integer add per memory site instead of a
-  per-cell materialization loop per terminator.  Nothing observes a
+  compile-time pending constant rides in the codegen, one runtime local
+  ``_pc`` carries pending cycles across back edges, and a cell loop
+  keeps the cell's clock in a local ``_y`` (started from ``cy[_i]``
+  plus everything deferred, stored back once).  Nothing observes a
   cell's clock between materialization points (batched runs never
-  sample or trace), so deferral is invisible — the ``_now`` handed to
-  every port call is bit-identical to the per-block chains'.
+  sample or trace), so deferral is invisible — the ``now`` handed to
+  every port call is bit-identical to the per-block chains'.  A hoisted
+  functional access may fault before the timing of earlier ops in its
+  block; nothing reads timing once a run raises, and the error is the
+  sequential engines' own.
 
 **Guards.**  Batched runs have exactly one observation point: the
 instruction-budget check at block dispatch.  The generated function
@@ -46,6 +63,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import Counter
 from typing import Optional, Sequence
 
 from repro.ir.nodes import IRError
@@ -65,159 +83,36 @@ from repro.machine.blockengine import (
 )
 from repro.machine.config import MachineConfig
 from repro.machine.fusion import (
+    ALU_OPS,
     FusionUnit as _Unit,
     GuardedUnit as _Guarded,
     discover_units,
     flatten_unit as _flatten,
+    functional_lines,
+    site_probe,
     unit_depth as _depth,
     unit_entry as _entry,
 )
 from repro.machine.interpreter import ExecutionLimitExceeded
+from repro.mem.fastpath import prefetch_arm
 
 _counter = itertools.count()
 
-#: Temp identifiers in generated bodies (loop-local scratch plus the
-#: shared ``_sN`` segment caches); used by the loop-merger peephole.
-_TEMP_RE = re.compile(r"\b_[a-z][a-z0-9_]*\b")
-_ASSIGN_RE = re.compile(r"^(_[a-z][a-z0-9_]*) = ")
+#: The per-cell views a fused cell loop binds once per cell, in
+#: :attr:`CellBindings.cells` tuple order after the cell index: the
+#: loop unpacks one tuple per cell instead of subscripting each list.
+#: Ports stay subscripted (``LD[_i](...)``): they sit on miss arms.
+_CELL_VIEWS = ("_ks", "_kk", "_kt", "_kc", "_ku", "_kq")
+_VIEW_RE = re.compile(r"\b(?:_d|" + "|".join(_CELL_VIEWS) + r")\b")
 
 
-def _loop_effects(body: list) -> tuple:
-    """``(assigned, hazard)`` temp-name sets for one cell-loop body.
+class _Overlay(dict):
+    """Resolves the ``{dN}`` divergent-register placeholders of cell-loop
+    lines: to the loop-local ``_xN`` where the loop keeps register N in
+    a local (the entries given), else to its overlay slot ``_d[N]``."""
 
-    ``assigned`` holds every simple-assignment target; ``hazard`` every
-    temp read before it is (linearly) assigned, i.e. a name whose value
-    at loop entry is observable.  Two adjacent loops may only be merged
-    when neither body's assignments feed the other's entry-observable
-    reads — otherwise a later iteration of the merged loop would see a
-    temp left over from the *other* body's previous iteration instead
-    of the value that was live when its own loop originally started.
-    Subscripted state (``cy[_i]``, ``D[_i]``, ...) needs no tracking:
-    it is cell-indexed, so per-cell mutation order is preserved by any
-    interleaving of the bodies.
-    """
-    assigned = {"_i"}
-    hazard: set = set()
-    for line in body:
-        text = line.lstrip(" ")
-        match = _ASSIGN_RE.match(text)
-        target = match.group(1) if match else None
-        for token in _TEMP_RE.finditer(text):
-            name = token.group(0)
-            if name == target and token.start() == 0:
-                continue
-            if name not in assigned:
-                hazard.add(name)
-        if target is not None:
-            assigned.add(target)
-    return assigned, hazard
-
-
-#: Read-only cell-indexed bindings worth aliasing to a loop-local when
-#: a (merged) body touches them more than once.  ``D[_i]`` keeps its
-#: codegen-conventional ``_d`` alias; the rest get ``_k*`` names no
-#: emitter uses.  ``cy`` is handled separately — its entries are
-#: rebound ints, so it needs a write-back, not just an alias.
-_ALIAS_BASES = (
-    ("D", "_d"),
-    ("L1S", "_ks"),
-    ("C", "_kc"),
-    ("UN", "_ku"),
-    ("LD", "_kl"),
-    ("PF", "_kp"),
-    ("SR", "_kr"),
-)
-_CY_RE = re.compile(r"\bcy\[_i\]")
-
-
-def _localize_body(body: list, inner: int) -> list:
-    """Hoist repeated cell-indexed accesses in one loop body to locals.
-
-    Container bindings (``D[_i]``, ``L1S[_i]``, counters, port views)
-    are stable objects — aliasing them is observationally identical,
-    ports mutate *through* the same objects.  ``cy[_i]`` holds a plain
-    int, so it is fully localized: read once at loop top, every access
-    rewritten to the local, stored back once at loop bottom (nothing a
-    body calls reads or writes ``st.cycles`` behind the generated
-    code's back — ports take ``_now`` explicitly and return latency).
-    """
-    pad = " " * inner
-    text = "\n".join(body)
-    if len(_CY_RE.findall(text)) >= 3:
-        body = [_CY_RE.sub("_yc", line) for line in body]
-        body.insert(0, pad + "_yc = cy[_i]")
-        body.append(pad + "cy[_i] = _yc")
-        text = "\n".join(body)
-    for base, alias in _ALIAS_BASES:
-        pattern = re.compile(rf"\b{base}\[_i\]")
-        if len(pattern.findall(text)) < 2:
-            continue
-        body = [pattern.sub(alias, line) for line in body]
-        body = [
-            line
-            for line in body
-            if line.lstrip(" ") != f"{alias} = {alias}"
-        ]
-        body.insert(0, f"{pad}{alias} = {base}[_i]")
-        text = "\n".join(body)
-    return body
-
-
-def _merge_cell_loops(lines: list) -> list:
-    """Peephole over a generated body: fuse adjacent ``for _i in RNG:``
-    loops at the same indent with nothing between them into one loop,
-    and drop duplicate top-level ``_d = D[_i]`` rebinds in the merged
-    body.  Cuts the dominant per-uniform-instruction overhead of the
-    batch superblock — loop setup and ``RNG`` iteration — without
-    changing per-cell execution order (see :func:`_loop_effects` for
-    the safety argument)."""
-    out: list = []
-    i = 0
-    total = len(lines)
-    while i < total:
-        line = lines[i]
-        text = line.lstrip(" ")
-        if text != "for _i in RNG:":
-            out.append(line)
-            i += 1
-            continue
-        indent = len(line) - len(text)
-        inner = indent + 4
-
-        def body_end(start: int) -> int:
-            j = start
-            while j < total and len(lines[j]) - len(lines[j].lstrip(" ")) >= inner:
-                j += 1
-            return j
-
-        end = body_end(i + 1)
-        body = list(lines[i + 1 : end])
-        assigned, hazard = _loop_effects(body)
-        i = end
-        while i < total and lines[i] == line:
-            nxt_end = body_end(i + 1)
-            nxt = lines[i + 1 : nxt_end]
-            nxt_assigned, nxt_hazard = _loop_effects(nxt)
-            if (assigned & nxt_hazard) or (nxt_assigned & hazard):
-                break
-            body.extend(nxt)
-            assigned |= nxt_assigned
-            hazard |= nxt_hazard
-            i = nxt_end
-        bind = " " * inner + "_d = D[_i]"
-        if body.count(bind) > 1:
-            seen = False
-            deduped = []
-            for entry in body:
-                if entry == bind:
-                    if seen:
-                        continue
-                    seen = True
-                deduped.append(entry)
-            body = deduped
-        out.append(line)
-        out.extend(_localize_body(body, inner))
-    return out
+    def __missing__(self, key: str) -> str:
+        return f"_d[{key[1:]}]"
 
 
 class CellBindings:
@@ -225,29 +120,22 @@ class CellBindings:
 
     Built once per :class:`~repro.machine.batch.BatchMachine`; every
     generated batch superblock receives it as the ``cd`` argument and
-    lazily binds only the views its body references.
+    binds only what its body references.  ``cells`` holds one tuple per
+    cell: its index, then the views of :data:`_CELL_VIEWS` in order.
     """
 
-    __slots__ = (
-        "n",
-        "rng",
-        "counters",
-        "unused",
-        "l1_sets",
-        "l1_masks",
-        "l1_lats",
-        "sp_find",
-    )
+    __slots__ = ("rng", "cells", "mems", "sp_find")
 
     def __init__(self, cells, space) -> None:
-        fronts = [cell.mem.front() for cell in cells]
-        self.n = len(cells)
-        self.rng = range(self.n)
-        self.counters = [cell.counters for cell in cells]
-        self.unused = [front._unused for front in fronts]
-        self.l1_sets = [front._l1_sets for front in fronts]
-        self.l1_masks = [front._l1_mask for front in fronts]
-        self.l1_lats = [front._l1_lat for front in fronts]
+        self.rng = range(len(cells))
+        self.mems = [cell.mem for cell in cells]
+        self.cells = tuple(
+            (
+                index, front._l1_sets, front._l1_mask, front._l1_lat,
+                front._counters, front._unused, front._mshr,
+            )
+            for index, front in enumerate(mem.front() for mem in self.mems)
+        )
         self.sp_find = space._find
 
 
@@ -309,15 +197,37 @@ class _BatchSuperblockCodegen:
         self.has_sr = nest[2] > 0
         self.has_tk = nest[3] > 0 or self._any_taken_exit(unit)
         self.preload, self.writeback = self._collect_slots()
-        self._memory_sites = nest[1] + nest[2]
+        # Operand uses per register slot, function-wide: a divergent
+        # register defined in a cell loop and read only there, after the
+        # definition, never needs its overlay slot.
+        self.uses: Counter = Counter()
+        for block in self.function.blocks:
+            for inst in block.instructions:
+                for value in inst.args + tuple(v for _, v in inst.incomings):
+                    if type(value) is str:
+                        self.uses[self.slots[value]] += 1
         self.ptables: list = []
         self._pt: dict = {}
-        # Emission state.
+        self._reset()
+
+    def _reset(self) -> None:
+        """Emission state.  ``_site`` numbers the memory sites; site
+        ``k`` owns the segment cache ``_s<k>`` and, for a uniform
+        address, the hoisted temporaries ``_a<k>``/``_l<k>``/``_v<k>``.
+        ``_cell`` holds the open segment's cell-loop body, whose lines
+        name divergent register N as the placeholder ``{dN}``."""
         self.lines: list = []
-        self.indent = 0
+        self.indent = 1
         self._site = 0
         self._carry = False
         self._pending = 0
+        self._cell: list = []
+        self._cell_reads: set = set()
+        self._cell_defs: set = set()
+        self._cell_uses: Counter = Counter()
+        self._cell_early: set = set()
+        self._cell_clock = False
+        self._cell_loads = False
 
     # -- static analysis ----------------------------------------------
     def _unit_totals(self, unit: _Unit) -> tuple:
@@ -507,7 +417,7 @@ class _BatchSuperblockCodegen:
         if kind == "C":
             return repr(value)
         if kind == "D":
-            return f"_d[{value}]"
+            return f"{{d{value}}}"
         return f"PT[{value}][_i]"
 
     # -- emission helpers ---------------------------------------------
@@ -525,65 +435,128 @@ class _BatchSuperblockCodegen:
         self._carry = True
         self._pending = 0
 
-    def _now_expr(self) -> str:
-        k = self._pending
-        if self._carry:
-            return f"cy[_i] + {k} + _pc" if k else "cy[_i] + _pc"
-        return f"cy[_i] + {k}" if k else "cy[_i]"
-
-    def _consume(self) -> None:
-        """Call after a site loop whose ``cy[_i] = _now ...`` writes
-        absorbed the deferred cycles for every cell."""
-        if self._carry:
-            self.emit("_pc = 0")
-            self._carry = False
-        self._pending = 0
-
     def _mask_expr(self) -> str:
-        if self.uniform_geometry:
-            return str(self.l1_masks[0])
-        return "L1M[_i]"
+        return str(self.l1_masks[0]) if self.uniform_geometry else "_kk"
 
     def _lat_expr(self) -> str:
-        if self.uniform_geometry:
-            return str(self.l1_lats[0])
-        return "L1L[_i]"
+        return str(self.l1_lats[0]) if self.uniform_geometry else "_kt"
 
-    def _emit_un(self, with_l1_hit: bool) -> None:
-        """The prefetch-usefulness consumption arm (mirrors the
-        fastpath hit arms; loads also count the L1 hit)."""
-        if with_l1_hit:
-            self.emit("C[_i].l1_hits += 1")
-        self.emit("_u = UN[_i]")
-        self.emit("if _u:")
-        self.emit("    _sw = _u.pop(_line, None)")
-        self.emit("    if _sw is not None:")
-        self.emit("        if _sw:")
-        self.emit("            C[_i].sw_prefetch_useful += 1")
-        self.emit("        else:")
-        self.emit("            C[_i].hw_prefetch_useful += 1")
+    # -- segments: hoisted uniform work, then one cell loop ------------
+    # Uniform work is emitted as it comes; per-cell work collects in
+    # ``_cell`` until the segment ends or a hazard closes the loop (see
+    # the module docstring).  Uniform work never reads per-cell state
+    # and timing arms never touch values, so the hoist is exact.
+    def _cell_use(self, *specs) -> None:
+        """Note the registers the open cell loop reads: uniform ones for
+        :meth:`_uniform_write`, divergent ones for :meth:`_close_cells`
+        (a use ahead of the loop's own definition reads the overlay)."""
+        for kind, value in specs:
+            if kind == "R":
+                self._cell_reads.add(value)
+            elif kind == "D":
+                self._cell_uses[value] += 1
+                if value not in self._cell_defs:
+                    self._cell_early.add(value)
 
-    def _emit_functional(
-        self, assign: str, fallback: str, store_value
-    ) -> None:
+    def _cell_def(self, slot: int) -> str:
+        """The open cell loop defines divergent register ``slot``."""
+        self._cell_defs.add(slot)
+        return f"{{d{slot}}}"
+
+    def _uniform_write(self, slot: int) -> None:
+        """Hoisted work writes ``r<slot>``: close the cell loop first if
+        it reads the old value."""
+        if slot in self._cell_reads:
+            self._close_cells()
+
+    def _functional_barrier(self) -> None:
+        """Hoisted functional access next: close the cell loop first if
+        it holds a divergent functional load.  A&J slice loads are
+        divergent and their clamped address can alias a later store;
+        a later load must not fault ahead of it either."""
+        if self._cell_loads:
+            self._close_cells()
+
+    def _clock(self) -> None:
+        """Advance the cell clock ``_y`` to this timing op: the first
+        op of a loop starts it from ``cy[_i]`` plus everything deferred,
+        later ones add the compile-time pending since the previous op."""
+        k = self._pending
+        if not self._cell_clock:
+            start = "cy[_i] + _pc" if self._carry else "cy[_i]"
+            self._cell.append(f"_y = {start} + {k}" if k else f"_y = {start}")
+            self._cell_clock = True
+        elif k:
+            self._cell.append(f"_y += {k}")
+        self._pending = 0
+
+    def _close_cells(self) -> None:
+        """Emit the open cell loop: each used per-cell view bound once,
+        the body, the clock stored back."""
+        if not self._cell:
+            return
+        local = _Overlay(
+            (f"d{slot}", f"_x{slot}")
+            for slot in self._cell_defs - self._cell_early
+            if self.uses[slot] == self._cell_uses[slot]
+        )
+        body = [line.format_map(local) for line in self._cell]
+        if self._cell_clock:
+            body.append("cy[_i] = _y")
+        used = set(_VIEW_RE.findall("\n".join(body)))
+        if used - {"_d"}:
+            self.emit(f"for _i, {', '.join(_CELL_VIEWS)} in CELLS:")
+        else:
+            self.emit("for _i in RNG:")
+        if "_d" in used:
+            self.emit("    _d = D[_i]")
+        for line in body:
+            self.emit("    " + line)
+        if self._cell_clock and self._carry:
+            self.emit("_pc = 0")  # every cell clock absorbed the carry
+            self._carry = False
+        self._cell = []
+        self._cell_reads = set()
+        self._cell_defs = set()
+        self._cell_uses = Counter()
+        self._cell_early = set()
+        self._cell_clock = False
+        self._cell_loads = False
+
+    def _cell_probe(self, line: str, port: str, load: bool) -> None:
+        """The inline L1 arm of a load or store at ``_y`` (mirrors the
+        fastpath hit arms: LRU refresh, prefetch-usefulness consumption,
+        loads also count the hit); a miss adds the port call ``port``."""
+        body = [
+            f"_set = _ks[{line} & {self._mask_expr()}]",
+            f"_f = _set.pop({line}, None)",
+            "if _f is None:",
+            f"    _y += {port}",
+            "else:",
+            f"    _set[{line}] = _f",
+        ]
+        if load:
+            body.append("    _kc.l1_hits += 1")
+        body += [
+            "    if _ku:",
+            f"        _sw = _ku.pop({line}, None)",
+            "        if _sw is not None:",
+            "            if _sw:",
+            "                _kc.sw_prefetch_useful += 1",
+            "            else:",
+            "                _kc.hw_prefetch_useful += 1",
+            f"    _y += {self._lat_expr() if load else 1}",
+        ]
+        self._cell.extend(body)
+
+    def _uniform_site(self, aspec) -> int:
+        """Open a memory site with a uniform address: hoist the address
+        and its line into the site's own temporaries."""
         site = self._site
         self._site += 1
-        s = f"_s{site}"
-        self.emit(f"if {s} is None or not ({s}.base <= _a < {s}.end):")
-        self.emit(f"    {s} = sp_find(_a)")
-        self.emit(f"if {s} is None:")
-        self.emit(f"    {assign}{fallback}")
-        self.emit("else:")
-        self.emit(f"    _o = _a - {s}.base")
-        self.emit(f"    if _o & ({s}.elem_size - 1):")
-        self.emit(f"        {assign}{fallback}")
-        self.emit("    else:")
-        if store_value is None:
-            self.emit(f"        {assign}{s}.values[_o // {s}.elem_size]")
-        else:
-            self.emit(
-                f"        {s}.values[_o // {s}.elem_size] = {store_value}"
-            )
+        self.emit(f"_a{site} = {self.uexpr(aspec)}")
+        self.emit(f"_l{site} = _a{site} >> 6")
+        return site
 
     # -- flush / exits -------------------------------------------------
     def _emit_materialize(self) -> None:
@@ -646,14 +619,15 @@ class _BatchSuperblockCodegen:
         uniform copies are emitted after and never read the overlay)."""
         if not dpairs:
             return
+        overlay = _Overlay()
         self.emit("for _i in RNG:")
         self.emit("    _d = D[_i]")
         if len(dpairs) == 1:
             slot, spec = dpairs[0]
-            self.emit(f"    _d[{slot}] = {self.cexpr(spec)}")
+            self.emit(f"    _d[{slot}] = {self.cexpr(spec).format_map(overlay)}")
             return
         for index, (_, spec) in enumerate(dpairs):
-            self.emit(f"    _q{index} = {self.cexpr(spec)}")
+            self.emit(f"    _q{index} = {self.cexpr(spec).format_map(overlay)}")
         for index, (slot, _) in enumerate(dpairs):
             self.emit(f"    _d[{slot}] = _q{index}")
 
@@ -752,20 +726,13 @@ class _BatchSuperblockCodegen:
         ("sp_load", "st.sp_load"),
         ("sp_store", "st.sp_store"),
         ("RNG", "cd.rng"),
-        ("L1S", "cd.l1_sets"),
-        ("L1M", "cd.l1_masks"),
-        ("L1L", "cd.l1_lats"),
-        ("C", "cd.counters"),
-        ("UN", "cd.unused"),
+        ("CELLS", "cd.cells"),
+        ("MEM", "cd.mems"),
         ("sp_find", "cd.sp_find"),
     )
 
     def generate(self) -> str:
-        self.lines = []
-        self.indent = 1
-        self._site = 0
-        self._carry = False
-        self._pending = 0
+        self._reset()
 
         # Entry guard: the instruction budget is the batch tier's only
         # observation point (no sampler, no trace), hoisted once — it
@@ -786,21 +753,15 @@ class _BatchSuperblockCodegen:
             self.emit("_tk = 0")
         self._emit_unit(self.unit, (0, 0, 0, 0))
 
-        body = _merge_cell_loops(self.lines)
-        used = set(
-            re.findall(
-                r"\b(?:cy|D|LD|SR|PF|sp_load|sp_store|RNG|L1S|L1M|L1L"
-                r"|C|UN|sp_find)\b",
-                "\n".join(body),
-            )
-        )
+        names = "|".join(name for name, _ in self._BINDS)
+        used = set(re.findall(rf"\b(?:{names})\b", "\n".join(self.lines)))
         header = ["def __batchsb(R, st, cd, PT):"]
         for name, expr in self._BINDS:
             if name in used:
                 header.append(f"    {name} = {expr}")
-        for site in range(self._memory_sites):
+        for site in range(self._site):
             header.append(f"    _s{site} = None")
-        return "\n".join(header + body)
+        return "\n".join(header + self.lines)
 
     def _emit_unit(self, unit: _Unit, carried: tuple) -> None:
         self._normalize()
@@ -851,116 +812,106 @@ class _BatchSuperblockCodegen:
         self._pending = 0
 
     # -- per-op emission ----------------------------------------------
-    def _emit_cell_assign(self, dst_slot: int, expr: str) -> None:
-        self.emit("for _i in RNG:")
-        if "_d[" in expr:
-            self.emit("    _d = D[_i]")
-            self.emit(f"    _d[{dst_slot}] = {expr}")
-        else:
-            self.emit(f"    D[_i][{dst_slot}] = {expr}")
+    def _alu(self, insts, dst_div: bool) -> tuple:
+        """``(uniform, expr, specs)`` for one aligned ALU instruction."""
+        op = insts[0].op
+        specs = tuple(
+            self._arg(insts, j) for j in range(len(insts[0].args))
+        )
+        uniform = not dst_div and self._uniform(*specs)
+        x = self.uexpr if uniform else self.cexpr
+        if op in (Opcode.CONST, Opcode.MOV):
+            return uniform, x(specs[0]), specs
+        if op is Opcode.SELECT:
+            c, a, b = (x(spec) for spec in specs)
+            return uniform, f"({a}) if ({c}) else ({b})", specs
+        if op is Opcode.GEP:
+            base, index, scale = specs
+            if index[0] == "C" and scale[0] == "C":
+                return uniform, f"{x(base)} + {index[1] * scale[1]}", specs
+            if scale == ("C", 1):
+                return uniform, f"{x(base)} + {x(index)}", specs
+            return uniform, f"{x(base)} + {x(index)}*{x(scale)}", specs
+        a, b = specs
+        return uniform, BINOP_EXPR[op].format(a=x(a), b=x(b)), specs
 
     def _emit_load(self, insts, dst_divergent: bool) -> None:
         inst = insts[0]
         aspec = self._arg(insts, 0)
         dst_slot = self.slots[inst.dst]
-        pc = inst.pc
-        mask = self._mask_expr()
-        lat = self._lat_expr()
         if aspec[0] in ("R", "C"):
-            self.emit(f"_a = {self.uexpr(aspec)}")
+            site = self._uniform_site(aspec)
+            addr = f"_a{site}"
+            self._functional_barrier()
             if dst_divergent:
-                self._emit_functional("_v = ", "sp_load(_a)", None)
-            self.emit("_line = _a >> 6")
-            now = self._now_expr()
-            self.emit("for _i in RNG:")
-            self.indent += 1
-            self.emit(f"_now = {now}")
-            self.emit(f"_set = L1S[_i][_line & {mask}]")
-            self.emit("_f = _set.pop(_line, None)")
-            self.emit("if _f is None:")
-            self.emit(f"    cy[_i] = _now + LD[_i](_a, _now, {pc})")
-            self.emit("else:")
-            self.indent += 1
-            self.emit("_set[_line] = _f")
-            self._emit_un(True)
-            self.emit(f"cy[_i] = _now + {lat}")
-            self.indent -= 1
+                assign = f"_v{site} = "
+            else:
+                self._uniform_write(dst_slot)
+                assign = f"r{dst_slot} = "
+            for text in functional_lines(
+                f"_s{site}", addr, assign, f"sp_load({addr})"
+            ):
+                self.emit(text)
+            self._clock()
+            self._cell_probe(
+                f"_l{site}", f"LD[_i]({addr}, _y, {inst.pc})", True
+            )
             if dst_divergent:
-                self.emit(f"D[_i][{dst_slot}] = _v")
-            self.indent -= 1
-            self._consume()
-            if not dst_divergent:
-                self._emit_functional(
-                    f"r{dst_slot} = ", "sp_load(_a)", None
-                )
-        else:
-            # Divergent address -> divergent value; everything per cell.
-            now = self._now_expr()
-            self.emit("for _i in RNG:")
-            self.indent += 1
-            self.emit("_d = D[_i]")
-            self.emit(f"_a = {self.cexpr(aspec)}")
-            self.emit("_line = _a >> 6")
-            self.emit(f"_now = {now}")
-            self.emit(f"_set = L1S[_i][_line & {mask}]")
-            self.emit("_f = _set.pop(_line, None)")
-            self.emit("if _f is None:")
-            self.emit(f"    cy[_i] = _now + LD[_i](_a, _now, {pc})")
-            self.emit("else:")
-            self.indent += 1
-            self.emit("_set[_line] = _f")
-            self._emit_un(True)
-            self.emit(f"cy[_i] = _now + {lat}")
-            self.indent -= 1
-            self._emit_functional(f"_d[{dst_slot}] = ", "sp_load(_a)", None)
-            self.indent -= 1
-            self._consume()
+                self._cell.append(f"{self._cell_def(dst_slot)} = _v{site}")
+            return
+        # Divergent address -> divergent value; everything per cell.
+        site = self._site
+        self._site += 1
+        self._cell_use(aspec)
+        self._cell.append(f"_a = {self.cexpr(aspec)}")
+        self._cell.append("_line = _a >> 6")
+        self._clock()
+        self._cell_probe("_line", f"LD[_i](_a, _y, {inst.pc})", True)
+        self._cell.extend(
+            functional_lines(
+                f"_s{site}", "_a", f"{self._cell_def(dst_slot)} = ",
+                "sp_load(_a)",
+            )
+        )
+        self._cell_loads = True
 
     def _emit_store(self, insts) -> None:
-        inst = insts[0]
-        aspec = self._arg(insts, 0)
-        vspec = self._arg(insts, 1)
-        pc = inst.pc
-        mask = self._mask_expr()
-        self.emit(f"_a = {self.uexpr(aspec)}")
-        self.emit("_line = _a >> 6")
-        now = self._now_expr()
-        self.emit("for _i in RNG:")
-        self.indent += 1
-        self.emit(f"_now = {now}")
-        self.emit(f"_set = L1S[_i][_line & {mask}]")
-        self.emit("_f = _set.pop(_line, None)")
-        self.emit("if _f is None:")
-        self.emit(f"    cy[_i] = _now + SR[_i](_a, _now, {pc})")
-        self.emit("else:")
-        self.indent += 1
-        self.emit("_set[_line] = _f")
-        self._emit_un(False)
-        self.emit("cy[_i] = _now + 1")
-        self.indent -= 1
-        self.indent -= 1
-        self._consume()
-        value = self.uexpr(vspec)
-        self._emit_functional("", f"sp_store(_a, {value})", value)
+        site = self._uniform_site(self._arg(insts, 0))
+        addr = f"_a{site}"
+        value = self.uexpr(self._arg(insts, 1))
+        self._functional_barrier()
+        for text in functional_lines(
+            f"_s{site}", addr, "", f"sp_store({addr}, {value})", value
+        ):
+            self.emit(text)
+        self._clock()
+        self._cell_probe(
+            f"_l{site}", f"SR[_i]({addr}, _y, {insts[0].pc})", False
+        )
 
     def _emit_prefetch(self, insts) -> None:
-        inst = insts[0]
         aspec = self._arg(insts, 0)
-        pc = inst.pc
-        divergent_addr = aspec[0] not in ("R", "C")
-        if not divergent_addr:
-            self.emit(f"_a = {self.uexpr(aspec)}")
-        now = self._now_expr()
-        self.emit("for _i in RNG:")
-        self.indent += 1
-        if divergent_addr:
-            self.emit("_d = D[_i]")
-            self.emit(f"_a = {self.cexpr(aspec)}")
-        self.emit(f"_now = {now}")
-        self.emit("cy[_i] = _now")
-        self.emit(f"PF[_i](_a, _now, {pc})")
-        self.indent -= 1
-        self._consume()
+        if aspec[0] in ("R", "C"):
+            site = self._uniform_site(aspec)
+            addr, line = f"_a{site}", f"_l{site}"
+            for text in site_probe(f"_s{site}", addr):
+                self.emit(text)
+        else:
+            site = self._site
+            self._site += 1
+            addr, line = "_a", "_line"
+            self._cell_use(aspec)
+            self._cell.append(f"_a = {self.cexpr(aspec)}")
+            self._cell.extend(site_probe(f"_s{site}", "_a"))
+            self._cell.append("_line = _a >> 6")
+        self._clock()
+        self._cell.extend(
+            prefetch_arm(
+                f"_s{site}", addr, line, "_y",
+                f"_ks[{line} & {self._mask_expr()}]", "_kq", "MEM[_i]", "_kc",
+                "PF[_i]", insts[0].pc,
+            )
+        )
         self._pending = self.config.prefetch_cost
 
     def _emit_block(
@@ -981,80 +932,15 @@ class _BatchSuperblockCodegen:
             op = inst.op
             dst = inst.dst
             dst_div = dst is not None and dst in divergent
-            if op in BINOP_EXPR:
-                a = self._arg(insts, 0)
-                b = self._arg(insts, 1)
-                if not dst_div and self._uniform(a, b):
-                    expr = BINOP_EXPR[op].format(
-                        a=self.uexpr(a), b=self.uexpr(b)
-                    )
-                    self.emit(f"r{self.slots[dst]} = {expr}")
+            if op in ALU_OPS:
+                uniform, expr, specs = self._alu(insts, dst_div)
+                slot = self.slots[dst]
+                if uniform:
+                    self._uniform_write(slot)
+                    self.emit(f"r{slot} = {expr}")
                 else:
-                    expr = BINOP_EXPR[op].format(
-                        a=self.cexpr(a), b=self.cexpr(b)
-                    )
-                    self._emit_cell_assign(self.slots[dst], expr)
-                self._pending += cfg.alu_cost
-                prefix[0] += 1
-            elif op is Opcode.GEP:
-                base = self._arg(insts, 0)
-                index = self._arg(insts, 1)
-                scale = self._spec([i.args[2] for i in insts])
-                if not dst_div and self._uniform(base, index, scale):
-                    if index[0] == "C":
-                        expr = f"{self.uexpr(base)} + {index[1] * scale[1]}"
-                    elif scale[1] == 1:
-                        expr = f"{self.uexpr(base)} + {self.uexpr(index)}"
-                    else:
-                        expr = (
-                            f"{self.uexpr(base)} + "
-                            f"{self.uexpr(index)}*{scale[1]}"
-                        )
-                    self.emit(f"r{self.slots[dst]} = {expr}")
-                else:
-                    if index[0] == "C" and scale[0] == "C":
-                        expr = f"{self.cexpr(base)} + {index[1] * scale[1]}"
-                    else:
-                        expr = (
-                            f"{self.cexpr(base)} + "
-                            f"{self.cexpr(index)}*{self.cexpr(scale)}"
-                        )
-                    self._emit_cell_assign(self.slots[dst], expr)
-                self._pending += cfg.alu_cost
-                prefix[0] += 1
-            elif op is Opcode.CONST:
-                value = self._spec([i.args[0] for i in insts])
-                if not dst_div and self._uniform(value):
-                    self.emit(f"r{self.slots[dst]} = {value[1]!r}")
-                else:
-                    self._emit_cell_assign(
-                        self.slots[dst], self.cexpr(value)
-                    )
-                self._pending += cfg.alu_cost
-                prefix[0] += 1
-            elif op is Opcode.MOV:
-                a = self._arg(insts, 0)
-                if not dst_div and self._uniform(a):
-                    self.emit(f"r{self.slots[dst]} = {self.uexpr(a)}")
-                else:
-                    self._emit_cell_assign(self.slots[dst], self.cexpr(a))
-                self._pending += cfg.alu_cost
-                prefix[0] += 1
-            elif op is Opcode.SELECT:
-                c = self._arg(insts, 0)
-                a = self._arg(insts, 1)
-                b = self._arg(insts, 2)
-                if not dst_div and self._uniform(c, a, b):
-                    self.emit(
-                        f"r{self.slots[dst]} = ({self.uexpr(a)}) if "
-                        f"({self.uexpr(c)}) else ({self.uexpr(b)})"
-                    )
-                else:
-                    self._emit_cell_assign(
-                        self.slots[dst],
-                        f"({self.cexpr(a)}) if ({self.cexpr(c)}) "
-                        f"else ({self.cexpr(b)})",
-                    )
+                    self._cell_use(*specs)
+                    self._cell.append(f"{self._cell_def(slot)} = {expr}")
                 self._pending += cfg.alu_cost
                 prefix[0] += 1
             elif op is Opcode.LOAD:
@@ -1073,11 +959,13 @@ class _BatchSuperblockCodegen:
                 self._pending += amount * cfg.work_cpi
                 prefix[0] += amount
             elif op is Opcode.JMP:
+                self._close_cells()
                 self._pending += cfg.branch_cost
                 prefix[0] += 1
                 prefix[3] += 1
                 self._emit_edge_copies(name, inst.targets[0])
             elif op is Opcode.BR:
+                self._close_cells()
                 self._pending += cfg.branch_cost
                 prefix[0] += 1
                 cspec = self._arg(insts, 0)

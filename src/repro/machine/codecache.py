@@ -72,9 +72,10 @@ from repro.machine.superblock import (
 from repro.machine.translator import CompiledFunction, compile_function
 from repro.obs import telemetry as obs_telemetry
 
-#: Bump when the cached payload layout changes; old entries then
-#: invalidate (and are rewritten) instead of being misinterpreted.
-CODECACHE_SCHEMA = 1
+#: Bump when the generated stepper code changes (or the payload
+#: layout does): it is the only codegen version in the key, so old
+#: entries then miss and are rewritten instead of being served.
+CODECACHE_SCHEMA = 2
 
 #: Engines whose compiled form is cacheable; ``reference`` interprets.
 CACHEABLE_ENGINES = ("turbo", "fast", "translate")

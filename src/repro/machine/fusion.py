@@ -9,7 +9,10 @@ latch with exactly one in-loop successor per node, built innermost-first
 so outer loops absorb already-fused inner loops as nested units.  This
 module holds that analysis in one place so the two tiers can never
 disagree about *what* is fusable; only the code they generate for a
-fusable nest differs (per-run locals vs per-cell overlays).
+fusable nest differs (per-run locals vs per-cell overlays).  The source
+fragments both generators emit identically — the per-site segment-cache
+probe and the functional access built on it — live here too
+(:func:`site_probe`, :func:`functional_lines`).
 
 The eligibility rules (see :func:`build_unit`):
 
@@ -298,3 +301,46 @@ def unit_depth(unit: FusionUnit) -> int:
         ),
         default=0,
     )
+
+
+# ----------------------------------------------------------------------
+# Source fragments both fused code generators emit
+# ----------------------------------------------------------------------
+def site_probe(seg: str, addr: str) -> list:
+    """Refresh the per-site segment cache ``seg`` for ``addr``.
+
+    The cache holds the last Segment the site touched; afterwards
+    ``seg`` is the segment mapping ``addr``, or None when it is
+    unmapped (``sp_find`` is ``AddressSpace._find``).
+    """
+    return [
+        f"if {seg} is None or not ({seg}.base <= {addr} < {seg}.end):",
+        f"    {seg} = sp_find({addr})",
+    ]
+
+
+def functional_lines(
+    seg: str, addr: str, assign: str, fallback: str, store_value=None
+) -> list:
+    """Functional access through a per-site segment cache.
+
+    A cache hit costs a bounds check and a list index instead of two
+    function calls.  Any irregular case — unmapped or misaligned —
+    runs ``fallback``, the AddressSpace method, which raises the exact
+    error the slow engines raise.  ``store_value`` None means a load
+    into ``assign``.
+    """
+    if store_value is None:
+        access = f"{assign}{seg}.values[_o // {seg}.elem_size]"
+    else:
+        access = f"{seg}.values[_o // {seg}.elem_size] = {store_value}"
+    return site_probe(seg, addr) + [
+        f"if {seg} is None:",
+        f"    {assign}{fallback}",
+        "else:",
+        f"    _o = {addr} - {seg}.base",
+        f"    if _o & ({seg}.elem_size - 1):",
+        f"        {assign}{fallback}",
+        "    else:",
+        f"        {access}",
+    ]

@@ -92,9 +92,12 @@ from repro.machine.fusion import (
     GuardedUnit as _Guarded,
     discover_units,
     flatten_unit as _flatten,
+    functional_lines,
+    site_probe,
     unit_depth as _depth,
     unit_entry as _entry,
 )
+from repro.mem.fastpath import prefetch_arm
 
 _counter = itertools.count()
 
@@ -148,10 +151,8 @@ class _SuperblockCodegen:
         self.has_sr = nest[2] > 0
         self.has_tk = nest[3] > 0 or self._any_taken_exit(unit)
         self.preload, self.writeback = self._collect_slots()
-        #: LOAD/STORE sites in the nest — each gets a functional
-        #: segment-cache local (_s0, _s1, ...) in the generated code.
-        self._memory_sites = nest[1] + nest[2]
-        # Emission state (reset per generate()).
+        # Emission state (reset per generate()).  ``_site`` numbers the
+        # memory sites; each gets a segment-cache local (_s0, _s1, ...).
         self.lines: list = []
         self.indent = 0
         self._site = 0
@@ -326,32 +327,12 @@ class _SuperblockCodegen:
     def _emit_functional(
         self, assign: str, fallback: str, store_value
     ) -> None:
-        """Functional access through a per-callsite segment cache.
-
-        The cache holds the last Segment this site touched; a hit costs
-        a bounds check and a list index instead of two function calls.
-        Any irregular case — segment miss (unmapped) or misaligned
-        address — delegates to the AddressSpace method, which raises
-        the exact error the slow engines raise.
-        """
-        site = self._site
+        """Functional access to ``_a`` through the next site's segment
+        cache (see :func:`repro.machine.fusion.functional_lines`)."""
+        seg = f"_s{self._site}"
         self._site += 1
-        s = f"_s{site}"
-        self.emit(f"if {s} is None or not ({s}.base <= _a < {s}.end):")
-        self.emit(f"    {s} = sp_find(_a)")
-        self.emit(f"if {s} is None:")
-        self.emit(f"    {assign}{fallback}")
-        self.emit("else:")
-        self.emit(f"    _o = _a - {s}.base")
-        self.emit(f"    if _o & ({s}.elem_size - 1):")
-        self.emit(f"        {assign}{fallback}")
-        self.emit("    else:")
-        if store_value is None:
-            self.emit(f"        {assign}{s}.values[_o // {s}.elem_size]")
-        else:
-            self.emit(
-                f"        {s}.values[_o // {s}.elem_size] = {store_value}"
-            )
+        for line in functional_lines(seg, "_a", assign, fallback, store_value):
+            self.emit(line)
 
     def operand(self, value) -> str:
         if type(value) is int:
@@ -472,12 +453,14 @@ class _SuperblockCodegen:
         ("mem_prefetch", "st.mem_prefetch"),
         ("sp_load", "st.sp_load"),
         ("sp_store", "st.sp_store"),
-        # Inlined L1-hit front path (repro.mem.fastpath views) and the
-        # per-callsite functional segment caches.
+        # Inlined L1-hit and redundant-prefetch arms (repro.mem.fastpath
+        # views) and the per-callsite functional segment caches.
         ("L1S", "fp._l1_sets"),
         ("C", "fp._counters"),
         ("UN", "fp._unused"),
         ("sp_find", "fp.mem.space._find"),
+        ("MQ", "fp._mshr"),
+        ("MEM", "fp.mem"),
         ("lbr_push", "st.lbr_push"),
         ("record_load", "st.record_load"),
         ("pebs_threshold", "st.pebs_threshold"),
@@ -513,18 +496,13 @@ class _SuperblockCodegen:
         self._emit_unit(self.unit, (0, 0, 0, 0), profiled)
 
         body = self.lines
-        used = set(
-            re.findall(
-                r"\b(?:mem_load|mem_store|mem_prefetch|sp_load|sp_store"
-                r"|L1S|C|UN|sp_find|lbr_push|record_load|pebs_threshold)\b",
-                "\n".join(body),
-            )
-        )
+        names = "|".join(name for name, _ in self._BINDS)
+        used = set(re.findall(rf"\b(?:{names})\b", "\n".join(body)))
         header = ["def __superblock(R, st, fp):"]
         for name, expr in self._BINDS:
             if name in used:
                 header.append(f"    {name} = {expr}")
-        for site in range(self._memory_sites):
+        for site in range(self._site):
             header.append(f"    _s{site} = None")
         return "\n".join(header + body)
 
@@ -694,10 +672,17 @@ class _SuperblockCodegen:
                 prefix[2] += 1
             elif op is Opcode.PREFETCH:
                 flush()
-                self.emit(
-                    f"mem_prefetch({self.operand(inst.args[0])}, "
-                    f"cycle, {inst.pc})"
-                )
+                seg = f"_s{self._site}"
+                self._site += 1
+                self.emit(f"_a = {self.operand(inst.args[0])}")
+                for line in site_probe(seg, "_a") + ["_line = _a >> 6"]:
+                    self.emit(line)
+                for line in prefetch_arm(
+                    seg, "_a", "_line", "cycle",
+                    f"L1S[_line & {self.l1_mask}]", "MQ", "MEM", "C",
+                    "mem_prefetch", inst.pc,
+                ):
+                    self.emit(line)
                 pending += cfg.prefetch_cost
                 prefix[0] += 1
             elif op is Opcode.WORK:

@@ -48,6 +48,15 @@ tier's fused superblocks all bind their demand entry points through
 :meth:`MemorySystem.load_port` / :meth:`MemorySystem.store_port`; the
 reference interpreter keeps calling the plain methods so it stays the
 obviously-correct baseline the differential tests compare against.
+
+Both generated steppers (the turbo superblocks and the batched sweep
+tier) inline two arms of this module instead of calling it: the L1-hit
+arm of ``load``/``store``, and the redundant-in-L1 arm of ``prefetch``
+(:func:`prefetch_arm`, the one emitter both use).  In a distance sweep
+most software prefetches end there (in the HJ8-NPO A&J cells at small
+scale, 425,964 of each cell's 480,000 are redundant), so the port is
+called only for prefetches that are unmapped, find a drain due, or
+miss the L1.
 """
 
 from __future__ import annotations
@@ -506,6 +515,45 @@ class MemoryFastPath:
             llc_set[line] = flags  # refresh LRU if present
         self._fill_fp(line)
         return 1
+
+
+def prefetch_arm(
+    seg: str,
+    addr: str,
+    line: str,
+    now: str,
+    l1_set: str,
+    mshr: str,
+    mem: str,
+    counters: str,
+    port: str,
+    pc: int,
+) -> list:
+    """Source lines of the inline software-prefetch arm both generated
+    steppers emit (:mod:`repro.machine.superblock`,
+    :mod:`repro.machine.batchturbo`); every argument but ``pc`` is a
+    source expression.
+
+    It answers :meth:`MemoryFastPath.prefetch`'s dominant outcome
+    without the call: the address is mapped (``seg``, the site's
+    segment cache, is already refreshed for ``addr``), the line sits in
+    the L1 set ``l1_set``, and no MSHR drain is due — the MSHR dict
+    ``mshr`` is empty or ``now`` is below ``mem``'s next-ready bound,
+    the port's own test.  The port would count the prefetch issued and
+    redundant and return.  The membership test does not refresh LRU,
+    exactly like the port's probe.  Every other case calls ``port`` as
+    before.  The empty-MSHR test matters: the bound is only a lower
+    bound, and after a demand load consumes the last in-flight fill it
+    stays in the past until the next drain.
+    """
+    return [
+        f"if {seg} is not None and {line} in {l1_set} and "
+        f"(not {mshr} or {now} < {mem}._mshr_next_ready):",
+        f"    {counters}.sw_prefetch_issued += 1",
+        f"    {counters}.sw_prefetch_redundant += 1",
+        "else:",
+        f"    {port}({addr}, {now}, {pc})",
+    ]
 
 
 def build_load_fastpath(mem) -> DemandPort:

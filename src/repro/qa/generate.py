@@ -32,12 +32,16 @@ Spec grammar (all plain JSON)::
           | {"kind": "alu", "op": <ALU_OPS>, "rhs": "iv" | int}
           | {"kind": "cmpsel", "rhs": "iv" | int}
           | {"kind": "load"} | {"kind": "indirect"}
-          | {"kind": "store"} | {"kind": "prefetch"}
+          | {"kind": "store"}
+          | {"kind": "prefetch", "offset": int}   # offset optional, 0
           | {"kind": "work", "amount": int>=1}
           | {"kind": "call", "callee": str}
 
 Loops are do-while shaped (the body always runs once), matching every
-loop the workload suite builds.
+loop the workload suite builds.  A prefetch's ``offset`` (in elements)
+is added to its data index unmasked, so hand-written corpus specs can
+aim prefetches outside the array, e.g. below the first segment, where
+nothing is mapped; the generator never sets it.
 """
 
 from __future__ import annotations
@@ -268,6 +272,8 @@ class _Emitter:
             elif kind == "prefetch":
                 data = self.segments["data"]
                 index = self._index(value, ivs, len(data))
+                if stmt.get("offset"):
+                    index = b.add(index, stmt["offset"])
                 b.prefetch(b.gep(data.base, index, 8))
             elif kind == "work":
                 b.work(stmt["amount"])

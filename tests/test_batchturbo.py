@@ -1,8 +1,9 @@
 """The batched superblock tier every batched sweep runs: shared fusion
 verdicts with the turbo engine, guarded-nest discovery and execution,
-budget-boundary replay exactness, the ``run_batch`` contract and its
-fallback plumbing, and the service/CLI surfaces that report whether a
-sweep group ran batched."""
+budget-boundary replay exactness, segment ordering and fault identity
+of the one-cell-loop-per-segment codegen, the inline software-prefetch
+arm, the ``run_batch`` contract and its fallback plumbing, and the
+service/CLI surfaces that report whether a sweep group ran batched."""
 
 from __future__ import annotations
 
@@ -30,7 +31,15 @@ from repro.machine.fusion import (
 from repro.machine.interpreter import ExecutionLimitExceeded
 from repro.machine.machine import Machine
 from repro.machine.superblock import compile_turbo
-from repro.mem.address import AddressSpace
+from repro.mem.address import AddressSpace, MemoryError_
+from repro.mem.fastpath import MemoryFastPath
+from repro.passes.ainsworth_jones import (
+    AinsworthJonesConfig,
+    AinsworthJonesPass,
+)
+from repro.qa.corpus import default_corpus_dir, load_case
+from repro.qa.generate import build_program
+from repro.qa.oracle import OracleConfig, check_batch
 from repro.workloads.registry import TINY_SUITE, make_workload
 from tests.conftest import tiny_memory
 from tests.test_machine_batch import build_kernel, fast_config
@@ -262,6 +271,373 @@ class TestBudgetBoundaryReplay:
             # run raises exactly when the sequential runs raise, and
             # matches them bit-for-bit when it does not.
             assert batched == sequential, f"budget {budget}"
+
+
+# ----------------------------------------------------------------------
+# One cell loop per segment: ordering and fault identity
+# ----------------------------------------------------------------------
+def build_slice_kernel(
+    distance, n=40, clamp=True, store_clamp=True, ahead=0, trip=None
+):
+    """An A&J-style gather loop whose divergent slice load reads
+    ``B[min(i + distance, n - 1)]`` (unclamped ``B[i + distance]`` with
+    ``clamp=False``).  With ``store_clamp`` the next memory op is a
+    uniform store rewriting ``B[n - 1]`` every iteration, so once the
+    clamp engages the two alias.  ``ahead`` adds a uniform ``T[i + ahead]``
+    load after the slice; ``trip`` past ``n`` makes the uniform ``B[i]``
+    load fault.  The slice value feeds the prefetch address and the
+    (divergent) return value."""
+    space = AddressSpace()
+    b_seg = space.allocate("B", [(i * 7) % n for i in range(n)], elem_size=8)
+    t_seg = space.allocate("T", [i * 3 + 1 for i in range(n)], elem_size=8)
+    module = Module("slice_kernel")
+    b = IRBuilder(module)
+    b.function("main")
+    entry, loop, done = b.blocks("entry", "loop", "done")
+    b.at(entry)
+    b.jmp(loop)
+    b.at(loop)
+    i = b.phi([(entry, 0)], name="i")
+    acc = b.phi([(entry, 0)], name="acc")
+    slot = b.add(i, distance, name="adv")
+    if clamp:
+        slot = b.min(slot, n - 1, name="clamped")
+    pidx = b.load(b.gep(b_seg.base, slot, 8), name="pidx")
+    b.prefetch(b.gep(t_seg.base, pidx, 8))
+    if store_clamp:
+        b.store(b.gep(b_seg.base, n - 1, 8), b.mul(i, 8, name="i8"))
+    if ahead:
+        ahead_value = b.load(b.gep(t_seg.base, b.add(i, ahead), 8))
+        pidx = b.add(pidx, ahead_value, name="pidx2")
+    idx = b.load(b.gep(b_seg.base, i, 8), name="idx")
+    value = b.load(b.gep(t_seg.base, b.and_(idx, n - 1), 8), name="value")
+    acc2 = b.add(b.add(acc, value, name="accv"), pidx, name="acc2")
+    i2 = b.add(i, 1, name="i2")
+    b.add_incoming(i, loop, i2)
+    b.add_incoming(acc, loop, acc2)
+    b.br(b.lt(i2, trip or n, name="cond"), loop, done)
+    b.at(done)
+    b.ret(acc2)
+    module.finalize()
+    verify_module(module, strict=True)
+    return module, space
+
+
+def _sequential_error(module, space, config) -> str:
+    with pytest.raises(MemoryError_) as raised:
+        Machine(
+            module, space, config=replace(config, engine="turbo")
+        ).run("main")
+    return str(raised.value)
+
+
+def _batched_error(cells) -> str:
+    assert BatchMachine(cells)._compile("main").superblocks()
+    with pytest.raises(MemoryError_) as raised:
+        run_batch(cells)
+    assert type(raised.value) is MemoryError_
+    return str(raised.value)
+
+
+class TestSegmentOrdering:
+    DISTANCES = (2, 4, 8)
+
+    def test_divergent_load_sees_store_in_program_order(self):
+        config = fast_config(tiny_memory())
+        cells = [
+            BatchCell(*build_slice_kernel(d), config) for d in self.DISTANCES
+        ]
+        fused = BatchMachine(cells)._compile("main").superblocks()
+        assert [sb.header for sb in fused] == ["loop"]
+        outcome = run_batch(cells)
+        assert outcome.batched
+        turbo = replace(config, engine="turbo")
+        values = set()
+        for result, distance in zip(outcome.results, self.DISTANCES):
+            value, counters = run_sequential(
+                *build_slice_kernel(distance), turbo
+            )
+            assert result.value == value, f"distance {distance} value"
+            assert result.counters.as_dict() == counters, (
+                f"distance {distance} counters"
+            )
+            values.add(value)
+        # The store really aliases the clamped slice: without it the
+        # slice values, and so the return value, change.
+        unaliased = run_sequential(
+            *build_slice_kernel(2, store_clamp=False), turbo
+        )[0]
+        assert len(values) == len(self.DISTANCES)
+        assert unaliased not in values
+
+    @pytest.mark.parametrize("reread", ["uniform", "divergent"])
+    def test_non_ssa_rewrite_after_a_read(self, reread):
+        """Non-SSA IR where the loop reads a register before the same
+        block rewrites it.  ``uniform``: a divergent op reads uniform
+        ``w``; hoisting the rewrite past the cell loop would hand it the
+        new value.  ``divergent``: ``x`` is divergent; keeping it in a
+        loop-local would hand the read another cell's value."""
+
+        def build(distance, n=24):
+            space = AddressSpace()
+            t_seg = space.allocate("T", list(range(64)), elem_size=8)
+            module = Module("rewrite")
+            b = IRBuilder(module)
+            b.function("main")
+            entry, loop, done = b.blocks("entry", "loop", "done")
+            b.at(entry)
+            if reread == "uniform":
+                b.const(0, name="w")
+            else:
+                b.add(0, distance, name="x")
+            b.jmp(loop)
+            b.at(loop)
+            i = b.phi([(entry, 0)], name="i")
+            acc = b.phi([(entry, 0)], name="acc")
+            if reread == "uniform":
+                d = b.add("w", distance, name="d")
+            else:
+                d = b.add("x", i, name="d")
+            b.prefetch(b.gep(t_seg.base, b.and_(d, 63, name="dm"), 8))
+            if reread == "uniform":
+                b.mul(i, 3, name="w")
+            else:
+                b.add(i, distance, name="x")
+            acc2 = b.add(acc, d, name="acc2")
+            i2 = b.add(i, 1, name="i2")
+            b.add_incoming(i, loop, i2)
+            b.add_incoming(acc, loop, acc2)
+            b.br(b.lt(i2, n, name="cond"), loop, done)
+            b.at(done)
+            b.ret(acc2)
+            module.finalize()
+            verify_module(module, allow_non_ssa=True)
+            return module, space
+
+        config = fast_config(tiny_memory())
+        cells = [BatchCell(*build(d), config) for d in self.DISTANCES]
+        assert BatchMachine(cells)._compile("main").superblocks()
+        outcome = run_batch(cells)
+        assert outcome.batched
+        assert_cells_match_sequential(
+            outcome,
+            [build(d) for d in self.DISTANCES],
+            [replace(config, engine="turbo")] * len(self.DISTANCES),
+        )
+
+    @pytest.mark.parametrize("divergent", [False, True])
+    def test_functional_fault_matches_sequential_turbo(self, divergent):
+        """The uniform ``B[i]`` load runs off the array, behind slice
+        and prefetch timing in the same block: the batch raises the
+        sequential turbo engine's exact error."""
+        n = 40
+        base = fast_config(tiny_memory())
+        if divergent:
+            grid = [(d, base) for d in self.DISTANCES]
+        else:
+            grid = [
+                (4, replace(base, memory=tiny_memory().scaled(s)))
+                for s in (1, 2)
+            ]
+
+        def build(distance):
+            return build_slice_kernel(distance, n=n, trip=n + 4)
+
+        expected = {
+            _sequential_error(*build(d), config) for d, config in grid
+        }
+        cells = [BatchCell(*build(d), config) for d, config in grid]
+        assert expected == {_batched_error(cells)}
+
+    def test_divergent_fault_raises_before_later_uniform_fault(self):
+        """Cell ``d=8``'s unclamped slice load faults in the same
+        iteration as the later uniform ``T[i + 8]`` load: the batch must
+        raise the slice fault, as that cell's sequential run does, not
+        the uniform load's (a different address)."""
+        n = 40
+        config = fast_config(tiny_memory())
+
+        def build(distance):
+            return build_slice_kernel(
+                distance, n=n, clamp=False, store_clamp=False, ahead=8
+            )
+
+        first = _sequential_error(*build(8), config)
+        other = _sequential_error(*build(2), config)
+        assert first != other
+        cells = [BatchCell(*build(d), config) for d in self.DISTANCES]
+        assert _batched_error(cells) == first
+
+
+# ----------------------------------------------------------------------
+# The inline software-prefetch arm
+# ----------------------------------------------------------------------
+def _main_path_cell_loops(source: str, header: str = "while True:") -> int:
+    """Cell loops (``for _i ...``) directly in the body of the generated
+    stepper's first ``while True:`` — one per segment on the iteration's
+    main path (exit and guard arms nest deeper)."""
+    lines = source.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.strip() == header)
+    depth = len(lines[start]) - len(lines[start].lstrip()) + 4
+    count = 0
+    for line in lines[start + 1:]:
+        indent = len(line) - len(line.lstrip())
+        if line.strip() and indent < depth:
+            break
+        if indent == depth and line.strip().startswith("for _i"):
+            count += 1
+    return count
+
+
+def _aj_ladder(name, distances, scales=(1,)):
+    cells = []
+    for scale in scales:
+        for distance in distances:
+            module, space = make_workload(name, "tiny").build()
+            AinsworthJonesPass(AinsworthJonesConfig(distance=distance)).run(
+                module
+            )
+            config = fast_config(tiny_memory().scaled(scale))
+            cells.append(BatchCell(module, space, config))
+    return BatchMachine(cells)
+
+
+class TestInlinePrefetchArm:
+    def test_hj8_aj_inner_loop_is_one_cell_loop(self):
+        bm = _aj_ladder("HJ8-tiny", (4, 8), scales=(1, 2))
+        function = bm._compile(make_workload("HJ8-tiny", "tiny").entry)
+        (inner,) = [sb for sb in function.superblocks() if sb.depth == 1]
+        assert _main_path_cell_loops(inner.source) == 1
+        # The prefetch is answered inline when redundant in the L1.
+        assert "sw_prefetch_redundant" in inner.source
+
+    def test_unmapped_tail_of_a_resident_line_is_dropped(self):
+        """A 5-element array leaves the tail of its only line unmapped.
+        After a load makes the line resident, a prefetch into the tail
+        is still an unmapped drop, not a redundant hit."""
+
+        def build(tail):
+            space = AddressSpace()
+            a_seg = space.allocate("A", [1, 2, 3, 4, 5], elem_size=8)
+            module = Module("tail")
+            b = IRBuilder(module)
+            b.function("main")
+            entry, loop, done = b.blocks("entry", "loop", "done")
+            b.at(entry)
+            b.jmp(loop)
+            b.at(loop)
+            i = b.phi([(entry, 0)], name="i")
+            acc = b.phi([(entry, 0)], name="acc")
+            value = b.load(b.gep(a_seg.base, b.and_(i, 3, name="j"), 8))
+            b.prefetch(b.gep(a_seg.base, b.add(i, tail, name="t"), 8))
+            acc2 = b.add(acc, value, name="acc2")
+            i2 = b.add(i, 1, name="i2")
+            b.add_incoming(i, loop, i2)
+            b.add_incoming(acc, loop, acc2)
+            b.br(b.lt(i2, 3, name="cond"), loop, done)
+            b.at(done)
+            b.ret(acc2)
+            module.finalize()
+            verify_module(module, strict=True)
+            return module, space
+
+        config = fast_config(tiny_memory())
+        tails = (5, 6)  # A[5 + i], A[6 + i]: past the end, same line
+        expected = []
+        for tail in tails:
+            value, counters = run_sequential(
+                *build(tail), replace(config, engine="reference")
+            )
+            assert counters["sw_prefetch_dropped_unmapped"] == 3
+            expected.append((value, counters))
+            assert run_sequential(
+                *build(tail), replace(config, engine="turbo")
+            ) == (value, counters)
+        outcome = run_batch([BatchCell(*build(t), config) for t in tails])
+        assert outcome.batched
+        assert [
+            (r.value, r.counters.as_dict()) for r in outcome.results
+        ] == expected
+
+    def test_hj8_aj_ladder_port_calls_under_a_quarter(self):
+        bm = _aj_ladder("HJ8-tiny", (4, 8, 16, 32))
+        calls = [0]
+
+        def counted(port):
+            def call(addr, now, pc):
+                calls[0] += 1
+                return port(addr, now, pc)
+
+            return call
+
+        bm.prefetch_ports[:] = [counted(p) for p in bm.prefetch_ports]
+        results = bm.run(make_workload("HJ8-tiny", "tiny").entry)
+        issued = sum(r.counters.sw_prefetch_issued for r in results)
+        assert issued > 0
+        assert calls[0] < 0.25 * issued, (calls[0], issued)
+
+    def test_prefetch_arms_corpus_case_reaches_every_arm(self, monkeypatch):
+        spec = load_case(default_corpus_dir() / "seed-prefetch-arms.json")[
+            "spec"
+        ]
+        census: dict = {}
+        port = MemoryFastPath.prefetch
+
+        def classify(self, addr, now, pc):
+            mem, line, counters = self.mem, addr >> 6, self._counters
+            mapped = mem.space.is_mapped(addr)
+            due = bool(mem._mshr) and now >= mem._mshr_next_ready
+            in_l1 = line in self._l1_sets[line & self._l1_mask]
+            before = (
+                counters.sw_prefetch_redundant,
+                counters.sw_prefetch_dropped_mshr,
+            )
+            port(self, addr, now, pc)
+            if not mapped:
+                arm = "unmapped"
+            elif counters.sw_prefetch_dropped_mshr > before[1]:
+                arm = "mshr-full"
+            elif counters.sw_prefetch_redundant == before[0]:
+                arm = "issued"
+            else:
+                arm = "redundant-mshr"
+                for level, sets, mask in (
+                    ("l1", self._l1_sets, self._l1_mask),
+                    ("l2", self._l2_sets, self._l2_mask),
+                    ("llc", self._llc_sets, self._llc_mask),
+                ):
+                    if line in sets[line & mask]:
+                        arm = f"redundant-{level}"
+                        break
+            if due and in_l1:
+                census["drain-due-in-l1"] = census.get("drain-due-in-l1", 0) + 1
+            census[arm] = census.get(arm, 0) + 1
+
+        monkeypatch.setattr(MemoryFastPath, "prefetch", classify)
+        module, space = build_program(spec)
+        config = OracleConfig().machine_config("turbo")
+        result = Machine(module, space, config=config).run("main")
+        inline = result.counters.sw_prefetch_issued - sum(
+            count for arm, count in census.items() if arm != "drain-due-in-l1"
+        )
+        assert inline > 0  # redundant in the L1, answered without the port
+        for arm in (
+            "unmapped",
+            "drain-due-in-l1",
+            "redundant-l2",
+            "redundant-llc",
+            "redundant-mshr",
+            "mshr-full",
+            "issued",
+        ):
+            assert census.get(arm, 0) > 0, (arm, census)
+        monkeypatch.undo()
+        # The batched tier's arm, both address shapes: uniform cells and
+        # divergent A&J slices, bit-identical to sequential runs.
+        assert check_batch(spec)["axes"] == {
+            "batch-uniform": True,
+            "batch-aj": True,
+        }
 
 
 # ----------------------------------------------------------------------

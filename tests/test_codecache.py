@@ -149,6 +149,54 @@ def test_stale_ir_is_detected_not_executed(cache_dir):
     assert cache.invalidated == 1
 
 
+def test_schema_one_entries_are_not_served(cache_dir, monkeypatch):
+    """Entries written before the inline software-prefetch arm (schema
+    1, whose steppers call the prefetch port for every prefetch) must
+    not be served: the schema is the only codegen version in the key."""
+    from repro.machine import superblock
+    from tests.test_machine_batch import build_kernel
+
+    assert codecache.CODECACHE_SCHEMA == 2
+    config = _config(cache_dir)
+    cache = codecache.resolve(cache_dir)
+    with monkeypatch.context() as old:
+        old.setattr(codecache, "CODECACHE_SCHEMA", 1)
+        old.setattr(
+            superblock,
+            "prefetch_arm",
+            lambda seg, addr, line, now, l1, mshr, mem, c, port, pc: [
+                f"{port}({addr}, {now}, {pc})"
+            ],
+        )
+        module, space = build_kernel(distance=4)
+        machine = Machine(module, space, config=config, engine="turbo")
+        expected = machine.run("main")
+        (stale,) = machine._compiled[("turbo", "main")].superblocks()
+        assert "sw_prefetch_redundant" not in stale.source_plain
+        old_key = cache.key(module.function("main"), config, "turbo")
+    assert (cache.misses, cache.hits) == (1, 0)
+
+    module, space = build_kernel(distance=4)
+    key = cache.key(module.function("main"), config, "turbo")
+    assert key.digest() != old_key.digest()
+    machine = Machine(module, space, config=config, engine="turbo")
+    result = machine.run("main")
+    assert (cache.misses, cache.hits) == (2, 0)
+    (fresh,) = machine._compiled[("turbo", "main")].superblocks()
+    assert "sw_prefetch_redundant" in fresh.source_plain
+    assert result.value == expected.value
+    assert result.counters.as_dict() == expected.counters.as_dict()
+
+    # Planted under the current key, the old payload is rejected too.
+    cache.store.put(key, cache.store.get(old_key))
+    module, space = build_kernel(distance=4)
+    machine = Machine(module, space, config=config, engine="turbo")
+    machine.run("main")
+    assert cache.invalidated == 1
+    (fresh,) = machine._compiled[("turbo", "main")].superblocks()
+    assert "sw_prefetch_redundant" in fresh.source_plain
+
+
 @pytest.mark.parametrize(
     "tamper",
     [
