@@ -1,7 +1,7 @@
 """Batched sweep benchmark: one fused batched pass vs one turbo run per cell.
 
-Times an 8-cell A&J prefetch-distance sweep (the Figure-6-style
-distance axis) on one workload two ways:
+Times an A&J prefetch-distance sweep (the Figure-6-style distance
+axis) on one workload two ways:
 
 * **batched** — all cells execute in a single
   :func:`repro.machine.batch.run_batch` pass: hot loop nests are fused
@@ -16,6 +16,17 @@ The two sides run as interleaved pairs, alternating which goes first,
 and the report gives the per-pair ratios' median and quartiles plus how
 many pairs the batched pass won.  Cell construction is excluded from
 both timings (it is identical on both sides).
+
+Two cases are recorded, both with every cell on one config:
+
+* the 8-cell BFS-tiny ladder, whose cells prefetch different lines
+  from the first iterations on, so the batch's shadow cells (see
+  :meth:`repro.machine.batch.BatchMachine.run_shadowed`) abort at once
+  and the pass runs plain — the case without the property;
+* HJ8-tiny at distances 2 to 64, whose inner loop walks one 64 B
+  bucket: A&J clamps every distance's prefetch to a line of the same
+  bucket, so every cell but the first runs as a shadow — the case with
+  it.
 
 Distances start at 2: at distance 1 the A&J pass folds the loop
 increment into the prefetch advance, which changes instruction shape
@@ -60,6 +71,12 @@ DEFAULT_DISTANCES = (2, 4, 8, 12, 16, 24, 32, 48)
 
 DEFAULT_WORKLOAD = "BFS-tiny"
 
+#: The recorded cases: (workload, distances).
+CASES = (
+    (DEFAULT_WORKLOAD, DEFAULT_DISTANCES),
+    ("HJ8-tiny", (2, 4, 8, 16, 32, 64)),
+)
+
 DEFAULT_PAIRS = 10
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent / "BENCH_sweep.json"
@@ -101,7 +118,11 @@ def _time_batched(workload, scale, distances) -> tuple[float, list]:
             f"({outcome.reason}) — the benchmark would not be measuring "
             "the batched pass"
         )
-    return seconds, [_signature(r) for r in outcome.results]
+    shadows = {
+        "shadowed": outcome.shadowed,
+        "shadow_aborts": outcome.shadow_aborts,
+    }
+    return seconds, [_signature(r) for r in outcome.results], shadows
 
 
 def _time_per_cell(workload, scale, distances) -> tuple[float, list]:
@@ -112,7 +133,7 @@ def _time_per_cell(workload, scale, distances) -> tuple[float, list]:
         for cell in cells
     ]
     seconds = time.perf_counter() - start
-    return seconds, [_signature(r) for r in results]
+    return seconds, [_signature(r) for r in results], None
 
 
 def measure_sweep(
@@ -125,8 +146,9 @@ def measure_sweep(
     pairs (order alternating per pair).
 
     Returns ``{"batched_s", "per_cell_turbo_s", "speedup", ...}``: the
-    two time lists, and ``speedup`` = per-cell / batched per pair as
-    ``{"median", "quartiles", "wins", "pairs"}``.  Raises
+    two time lists, ``speedup`` = per-cell / batched per pair as
+    ``{"median", "quartiles", "wins", "pairs"}``, and the batched
+    pass's ``shadowed`` cells and ``shadow_aborts``.  Raises
     ``AssertionError`` if any batched cell differs from its per-cell
     twin.
     """
@@ -139,8 +161,8 @@ def measure_sweep(
         timings = {}
         for side in sides:
             timings[side] = side(workload, scale, distances)
-        batched, batched_sig = timings[_time_batched]
-        per_cell, per_cell_sig = timings[_time_per_cell]
+        batched, batched_sig, shadows = timings[_time_batched]
+        per_cell, per_cell_sig, _ = timings[_time_per_cell]
         for index, (got, want) in enumerate(zip(batched_sig, per_cell_sig)):
             if got != want:
                 raise AssertionError(
@@ -157,6 +179,7 @@ def measure_sweep(
         "scale": scale,
         "distances": list(distances),
         "cells": len(distances),
+        **shadows,
         "batched_s": [round(s, 6) for s in batched_s],
         "per_cell_turbo_s": [round(s, 6) for s in per_cell_s],
         "speedup": {
@@ -188,7 +211,11 @@ def test_batched_distance_sweep(benchmark):
 # ----------------------------------------------------------------------
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", default=DEFAULT_WORKLOAD)
+    parser.add_argument(
+        "--workload",
+        default=None,
+        help="time one workload (default: every recorded case)",
+    )
     parser.add_argument("--scale", default="tiny")
     parser.add_argument(
         "--distances",
@@ -196,6 +223,7 @@ def main() -> int:
         nargs="+",
         default=list(DEFAULT_DISTANCES),
         metavar="D",
+        help="the distances of --workload",
     )
     parser.add_argument(
         "--pairs",
@@ -208,22 +236,31 @@ def main() -> int:
     )
     args = parser.parse_args()
 
-    report = measure_sweep(
-        args.workload, args.scale, tuple(args.distances), pairs=args.pairs
+    cases = (
+        [(args.workload, tuple(args.distances))] if args.workload else CASES
     )
-    args.output.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    reports = [
+        measure_sweep(workload, args.scale, distances, pairs=args.pairs)
+        for workload, distances in cases
+    ]
+    args.output.write_text(
+        json.dumps({"cases": reports}, indent=2, sort_keys=True) + "\n"
+    )
 
-    speedup = report["speedup"]
-    q1, q3 = speedup["quartiles"]
     print(f"wrote {args.output}")
-    print(
-        f"  {report['workload']}@{report['scale']}: "
-        f"{report['cells']}-cell distance sweep, batched "
-        f"{statistics.median(report['batched_s']):.3f}s vs per-cell turbo "
-        f"{statistics.median(report['per_cell_turbo_s']):.3f}s (medians) "
-        f"-> {speedup['median']:.2f}x (quartiles {q1:.2f}-{q3:.2f}x), "
-        f"won {speedup['wins']}/{speedup['pairs']} pairs"
-    )
+    for report in reports:
+        speedup = report["speedup"]
+        q1, q3 = speedup["quartiles"]
+        print(
+            f"  {report['workload']}@{report['scale']}: "
+            f"{report['cells']}-cell distance sweep "
+            f"({report['shadowed']} shadowed), batched "
+            f"{statistics.median(report['batched_s']):.3f}s vs per-cell "
+            f"turbo {statistics.median(report['per_cell_turbo_s']):.3f}s "
+            f"(medians) -> {speedup['median']:.2f}x (quartiles "
+            f"{q1:.2f}-{q3:.2f}x), won {speedup['wins']}/{speedup['pairs']} "
+            "pairs"
+        )
     return 0
 
 

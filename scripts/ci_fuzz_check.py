@@ -51,7 +51,8 @@ from repro.qa.fuzz import run_fuzz
 from repro.qa.generate import GeneratorConfig, generate_spec
 from repro.qa.mutants import mutant_oracle_setup
 from repro.qa.oracle import (
-    batch_failure,
+    OracleFailure,
+    check_batch,
     check_codecache_selftest,
     codecache_failure,
     oracle_failure,
@@ -164,32 +165,50 @@ def check_mutation_selftest(seed: int, max_blocks: int) -> bool:
 
 
 def check_batch_axis(budget: int, seed: int) -> bool:
-    """Batch-vs-sequential differential: corpus + generated programs."""
+    """Batch-vs-sequential differential: corpus + generated programs.
+
+    Also counts how the same-config (``batch-aj``) cells ended: shadow
+    cells that completed on their leader's timing, and batches whose
+    shadows diverged and re-ran plain.  Both outcomes must occur, or
+    one of the two paths went untested.
+    """
     start = time.perf_counter()
-    total = failures = 0
-    for name, case in iter_cases(default_corpus_dir()):
-        total += 1
-        failure = batch_failure(case["spec"])
-        if failure is not None:
-            failures += 1
-            print(f"FAIL: batch axis corpus {name}: {failure.summary()}")
+    total = failures = shadowed = aborts = 0
+    cases = [
+        (f"corpus {name}", case["spec"])
+        for name, case in iter_cases(default_corpus_dir())
+    ]
     gen_config = GeneratorConfig()
-    for i in range(budget):
+    cases += [
+        (f"seed {seed + i}", generate_spec(seed + i, gen_config))
+        for i in range(budget)
+    ]
+    for label, spec in cases:
         total += 1
-        spec = generate_spec(seed + i, gen_config)
-        failure = batch_failure(spec)
-        if failure is not None:
+        try:
+            report = check_batch(spec)
+        except OracleFailure as failure:
             failures += 1
-            print(f"FAIL: batch axis seed {seed + i}: {failure.summary()}")
+            print(f"FAIL: batch axis {label}: {failure.summary()}")
+            continue
+        shadowed += report["shadowed"]
+        aborts += report["shadow_aborts"]
     if failures:
         return False
     if not total:
         print("FAIL: batch axis ran zero cases")
         return False
+    if not shadowed or not aborts:
+        print(
+            f"FAIL: batch axis shadowed {shadowed} cell(s) and aborted "
+            f"{aborts} shadowed batch(es); both must be nonzero"
+        )
+        return False
     elapsed = time.perf_counter() - start
     print(
         f"OK: {total} case(s) bit-identical between batched and "
-        f"sequential execution in {elapsed:.1f}s"
+        f"sequential execution in {elapsed:.1f}s ({shadowed} shadowed "
+        f"cell(s), {aborts} shadow abort(s))"
     )
     return True
 

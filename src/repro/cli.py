@@ -187,6 +187,10 @@ def _format_sweep_table(result) -> str:
     groups = ", ".join(
         f"{g['scheme']}:{'batch' if g['batched'] else 'replay'}"
         + (
+            f" ({g['replayed_cells']} replayed)"
+            if g.get("replayed_cells") else ""
+        )
+        + (
             f" ({g.get('reason_code') or ''}{': ' if g.get('reason_code') else ''}"
             f"{g['reason']})"
             if g.get("reason")

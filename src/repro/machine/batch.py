@@ -11,10 +11,23 @@ the same instruction stream.  This engine runs all cells in one pass:
   uniform instructions (identical operands across cells) exactly once
   through the *same* closure factories the sequential block engine uses
   (:mod:`repro.machine.blockengine`), on a single shared register file;
-* **per-cell back-end** — every memory operation visits each cell's
-  private L1/L2/LLC+MSHR state (:class:`repro.mem.batch.CellState`) at
-  that cell's own clock, so per-cell cycles and cache counters are
-  bit-identical to N independent sequential runs;
+* **per-cell back-end** — every memory operation visits each live
+  cell's private L1/L2/LLC+MSHR state (:class:`repro.mem.batch.CellState`)
+  at that cell's own clock, so per-cell cycles and cache counters are
+  bit-identical to N independent sequential runs.  Cells with equal
+  configs form a class whose first cell, the *leader*, is live; the
+  others run as *shadows* (:meth:`BatchMachine.run_shadowed`, what
+  :func:`run_batch` uses).  A shadow runs only the functional part of
+  each op — divergent ALU and divergent functional loads — and at every
+  divergent-address load or prefetch compares its line (and, for a
+  prefetch, whether the address is mapped) with the one its leader
+  recorded for the same dynamic op; uniform addresses need no check.
+  The first mismatch (:class:`ShadowMismatch`) voids the speculation
+  and the batch re-runs plain from a pristine address space with the
+  same compiled code.  A shadow that never mismatches gets a copy of
+  its leader's counters: a hierarchy's next state depends only on each
+  op's kind, line, mapped status, ``pc`` and ``now``, so by induction
+  its clock equals the leader's;
 * **divergence handling** — a static alignment + divergence analysis
   classifies every register as uniform or divergent (cells differing
   only in constant immediates, e.g. per-cell prefetch distances, yield
@@ -68,6 +81,20 @@ class BatchDivergence(Exception):
     def __init__(self, message: str, code: str = "divergent") -> None:
         super().__init__(message)
         self.code = code
+
+
+class ShadowMismatch(Exception):
+    """A shadow cell's memory op touched a different line (or mapped
+    status) than its leader's: the speculation is void.
+
+    Raised by the generated steppers and the per-block chains;
+    :meth:`BatchMachine.run_shadowed` catches it and re-runs the batch
+    plain.  ``pc`` names the op that diverged.
+    """
+
+    def __init__(self, pc: int) -> None:
+        super().__init__(f"shadow line mismatch at pc {pc:#x}")
+        self.pc = pc
 
 
 #: The closed set of fallback reason codes a BatchDivergence may carry
@@ -327,24 +354,50 @@ def _check_banned(plan: _FunctionPlan) -> None:
                 )
 
 
-def analyze_modules(modules: Sequence[Module]) -> dict:
-    """Align + analyze every function across cells.
-
-    Returns ``{name: _FunctionPlan}``; raises :class:`BatchDivergence`
-    when the cells cannot share one front-end.
-    """
+def _aligned_plans(modules: Sequence[Module]) -> dict:
+    """``{name: _FunctionPlan}`` once every function aligns across
+    cells; raises :class:`BatchDivergence` (code ``alignment``)."""
     names = list(modules[0].functions)
     for module in modules[1:]:
         if list(module.functions) != names:
             raise BatchDivergence(
-            "function sets differ across cells", "alignment"
-        )
+                "function sets differ across cells", "alignment"
+            )
     plans = {
         name: _FunctionPlan(name, [m.function(name) for m in modules])
         for name in names
     }
     for plan in plans.values():
         _check_alignment(plan)
+    return plans
+
+
+def aligned_subsets(modules: Sequence[Module]) -> list:
+    """Partition cell positions into classes of mutually aligned
+    modules, in first-seen order.  Alignment is structural equality up
+    to integer immediates, an equivalence, so comparing each module
+    with one representative per class is exact."""
+    classes: list = []
+    for position, module in enumerate(modules):
+        for members in classes:
+            try:
+                _aligned_plans([modules[members[0]], module])
+            except BatchDivergence:
+                continue
+            members.append(position)
+            break
+        else:
+            classes.append([position])
+    return classes
+
+
+def analyze_modules(modules: Sequence[Module]) -> dict:
+    """Align + analyze every function across cells.
+
+    Returns ``{name: _FunctionPlan}``; raises :class:`BatchDivergence`
+    when the cells cannot share one front-end.
+    """
+    plans = _aligned_plans(modules)
     changed = True
     while changed:
         changed = False
@@ -378,6 +431,10 @@ class _BatchFrame:
         "mem_prefetches",
         "sp_load",
         "sp_store",
+        "sp_mapped",
+        "live",
+        "shadows",
+        "lines",
         "invoke",
         "counters",
         "max_instructions",
@@ -419,9 +476,10 @@ def _batch_load_op(dst: int, aspec, dst_divergent: bool, pc: int, pending: int):
             def op(R, st, dst=dst, am=am, av=av, pc=pc, k=pending):
                 addr = R[av] if am else av
                 cycles = st.cycles
-                for i, mem_load in enumerate(st.mem_loads):
+                mem_loads = st.mem_loads
+                for i in st.live:
                     now = cycles[i] + k
-                    cycles[i] = now + mem_load(addr, now, pc)
+                    cycles[i] = now + mem_loads[i](addr, now, pc)
                 value = st.sp_load(addr)
                 for Di in st.D:
                     Di[dst] = value
@@ -431,9 +489,10 @@ def _batch_load_op(dst: int, aspec, dst_divergent: bool, pc: int, pending: int):
             def op(R, st, dst=dst, am=am, av=av, pc=pc, k=pending):
                 addr = R[av] if am else av
                 cycles = st.cycles
-                for i, mem_load in enumerate(st.mem_loads):
+                mem_loads = st.mem_loads
+                for i in st.live:
                     now = cycles[i] + k
-                    cycles[i] = now + mem_load(addr, now, pc)
+                    cycles[i] = now + mem_loads[i](addr, now, pc)
                 R[dst] = st.sp_load(addr)
 
     else:  # divergent address -> divergent value
@@ -443,11 +502,20 @@ def _batch_load_op(dst: int, aspec, dst_divergent: bool, pc: int, pending: int):
             cycles = st.cycles
             D = st.D
             sp_load = st.sp_load
-            for i, mem_load in enumerate(st.mem_loads):
+            lines = st.lines
+            mem_loads = st.mem_loads
+            for i in st.live:
                 Di = D[i]
                 addr = g(R, Di, i)
+                lines[i] = addr >> 6
                 now = cycles[i] + k
-                cycles[i] = now + mem_load(addr, now, pc)
+                cycles[i] = now + mem_loads[i](addr, now, pc)
+                Di[dst] = sp_load(addr)
+            for leader, i in st.shadows:
+                Di = D[i]
+                addr = g(R, Di, i)
+                if addr >> 6 != lines[leader]:
+                    raise ShadowMismatch(pc)
                 Di[dst] = sp_load(addr)
 
     return op
@@ -460,12 +528,19 @@ def _batch_store_op(aspec, vspec, pc: int, pending: int):
     def op(R, st, am=am, av=av, vm=vm, vv=vv, pc=pc, k=pending):
         addr = R[av] if am else av
         cycles = st.cycles
-        for i, mem_store in enumerate(st.mem_stores):
+        mem_stores = st.mem_stores
+        for i in st.live:
             now = cycles[i] + k
-            cycles[i] = now + mem_store(addr, now, pc)
+            cycles[i] = now + mem_stores[i](addr, now, pc)
         st.sp_store(addr, R[vv] if vm else vv)
 
     return op
+
+
+def _prefetch_key(addr: int, is_mapped) -> int:
+    """What a prefetch's timing depends on beyond ``pc`` and ``now``:
+    its line and whether ``addr`` is mapped, packed into one int."""
+    return (addr >> 6 << 1) | (not is_mapped(addr))
 
 
 def _batch_prefetch_op(aspec, pc: int, pending: int):
@@ -478,10 +553,11 @@ def _batch_prefetch_op(aspec, pc: int, pending: int):
         def op(R, st, am=am, av=av, pc=pc, k=pending):
             addr = R[av] if am else av
             cycles = st.cycles
-            for i, mem_prefetch in enumerate(st.mem_prefetches):
+            mem_prefetches = st.mem_prefetches
+            for i in st.live:
                 now = cycles[i] + k
                 cycles[i] = now
-                mem_prefetch(addr, now, pc)
+                mem_prefetches[i](addr, now, pc)
 
         return op
     g = _getter(aspec)
@@ -489,10 +565,20 @@ def _batch_prefetch_op(aspec, pc: int, pending: int):
     def op(R, st, g=g, pc=pc, k=pending):
         cycles = st.cycles
         D = st.D
-        for i, mem_prefetch in enumerate(st.mem_prefetches):
+        shadows = st.shadows
+        lines = st.lines
+        is_mapped = st.sp_mapped
+        mem_prefetches = st.mem_prefetches
+        for i in st.live:
             now = cycles[i] + k
             cycles[i] = now
-            mem_prefetch(g(R, D[i], i), now, pc)
+            addr = g(R, D[i], i)
+            if shadows:
+                lines[i] = _prefetch_key(addr, is_mapped)
+            mem_prefetches[i](addr, now, pc)
+        for leader, i in shadows:
+            if _prefetch_key(g(R, D[i], i), is_mapped) != lines[leader]:
+                raise ShadowMismatch(pc)
 
     return op
 
@@ -958,13 +1044,14 @@ class BatchMachine:
     Every function compiles to the per-block batch chains plus a fused
     superblock per hot loop nest (:mod:`repro.machine.batchturbo`),
     whatever engine the cells' configs name.
+
+    Cells with equal configs form a *class*; its first cell is the
+    class leader.  :meth:`run` simulates every cell.
+    :meth:`run_shadowed` simulates only the leaders' timing and runs
+    the other cells as shadows (see the module docstring).
     """
 
     def __init__(self, cells: Sequence[BatchCell]) -> None:
-        # Imported here: batchturbo builds on this module's analysis
-        # and per-block compiler, so a module-level import would cycle.
-        from repro.machine.batchturbo import CellBindings
-
         if not cells:
             raise ValueError("batch needs at least one cell")
         self.ncells = len(cells)
@@ -984,20 +1071,49 @@ class BatchMachine:
                 cell.module.finalize()
             modules.append(cell.module)
         try:
-            self.space = shared_space([cell.space for cell in cells])
+            space = shared_space([cell.space for cell in cells])
         except ValueError as error:
             raise BatchDivergence(str(error), "space-mismatch") from error
         self.plans = analyze_modules(modules)
-        self.cells = [
-            CellState(cell.config, self.space) for cell in cells
+        self.cell_configs = [cell.config for cell in cells]
+        leaders: dict = {}
+        leader_of = [
+            leaders.setdefault(config, index)
+            for index, config in enumerate(self.cell_configs)
         ]
+        #: ``(leader, shadow)`` cell pairs, one per non-leader cell.
+        self.classes = tuple(
+            (leader, index)
+            for index, leader in enumerate(leader_of)
+            if leader != index
+        )
+        self._spaces = [cell.space for cell in cells]
+        self._compiled: dict = {}
+        self._ran = False
+        self.shadow_aborts = 0
+        self._bind_cells(space)
+        self._bind_ports(())
+
+    def _bind_cells(self, space: AddressSpace) -> None:
+        """Fresh per-cell hierarchies and counters over ``space``."""
+        self.space = space
+        self.cells = [CellState(config, space) for config in self.cell_configs]
         self.cell_counters = [cell.counters for cell in self.cells]
         self.load_ports = [cell.load for cell in self.cells]
         self.store_ports = [cell.store for cell in self.cells]
         self.prefetch_ports = [cell.prefetch for cell in self.cells]
-        self.cell_configs = [cell.config for cell in cells]
-        self._compiled: dict = {}
-        self.bindings = CellBindings(self.cells, self.space)
+
+    def _bind_ports(self, shadows: tuple) -> None:
+        """Bind the timing ports of every cell that is not a shadow in
+        ``shadows`` (``(leader, shadow)`` pairs)."""
+        # Imported here: batchturbo builds on this module's analysis
+        # and per-block compiler, so a module-level import would cycle.
+        from repro.machine.batchturbo import CellBindings
+
+        self.shadows = shadows
+        shadowed = {shadow for _, shadow in shadows}
+        self.live = tuple(i for i in range(self.ncells) if i not in shadowed)
+        self.bindings = CellBindings(self.cells, self.space, self.live, shadows)
 
     # ------------------------------------------------------------------
     def _compile(self, name: str):
@@ -1027,29 +1143,76 @@ class BatchMachine:
         :class:`~repro.machine.machine.RunResult` per cell."""
         if function not in self.plans:
             raise IRError(f"module has no function {function!r}")
+        self._ran = True
         before = [counters.copy() for counters in self.cell_counters]
         value = self._compile(function)(self, args)
         values = (
             value if isinstance(value, list) else [value] * self.ncells
         )
-        return [
+        results = [
             RunResult(value=v, counters=after - b)
             for v, after, b in zip(values, self.cell_counters, before)
         ]
+        for leader, shadow in self.shadows:
+            results[shadow] = RunResult(
+                value=values[shadow], counters=results[leader].counters.copy()
+            )
+        return results
+
+    def run_shadowed(
+        self, function: str = "main", args: Sequence[int] = ()
+    ) -> list:
+        """:meth:`run`, with every non-leader cell run as a shadow.
+
+        Exact because a hierarchy's next state depends only on each
+        op's kind, line, mapped status, ``pc`` and ``now``; the ops run
+        in the same order in every cell, uniform addresses are equal,
+        and every divergent address is checked against the leader's, so
+        by induction ``now`` is equal too and a shadow's counters are
+        its leader's.  On the first mismatch (:class:`ShadowMismatch`)
+        the batch runs again plain, on fresh hierarchies over a pristine
+        address space: an untouched cell's own space, or a clone taken
+        up front.  Only a machine's first run can shadow; later calls
+        run plain.
+        """
+        if self._ran or not self.classes:
+            return self.run(function, args)
+        pristine = next(
+            (space for space in self._spaces if space is not self.space),
+            None,
+        )
+        if pristine is None:
+            pristine = self.space.clone()
+        self._bind_ports(self.classes)
+        try:
+            return self.run(function, args)
+        except ShadowMismatch:
+            self.shadow_aborts += 1
+            self._bind_cells(pristine)
+            self._bind_ports(())
+            return self.run(function, args)
 
 
 @dataclass
 class BatchOutcome:
     """Per-cell results + whether the batched fast path was used.
 
-    ``reason_code`` is the stable :data:`FALLBACK_CODES` label behind a
-    human-readable ``reason`` when the cells were replayed one by one.
+    ``batched`` is True when any cell ran in the batched tier;
+    ``replayed`` lists the positions of the cells that ran one by one
+    (all of them when ``batched`` is False).  ``reason_code`` is the
+    stable :data:`FALLBACK_CODES` label behind a human-readable
+    ``reason`` for those replays.  ``shadowed`` counts the cells whose
+    timing was their class leader's, and ``shadow_aborts`` the batches
+    whose shadows diverged and that ran again plain.
     """
 
     results: list
     batched: bool
     reason: Optional[str] = None
     reason_code: Optional[str] = None
+    replayed: tuple = ()
+    shadowed: int = 0
+    shadow_aborts: int = 0
 
 
 def run_batch(
@@ -1060,11 +1223,15 @@ def run_batch(
 ) -> BatchOutcome:
     """Run every cell, batched when the cells align, else sequentially.
 
-    The outcome's ``results`` are bit-identical either way; ``batched``
-    and ``reason``/``reason_code`` report which path executed (the qa
-    oracle asserts the identity, the sweep service counts the fallback
-    codes as ``batch.fallback.<code>`` metrics).  There is one batched
-    tier, so ``tier`` must be None; it stays in the signature because
+    The outcome's ``results`` are bit-identical either way; ``batched``,
+    ``replayed`` and ``reason``/``reason_code`` report which path
+    executed (the qa oracle asserts the identity, the sweep service
+    counts the fallback codes as ``batch.fallback.<code>`` metrics).
+    When the cells do not all align, each aligned subset of two or more
+    cells still runs batched and only the rest replay.  Every batch
+    runs its same-config cells as shadows
+    (:meth:`BatchMachine.run_shadowed`).  There is one batched tier,
+    so ``tier`` must be None; it stays in the signature because
     wrappers pass it positionally (``perfbench/tracer.py`` does), and a
     retired tier name gets a targeted error instead of a ``TypeError``.
     """
@@ -1074,23 +1241,36 @@ def run_batch(
             "batched run uses the fused superblock tier; drop tier="
         )
     cells = list(cells)
-    reason: Optional[str] = None
-    reason_code: Optional[str] = None
-    if len(cells) >= 2:
+    outcome = BatchOutcome([None] * len(cells), False)
+    replayed: list = []
+    subsets = [list(range(len(cells)))]
+    while subsets:
+        subset = subsets.pop(0)
         try:
-            machine = BatchMachine(cells)
+            if len(subset) < 2:
+                raise BatchDivergence("single cell", "single-cell")
+            machine = BatchMachine([cells[i] for i in subset])
         except BatchDivergence as error:
-            reason = str(error)
-            reason_code = error.code
-        else:
-            return BatchOutcome(machine.run(function, args), True)
-    else:
-        reason = "single cell"
-        reason_code = "single-cell"
-    results = [
-        Machine(cell.module, cell.space, config=cell.config).run(
-            function, args
-        )
-        for cell in cells
-    ]
-    return BatchOutcome(results, False, reason, reason_code)
+            if outcome.reason is None:
+                # The first attempt covers every cell: its divergence
+                # is why cells replay, and a misalignment splits them.
+                outcome.reason, outcome.reason_code = str(error), error.code
+                if error.code == "alignment":
+                    subsets = aligned_subsets([cell.module for cell in cells])
+                    continue
+            replayed += subset
+            continue
+        for position, result in zip(
+            subset, machine.run_shadowed(function, args)
+        ):
+            outcome.results[position] = result
+        outcome.batched = True
+        outcome.shadowed += len(machine.shadows)
+        outcome.shadow_aborts += machine.shadow_aborts
+    outcome.replayed = tuple(sorted(replayed))
+    for position in outcome.replayed:
+        cell = cells[position]
+        outcome.results[position] = Machine(
+            cell.module, cell.space, config=cell.config
+        ).run(function, args)
+    return outcome

@@ -23,6 +23,16 @@ generated function per nest that steps **all cells per iteration**:
   per-site temporaries (``_a<k>``, ``_l<k>``, ``_v<k>``); a divergent
   register the loop defines and alone reads lives in a loop-local
   (``_x<N>``), not in its overlay slot;
+* when some cells share a config (shadow cells, see
+  :mod:`repro.machine.batch`), the cell loop runs over the live cells
+  only and records, at each divergent-address load or prefetch, the
+  line key ``_g<k>[_i]`` the cell's timing depends on; a second loop
+  from the same segment body, ``for _j, _i in SHADOWS:``, then runs
+  each shadow's functional lines and compares its own key with its
+  leader's ``_g<k>[_j]``, raising
+  :class:`~repro.machine.batch.ShadowMismatch` on the first
+  difference.  A segment with no memory op has no timing, so its one
+  loop runs over every cell;
 * timing arms advance each cell's private L1/L2/LLC + MSHR state with
   the L1-hit arm inlined exactly as the sequential turbo tier inlines
   it (:mod:`repro.mem.fastpath` views, pop/re-insert LRU refresh,
@@ -69,6 +79,7 @@ from typing import Optional, Sequence
 from repro.ir.nodes import IRError
 from repro.ir.opcodes import BINOP_EXPR, Opcode
 from repro.machine.batch import (
+    ShadowMismatch,
     _BatchBlockCompiler,
     _FunctionPlan,
     _aligned_phis,
@@ -103,6 +114,14 @@ _counter = itertools.count()
 #: loop unpacks one tuple per cell instead of subscripting each list.
 #: Ports stay subscripted (``LD[_i](...)``): they sit on miss arms.
 _CELL_VIEWS = ("_ks", "_kk", "_kt", "_kc", "_ku", "_kq")
+#: MIN/MAX without the builtin call: the A&J index clamp runs once per
+#: cell per inner iteration.  ``min(a, b)`` is ``a`` unless ``b < a``
+#: and ``max(a, b)`` is ``a`` unless ``b > a``, so these give the
+#: builtins' results; operands are locals, constants or table reads.
+_MINMAX = {
+    Opcode.MIN: "({b}) if ({b}) < ({a}) else ({a})",
+    Opcode.MAX: "({b}) if ({b}) > ({a}) else ({a})",
+}
 _VIEW_RE = re.compile(r"\b(?:_d|" + "|".join(_CELL_VIEWS) + r")\b")
 
 
@@ -118,24 +137,29 @@ class _Overlay(dict):
 class CellBindings:
     """Per-batch pre-resolved cell state the generated steppers bind.
 
-    Built once per :class:`~repro.machine.batch.BatchMachine`; every
-    generated batch superblock receives it as the ``cd`` argument and
-    binds only what its body references.  ``cells`` holds one tuple per
-    cell: its index, then the views of :data:`_CELL_VIEWS` in order.
+    Built by :class:`~repro.machine.batch.BatchMachine` for each way it
+    runs its cells; every generated batch superblock receives it as the
+    ``cd`` argument and binds only what its body references.  ``cells``
+    holds one tuple per *live* cell (the cells whose timing runs): its
+    index, then the views of :data:`_CELL_VIEWS` in order.  ``shadows``
+    holds the ``(leader, shadow)`` index pairs of the shadow cells.
+    ``rng`` and ``mems`` cover every cell.
     """
 
-    __slots__ = ("rng", "cells", "mems", "sp_find")
+    __slots__ = ("rng", "cells", "shadows", "mems", "sp_find")
 
-    def __init__(self, cells, space) -> None:
+    def __init__(self, cells, space, live, shadows) -> None:
         self.rng = range(len(cells))
         self.mems = [cell.mem for cell in cells]
+        fronts = [(index, self.mems[index].front()) for index in live]
         self.cells = tuple(
             (
                 index, front._l1_sets, front._l1_mask, front._l1_lat,
                 front._counters, front._unused, front._mshr,
             )
-            for index, front in enumerate(mem.front() for mem in self.mems)
+            for index, front in fronts
         )
+        self.shadows = shadows
         self.sp_find = space._find
 
 
@@ -164,6 +188,10 @@ class _BatchSuperblockCodegen:
     ) -> None:
         self.plan = plan
         self.config = config
+        self.ncells = len(cell_configs)
+        # Cells sharing a config may run as shadows: emit the leaders'
+        # line records and the shadow loops.
+        self.shadowed = len(set(cell_configs)) < self.ncells
         self.slots = compiler.slots
         self.block_index = compiler.block_index
         self.divergent = plan.divergent
@@ -215,8 +243,12 @@ class _BatchSuperblockCodegen:
         ``k`` owns the segment cache ``_s<k>`` and, for a uniform
         address, the hoisted temporaries ``_a<k>``/``_l<k>``/``_v<k>``.
         ``_cell`` holds the open segment's cell-loop body, whose lines
-        name divergent register N as the placeholder ``{dN}``."""
+        name divergent register N as the placeholder ``{dN}``; with
+        shadows, ``_shadow`` holds the shadow loop's body and ``_records``
+        the sites whose leader line ``_g<k>`` the shadows compare."""
         self.lines: list = []
+        self._shadow: list = []
+        self._records: list = []
         self.indent = 1
         self._site = 0
         self._carry = False
@@ -463,6 +495,25 @@ class _BatchSuperblockCodegen:
         self._cell_defs.add(slot)
         return f"{{d{slot}}}"
 
+    def _both(self, *lines: str) -> None:
+        """Functional cell-loop lines: leaders and shadows run them."""
+        self._cell.extend(lines)
+        if self.shadowed:
+            self._shadow.extend(lines)
+
+    def _record(self, site: int, key: str, shadow_key: str, pc: int) -> None:
+        """Divergent-address site ``site``: each leader records the
+        ``key`` its timing depends on, and a shadow whose own
+        ``shadow_key`` differs from its leader's aborts the speculation."""
+        if not self.shadowed:
+            return
+        self._records.append(site)
+        self._cell.append(f"_g{site}[_i] = {key}")
+        self._shadow += [
+            f"if {shadow_key} != _g{site}[_j]:",
+            f"    raise ShadowMismatch({pc})",
+        ]
+
     def _uniform_write(self, slot: int) -> None:
         """Hoisted work writes ``r<slot>``: close the cell loop first if
         it reads the old value."""
@@ -504,18 +555,29 @@ class _BatchSuperblockCodegen:
         if self._cell_clock:
             body.append("cy[_i] = _y")
         used = set(_VIEW_RE.findall("\n".join(body)))
-        if used - {"_d"}:
+        timed = bool(used - {"_d"})
+        if timed:
             self.emit(f"for _i, {', '.join(_CELL_VIEWS)} in CELLS:")
         else:
+            # No memory op, so no timing: one loop over every cell, the
+            # shadows included.
             self.emit("for _i in RNG:")
         if "_d" in used:
             self.emit("    _d = D[_i]")
         for line in body:
             self.emit("    " + line)
+        if timed and self._shadow:
+            shadow = [line.format_map(local) for line in self._shadow]
+            self.emit("for _j, _i in SHADOWS:")
+            if "_d" in _VIEW_RE.findall("\n".join(shadow)):
+                self.emit("    _d = D[_i]")
+            for line in shadow:
+                self.emit("    " + line)
         if self._cell_clock and self._carry:
             self.emit("_pc = 0")  # every cell clock absorbed the carry
             self._carry = False
         self._cell = []
+        self._shadow = []
         self._cell_reads = set()
         self._cell_defs = set()
         self._cell_uses = Counter()
@@ -727,6 +789,7 @@ class _BatchSuperblockCodegen:
         ("sp_store", "st.sp_store"),
         ("RNG", "cd.rng"),
         ("CELLS", "cd.cells"),
+        ("SHADOWS", "cd.shadows"),
         ("MEM", "cd.mems"),
         ("sp_find", "cd.sp_find"),
     )
@@ -761,6 +824,8 @@ class _BatchSuperblockCodegen:
                 header.append(f"    {name} = {expr}")
         for site in range(self._site):
             header.append(f"    _s{site} = None")
+        for site in self._records:
+            header.append(f"    _g{site} = [0] * {self.ncells}")
         return "\n".join(header + self.lines)
 
     def _emit_unit(self, unit: _Unit, carried: tuple) -> None:
@@ -833,7 +898,8 @@ class _BatchSuperblockCodegen:
                 return uniform, f"{x(base)} + {x(index)}", specs
             return uniform, f"{x(base)} + {x(index)}*{x(scale)}", specs
         a, b = specs
-        return uniform, BINOP_EXPR[op].format(a=x(a), b=x(b)), specs
+        template = _MINMAX.get(op) or BINOP_EXPR[op]
+        return uniform, template.format(a=x(a), b=x(b)), specs
 
     def _emit_load(self, insts, dst_divergent: bool) -> None:
         inst = insts[0]
@@ -857,18 +923,19 @@ class _BatchSuperblockCodegen:
                 f"_l{site}", f"LD[_i]({addr}, _y, {inst.pc})", True
             )
             if dst_divergent:
-                self._cell.append(f"{self._cell_def(dst_slot)} = _v{site}")
+                self._both(f"{self._cell_def(dst_slot)} = _v{site}")
             return
         # Divergent address -> divergent value; everything per cell.
         site = self._site
         self._site += 1
         self._cell_use(aspec)
-        self._cell.append(f"_a = {self.cexpr(aspec)}")
+        self._both(f"_a = {self.cexpr(aspec)}")
         self._cell.append("_line = _a >> 6")
+        self._record(site, "_line", "_a >> 6", inst.pc)
         self._clock()
         self._cell_probe("_line", f"LD[_i](_a, _y, {inst.pc})", True)
-        self._cell.extend(
-            functional_lines(
+        self._both(
+            *functional_lines(
                 f"_s{site}", "_a", f"{self._cell_def(dst_slot)} = ",
                 "sp_load(_a)",
             )
@@ -901,9 +968,14 @@ class _BatchSuperblockCodegen:
             self._site += 1
             addr, line = "_a", "_line"
             self._cell_use(aspec)
-            self._cell.append(f"_a = {self.cexpr(aspec)}")
-            self._cell.extend(site_probe(f"_s{site}", "_a"))
+            self._both(f"_a = {self.cexpr(aspec)}")
+            self._both(*site_probe(f"_s{site}", "_a"))
             self._cell.append("_line = _a >> 6")
+            unmapped = f"(_s{site} is None)"
+            self._record(
+                site, f"_line << 1 | {unmapped}",
+                f"_a >> 6 << 1 | {unmapped}", insts[0].pc,
+            )
         self._clock()
         self._cell.extend(
             prefetch_arm(
@@ -940,7 +1012,7 @@ class _BatchSuperblockCodegen:
                     self.emit(f"r{slot} = {expr}")
                 else:
                     self._cell_use(*specs)
-                    self._cell.append(f"{self._cell_def(slot)} = {expr}")
+                    self._both(f"{self._cell_def(slot)} = {expr}")
                 self._pending += cfg.alu_cost
                 prefix[0] += 1
             elif op is Opcode.LOAD:
@@ -1082,7 +1154,7 @@ def _build_batch_superblock(
     )
     source = codegen.generate()
     filename = f"<batchsb:{plan.name}:{unit.header}:{next(_counter)}>"
-    namespace: dict = {}
+    namespace: dict = {"ShadowMismatch": ShadowMismatch}
     exec(compile(source, filename, "exec"), namespace)  # noqa: S102
     return BatchSuperblock(
         header=unit.header,
@@ -1163,6 +1235,10 @@ class BatchTurboCompiledFunction:
         st.mem_prefetches = bm.prefetch_ports
         st.sp_load = bm.space.load
         st.sp_store = bm.space.store
+        st.sp_mapped = bm.space.is_mapped
+        st.live = bm.live
+        st.shadows = bm.shadows
+        st.lines = [0] * bm.ncells
         st.invoke = bm._invoke
         st.cycles = [int(counters.cycles) for counters in st.counters]
         st.retired = 0
@@ -1247,7 +1323,9 @@ def compile_batch_turbo(
     batch chains plus a batch superblock per fusable loop nest
     (verdicts from the shared :mod:`repro.machine.fusion` analysis on
     cell 0, exact for every cell because alignment pins opcode shape
-    and divergent WORK amounts are banned)."""
+    and divergent WORK amounts are banned).  When some cells share a
+    config, the steppers also carry the leaders' line records and the
+    shadow loops, and run either way, plain or shadowed."""
     compiler = _BatchBlockCompiler(plan, plans, config)
     blocks = tuple(
         compiler.compile_block(aligned)

@@ -10,6 +10,19 @@ keeps private is the full microarchitectural state: L1/L2/LLC tags and
 recency, MSHR occupancy, hardware prefetchers, and its own
 :class:`~repro.machine.pmu.Counters`.
 
+A cell whose config equals an earlier cell's may run as that cell's
+*shadow* (:meth:`repro.machine.batch.BatchMachine.run_shadowed`): its
+:class:`CellState` is then never touched, and its counters end as a
+copy of its leader's.  That is exact because a hierarchy's next state
+depends only on each op's kind, line, mapped status, ``pc`` and
+``now`` — not on the address within the line, and not on any value —
+and the batch checks the line and mapped status of every divergent
+address against the leader's.  If any check fails, the batch rebuilds
+every cell's state here from scratch, over a pristine space, and runs
+plain.  An untouched cell's own space serves as that pristine image
+when the cells were built separately, as sweep cells are, so the
+shadows cost no copy of the data.
+
 Why the tag checks are not vectorized
 -------------------------------------
 Probing N cells for one line address looks like an obvious candidate

@@ -472,7 +472,13 @@ def check_batch(
     the batch compiler rejects (divergent branch, misalignment, …)
     replays per cell, and those results must *still* match sequential.
 
-    Returns ``{"axes": {label: batched}, ...}`` for reporting; raises
+    The ``batch-aj`` cells share one config, so they run as shadows of
+    the first (:meth:`repro.machine.batch.BatchMachine.run_shadowed`):
+    a spec whose distances touch the same lines completes shadowed,
+    any other aborts and re-runs plain — both must match sequential.
+
+    Returns ``{"axes": {label: batched}, "shadowed": cells,
+    "shadow_aborts": batches}`` for reporting; raises
     :class:`OracleFailure` on the first mismatch.
     """
     from repro.machine.batch import BatchCell, run_batch
@@ -503,6 +509,7 @@ def check_batch(
         return cells
 
     outcomes: dict = {}
+    shadowed = aborts = 0
     for label, make in (
         ("batch-uniform", uniform_cells),
         ("batch-aj", aj_cells),
@@ -546,7 +553,9 @@ def check_batch(
                     f"cell-{index}",
                 )
         outcomes[label] = outcome.batched
-    return {"axes": outcomes}
+        shadowed += outcome.shadowed
+        aborts += outcome.shadow_aborts
+    return {"axes": outcomes, "shadowed": shadowed, "shadow_aborts": aborts}
 
 
 def batch_failure(

@@ -787,19 +787,24 @@ class TuningService:
             "sweep.batch", scheme=scheme, cells=len(indices)
         ):
             outcome = run_batch(batch_cells, function=source.entry)
+        replayed = set(outcome.replayed)
         telemetry.annotate(
             "sweep.outcome",
             scheme=scheme,
             cells=len(indices),
             batched=outcome.batched,
+            shadowed=outcome.shadowed,
             reason=outcome.reason,
         )
-        self.metrics.inc(
-            "sweep.batched_cells" if outcome.batched
-            else "sweep.fallback_cells",
-            len(indices),
-        )
-        if not outcome.batched and outcome.reason_code:
+        if len(replayed) < len(indices):
+            self.metrics.inc(
+                "sweep.batched_cells", len(indices) - len(replayed)
+            )
+        if replayed:
+            self.metrics.inc("sweep.fallback_cells", len(replayed))
+        self.metrics.inc("sweep.shadowed_cells", outcome.shadowed)
+        self.metrics.inc("sweep.shadow_aborts", outcome.shadow_aborts)
+        if replayed and outcome.reason_code:
             # Per-cause fallback counter: ``batch.fallback.<code>`` —
             # lets dashboards tell a shape mismatch from a divergence
             # mid-run without parsing the human-readable reason.
@@ -822,14 +827,17 @@ class TuningService:
             payload = run_to_payload(run)
             self._put(keys[index], payload)
             cell["run"] = payload
-            cell["batched"] = outcome.batched
-        return {
+            cell["batched"] = position not in replayed
+        group = {
             "scheme": scheme,
             "cells": len(indices),
             "batched": outcome.batched,
             "reason": outcome.reason,
             "reason_code": outcome.reason_code,
         }
+        if outcome.batched and replayed:
+            group["replayed_cells"] = len(replayed)
+        return group
 
     @staticmethod
     def _cell_label(scheme: str, distance: Optional[int]) -> str:

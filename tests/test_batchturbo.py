@@ -502,6 +502,46 @@ def _aj_ladder(name, distances, scales=(1,)):
     return BatchMachine(cells)
 
 
+class TestShadowLoops:
+    def test_shadow_loop_only_with_a_same_config_class(self):
+        entry = make_workload("HJ8-tiny", "tiny").entry
+        classes = _aj_ladder("HJ8-tiny", (4, 8))._compile(entry)
+        distinct = _aj_ladder("HJ8-tiny", (4,), scales=(1, 2))._compile(
+            entry
+        )
+        assert all(
+            "in SHADOWS:" in sb.source for sb in classes.superblocks()
+            if "PT[" in sb.source
+        )
+        assert not any(
+            "SHADOWS" in sb.source for sb in distinct.superblocks()
+        )
+
+    def test_hj8_bucket_cells_complete_as_shadows(self):
+        distances = (2, 4, 8, 64)
+        config = fast_config(tiny_memory())
+        cells, rebuilds = [], []
+        for distance in distances:
+            for target in (cells, rebuilds):
+                module, space = make_workload("HJ8-tiny", "tiny").build()
+                AinsworthJonesPass(
+                    AinsworthJonesConfig(distance=distance)
+                ).run(module)
+                target.append((module, space))
+        entry = make_workload("HJ8-tiny", "tiny").entry
+        outcome = run_batch(
+            [BatchCell(m, s, config) for m, s in cells], function=entry
+        )
+        assert (outcome.shadowed, outcome.shadow_aborts) == (3, 0)
+        for result, (module, space) in zip(outcome.results, rebuilds):
+            value, counters = run_sequential(
+                module, space, replace(config, engine="turbo"), entry
+            )
+            assert (result.value, result.counters.as_dict()) == (
+                value, counters
+            )
+
+
 class TestInlinePrefetchArm:
     def test_hj8_aj_inner_loop_is_one_cell_loop(self):
         bm = _aj_ladder("HJ8-tiny", (4, 8), scales=(1, 2))
@@ -754,6 +794,58 @@ class TestServiceSurfaces:
         assert (
             counters.get(f"batch.fallback.{group['reason_code']}", 0) >= 1
         )
+
+    def test_misaligned_cell_replays_alone(self):
+        """Distance 1 changes the A&J instruction shape: only that cell
+        replays, the aligned 2/4/8 cells still batch (as shadows of the
+        first, since they share one config and HJ8's inner loop walks
+        one line), and every cell equals a fresh single run."""
+        from repro.service.api import TuningService, run_to_payload
+
+        service = TuningService()
+        payload = service.sweep(
+            "HJ8-tiny",
+            "tiny",
+            schemes=("aj",),
+            distances=(1, 2, 4, 8),
+            engine="turbo",
+        )
+        (group,) = payload["execution"]["groups"]
+        assert group["batched"] is True
+        assert group["reason_code"] == "alignment"
+        assert group["replayed_cells"] == 1
+        assert [cell["batched"] for cell in payload["cells"]] == [
+            False, True, True, True,
+        ]
+        from repro.cli import _format_sweep_table
+
+        table = _format_sweep_table(SimpleNamespace(**payload))
+        assert "aj:batch (1 replayed) (alignment: " in table
+        counters = service.metrics.counters()
+        assert counters["sweep.batched_cells"] == 3
+        assert counters["sweep.fallback_cells"] == 1
+        assert counters["sweep.shadowed_cells"] == 2
+        assert counters["sweep.shadow_aborts"] == 0
+        assert counters["batch.fallback.alignment"] == 1
+        fresh = TuningService()
+        for cell in payload["cells"]:
+            run = fresh.run(
+                "HJ8-tiny", "tiny", scheme="aj", distance=cell["distance"],
+                engine="turbo",
+            )
+            assert cell["run"] == run_to_payload(run), cell["distance"]
+
+    def test_sweep_counts_shadow_aborts(self):
+        from repro.service.api import TuningService
+
+        service = TuningService()
+        service.sweep(
+            "BFS-tiny", "tiny", schemes=("aj",), distances=(2, 4),
+            engine="turbo",
+        )
+        counters = service.metrics.counters()
+        assert counters["sweep.shadowed_cells"] == 0
+        assert counters["sweep.shadow_aborts"] == 1
 
     def test_sweep_table_shows_executed_tier(self):
         from repro.cli import _format_sweep_table

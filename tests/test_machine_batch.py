@@ -411,3 +411,161 @@ class TestBatchMachineSurface:
         seq_second = seq.run()
         assert first[0].counters.as_dict() == seq_first.counters.as_dict()
         assert second[0].counters.as_dict() == seq_second.counters.as_dict()
+
+
+# ----------------------------------------------------------------------
+# Shadow cells: same-config cells run on their leader's timing while
+# their memory ops touch the leader's lines, else the batch re-runs
+# plain.  Every case compares bit for bit with sequential turbo runs.
+# ----------------------------------------------------------------------
+def turbo_config(memory=None) -> MachineConfig:
+    return MachineConfig(memory=memory or paper_like_memory(), engine="turbo")
+
+
+def build_shadow_kernel(
+    d, split=None, store=False, tail=False, loop=True, stride=8,
+    load_stride=8,
+):
+    """A loop of 40 iterations over a 64-element array ``A`` (8 lines)
+    whose per-cell immediate ``d`` moves one prefetch.
+
+    * ``split=None``: the prefetch goes to ``A[min(i + d, 7)]``, always
+      line 0 (a bucket in one line), and the cell returns
+      ``sum(A[min(i + d, 7)]) + d`` — a per-cell value.
+    * ``split=K``: the prefetch goes to line 0 for ``i < K`` and to
+      line ``d`` after, so lines agree for ``K`` iterations; line 0 is
+      resident (the loop loads ``A[i & 7]``), line ``d > 0`` is not.
+    * ``store``: each iteration first increments ``A[i & 7]`` in place.
+    * ``tail``: ``A`` is 5 elements, one partly mapped line, and the
+      prefetch goes to ``A[(i & 1) + d]``: mapped at ``d = 0``, in the
+      unmapped tail of the same line at ``d = 5``.
+    * ``loop=False``: straight-line code (no fused nest, so the per-block
+      chains run it) that loads ``A[0]``, prefetches ``A + stride * d``
+      and returns ``A[0]`` plus the word at ``A + load_stride * d``.
+    """
+    space = AddressSpace()
+    n = 5 if tail else 64
+    a_seg = space.allocate("A", [i * 3 + 1 for i in range(n)], elem_size=8)
+    module = Module("shadow")
+    b = IRBuilder(module)
+    b.function("main")
+    if not loop:
+        (entry,) = b.blocks("entry")
+        b.at(entry)
+        first = b.load(a_seg.base, name="first")
+        b.prefetch(b.gep(a_seg.base, b.add(d, 0, name="far"), stride))
+        near = b.load(
+            b.gep(a_seg.base, b.add(d, 0, name="dn"), load_stride)
+        )
+        b.ret(b.add(first, near, name="sum"))
+        module.finalize()
+        verify_module(module, strict=True)
+        return module, space
+    entry, body, done = b.blocks("entry", "loop", "done")
+    b.at(entry)
+    b.jmp(body)
+    b.at(body)
+    i = b.phi([(entry, 0)], name="i")
+    acc = b.phi([(entry, 0)], name="acc")
+    j = b.and_(i, 3 if tail else 7, name="j")
+    ja = b.gep(a_seg.base, j, 8, name="ja")
+    value = b.load(ja, name="value")
+    if store:
+        b.store(ja, b.add(value, 1, name="bumped"))
+    if tail:
+        target = b.add(b.and_(i, 1, name="odd"), d, name="target")
+        b.prefetch(b.gep(a_seg.base, target, 8))
+        acc2 = b.add(acc, value, name="acc2")
+    elif split is None:
+        target = b.min(b.add(i, d, name="adv"), 7, name="clamped")
+        ahead = b.load(b.gep(a_seg.base, target, 8), name="ahead")
+        b.prefetch(b.gep(a_seg.base, target, 8))
+        acc2 = b.add(b.add(acc, ahead, name="sum"), d, name="acc2")
+    else:
+        early = b.lt(i, split, name="early")
+        line = b.select(early, 0, d, name="line")
+        b.prefetch(b.gep(a_seg.base, line, 64))
+        acc2 = b.add(acc, value, name="acc2")
+    i2 = b.add(i, 1, name="i2")
+    b.add_incoming(i, body, i2)
+    b.add_incoming(acc, body, acc2)
+    b.br(b.lt(i2, 40, name="cond"), body, done)
+    b.at(done)
+    b.ret(acc2)
+    module.finalize()
+    verify_module(module, strict=True)
+    return module, space
+
+
+def run_shadow_batch(distances, shared_space=False, **kernel):
+    """Batch one same-config cell per distance; return the outcome and
+    each cell's sequential turbo ``(value, counters)``."""
+    config = turbo_config()
+    builds = [build_shadow_kernel(d, **kernel) for d in distances]
+    if shared_space:
+        builds = [(module, builds[0][1]) for module, _ in builds]
+    outcome = run_batch([BatchCell(m, s, config) for m, s in builds])
+    expected = []
+    for d in distances:
+        module, space = build_shadow_kernel(d, **kernel)
+        result = Machine(module, space, config=config).run()
+        expected.append((result.value, result.counters.as_dict()))
+    got = [(r.value, r.counters.as_dict()) for r in outcome.results]
+    return outcome, got, expected
+
+
+class TestShadowCells:
+    def test_same_line_cells_complete_as_shadows(self):
+        outcome, got, expected = run_shadow_batch((2, 4, 8))
+        assert outcome.batched
+        assert (outcome.shadowed, outcome.shadow_aborts) == (2, 0)
+        assert got == expected
+
+    def test_divergent_return_values_stay_per_cell(self):
+        outcome, got, expected = run_shadow_batch((1, 3, 9))
+        assert (outcome.shadowed, outcome.shadow_aborts) == (2, 0)
+        assert len({value for value, _ in got}) == 3
+        assert got == expected
+
+    @pytest.mark.parametrize("split", [1, 5, 39])
+    def test_lines_agree_then_differ(self, split):
+        outcome, got, expected = run_shadow_batch((0, 5, 3), split=split)
+        assert (outcome.shadowed, outcome.shadow_aborts) == (0, 1)
+        assert got == expected
+        # The shadows' own lines are not the leader's resident line 0:
+        # their timing really differs from the leader's.
+        assert got[1][1] != got[0][1]
+
+    def test_lines_that_never_split_stay_shadowed(self):
+        outcome, got, expected = run_shadow_batch((0, 5, 3), split=40)
+        assert (outcome.shadowed, outcome.shadow_aborts) == (2, 0)
+        assert got == expected
+
+    @pytest.mark.parametrize("shared_space", [False, True])
+    def test_abort_reruns_from_the_initial_image(self, shared_space):
+        outcome, got, expected = run_shadow_batch(
+            (0, 5, 3), split=5, store=True, shared_space=shared_space
+        )
+        assert (outcome.shadowed, outcome.shadow_aborts) == (0, 1)
+        assert got == expected
+
+    def test_same_line_but_unmapped_tail_aborts(self):
+        outcome, got, expected = run_shadow_batch((0, 5), tail=True)
+        assert (outcome.shadowed, outcome.shadow_aborts) == (0, 1)
+        assert expected[1][1]["sw_prefetch_dropped_unmapped"] == 40
+        assert expected[0][1]["sw_prefetch_dropped_unmapped"] == 0
+        assert got == expected
+
+    @pytest.mark.parametrize(
+        "stride, load_stride, shadowed, aborts",
+        [(8, 8, 2, 0), (64, 8, 0, 1), (8, 64, 0, 1)],
+    )
+    def test_per_block_chains_compare_shadows(
+        self, stride, load_stride, shadowed, aborts
+    ):
+        outcome, got, expected = run_shadow_batch(
+            (0, 1, 2), loop=False, stride=stride, load_stride=load_stride
+        )
+        assert outcome.batched
+        assert (outcome.shadowed, outcome.shadow_aborts) == (shadowed, aborts)
+        assert got == expected
