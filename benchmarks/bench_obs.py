@@ -26,6 +26,7 @@ Standalone mode emits a machine-readable JSON summary::
 
 from __future__ import annotations
 
+import gc
 import json
 import statistics
 import tempfile
@@ -87,14 +88,28 @@ def measure(repeats: int = 5) -> dict:
     }
 
 
-def measure_telemetry(repeats: int = 3) -> dict:
-    """Median wall seconds for a tiny suite with the service-telemetry
-    job scope active vs inactive, plus the bit-identity invariant.
+#: Plain-traced-traced-plain blocks the telemetry probe times by default.
+TELEMETRY_BLOCKS = 7
 
-    Each traced repeat journals the full span stream (execute +
+
+def measure_telemetry(repeats: int = TELEMETRY_BLOCKS) -> dict:
+    """Wall seconds for a tiny suite with the service-telemetry job
+    scope active vs inactive, over ``repeats`` interleaved blocks, plus
+    the bit-identity invariant.
+
+    Each traced run journals the full span stream (execute +
     engine.build/engine.run/store.put per workload) to a throwaway
-    directory; the untraced repeats hit the same code with the
-    contextvar unset, i.e. the zero-cost no-op path.
+    directory; the plain runs hit the same code with the contextvar
+    unset, i.e. the zero-cost no-op path.
+
+    Each block runs plain, traced, traced, plain, and its ratio is the
+    traced runs' time over the plain runs'.  The overhead is the median
+    block ratio minus one.  Within a block, drift of the host's speed
+    that is linear in time, and any cost of running second, fall on
+    both sides equally; the median ignores the blocks a burst split.
+    Every timed run starts after a full garbage collection, so no run
+    pays for the previous run's garbage, and an untimed run first warms
+    the process-wide memos (workload graphs).
     """
     import repro.api as api
     from repro.obs import telemetry as obs_telemetry
@@ -105,11 +120,13 @@ def measure_telemetry(repeats: int = 3) -> dict:
     )
 
     def run_plain() -> tuple[float, str]:
+        gc.collect()
         started = time.perf_counter()
         result = api.execute(request, service=TuningService())
         return time.perf_counter() - started, result.to_json()
 
     def run_traced(telemetry, index: int) -> tuple[float, str]:
+        gc.collect()
         started = time.perf_counter()
         with obs_telemetry.job_scope(
             telemetry, trace=f"tr-bench-{index}", job=f"j-bench-{index}"
@@ -119,34 +136,31 @@ def measure_telemetry(repeats: int = 3) -> dict:
 
     plain_times: list[float] = []
     traced_times: list[float] = []
-    payloads = set()
+    ratios: list[float] = []
+    payloads = {run_plain()[1]}
     with tempfile.TemporaryDirectory(prefix="repro-bench-tel-") as tmp:
         telemetry = obs_telemetry.Telemetry(Path(tmp))
-        for index in range(repeats):
-            # Alternate which variant runs first so slow machine drift
-            # (thermal, page cache) does not bias one side.
-            order = (run_plain, run_traced) if index % 2 == 0 else (
-                run_traced, run_plain
+        for block in range(repeats):
+            runs = (
+                run_plain(),
+                run_traced(telemetry, 2 * block),
+                run_traced(telemetry, 2 * block + 1),
+                run_plain(),
             )
-            for fn in order:
-                if fn is run_plain:
-                    elapsed, payload = run_plain()
-                    plain_times.append(elapsed)
-                else:
-                    elapsed, payload = run_traced(telemetry, index)
-                    traced_times.append(elapsed)
-                payloads.add(payload)
+            plain = (runs[0][0], runs[3][0])
+            traced = (runs[1][0], runs[2][0])
+            plain_times.extend(plain)
+            traced_times.extend(traced)
+            ratios.append(sum(traced) / sum(plain))
+            payloads.update(payload for _, payload in runs)
         spans = len(obs_telemetry.read_records(Path(tmp)))
-    # The *minimum* over repeats is the noise-robust wall-clock
-    # estimator: every source of jitter only ever adds time.
-    plain_best = min(plain_times)
-    traced_best = min(traced_times)
     return {
         "suite": list(request.workloads),
         "repeats": repeats,
-        "plain_s": plain_best,
-        "traced_s": traced_best,
-        "telemetry_overhead": traced_best / plain_best - 1.0,
+        "plain_s": statistics.median(plain_times),
+        "traced_s": statistics.median(traced_times),
+        "ratios": [round(ratio, 4) for ratio in ratios],
+        "telemetry_overhead": statistics.median(ratios) - 1.0,
         "results_identical": len(payloads) == 1,
         "span_records": spans,
     }
@@ -183,9 +197,9 @@ def main() -> int:  # pragma: no cover - CLI entry
     parser = argparse.ArgumentParser()
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument(
-        "--telemetry-repeats", type=int, default=3,
-        help="suite repeats for the service-telemetry overhead number "
-        "(0 skips it)",
+        "--telemetry-repeats", type=int, default=TELEMETRY_BLOCKS,
+        help="plain-traced-traced-plain suite blocks for the "
+        "service-telemetry overhead number (0 skips it)",
     )
     parser.add_argument("--output", default=None)
     args = parser.parse_args()

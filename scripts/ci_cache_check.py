@@ -7,6 +7,11 @@ asserts that (a) the second run is served from the cache (persisted
 reproduced tables are byte-identical.  Exercises the store, the job
 pool and the metrics layer end-to-end on every push.
 
+For the experiments that ask for a workload's profile before its
+baseline (``SHARES_SIMULATIONS``), the cold pass must also answer some
+run from a simulation entry (``sim.hits`` > 0): the baselines come
+from the profiling runs.
+
 Usage:
     python scripts/ci_cache_check.py [--experiment fig6] [--scale tiny]
 """
@@ -21,6 +26,11 @@ from pathlib import Path
 
 from repro.cli import main as cli_main
 from repro.service.store import ArtifactStore
+
+
+#: Experiments whose cold pass must reuse simulations: they profile a
+#: workload before measuring its baseline.
+SHARES_SIMULATIONS = ("fig8", "fig9", "fig10")
 
 
 def run_experiment(name: str, scale: str, cache_dir: str, out: Path) -> None:
@@ -55,6 +65,14 @@ def main() -> int:
         if store.stats()["entries"] == 0:
             print("FAIL: cold run stored no artifacts", file=sys.stderr)
             return 1
+        sim_hits = cold_metrics.get("sim.hits", 0)
+        if args.experiment in SHARES_SIMULATIONS and not sim_hits:
+            print(
+                "FAIL: cold run answered no run from a simulation entry "
+                "(sim.hits = 0)",
+                file=sys.stderr,
+            )
+            return 1
 
         run_experiment(args.experiment, args.scale, cache_dir, warm_out)
         warm_metrics = store.read_metrics()
@@ -67,18 +85,20 @@ def main() -> int:
                 file=sys.stderr,
             )
             return 1
-        if warm_metrics.get("cache.misses", 0) != cold_metrics.get(
-            "cache.misses", 0
-        ):
-            print("FAIL: warm run recorded cache misses", file=sys.stderr)
-            return 1
+        for counter in ("cache.misses", "sim.misses"):
+            if warm_metrics.get(counter, 0) != cold_metrics.get(counter, 0):
+                print(
+                    f"FAIL: warm run recorded {counter}", file=sys.stderr
+                )
+                return 1
         if json.loads(cold_out.read_text()) != json.loads(warm_out.read_text()):
             print("FAIL: warm table differs from cold table", file=sys.stderr)
             return 1
 
         print(
             f"OK: {args.experiment}@{args.scale} warm run served from cache "
-            f"({warm_hits - cold_hits} hit(s)), tables identical"
+            f"({warm_hits - cold_hits} hit(s)), tables identical; cold run "
+            f"reused {sim_hits} simulation(s)"
         )
         cli_main(["cache", "stats", "--cache-dir", cache_dir])
     return 0

@@ -9,14 +9,18 @@ Six gates, all with fixed seeds so the job is deterministic:
 2. **Clean fuzz** — ``--budget`` generated programs (plus an Eq-1/Eq-2
    analytic-model sweep) must pass the full differential oracle: three
    execution tiers x tracing on/off x every prefetch scheme,
-   bit-identical.
+   bit-identical, plus the profiling axis (each scheme and tier run
+   unprofiled must equal its profiled run; the gate prints how many
+   cells it checked and fails on zero).
 3. **Corpus replay** — every case under ``tests/corpus/`` must pass
    the same oracle (they are shrunk former failures or seeded
    construct-coverage programs).
 4. **Mutation self-test** — a scratch engine copy with a seeded
-   off-by-one in its cycle accounting must be *caught* by the oracle
-   and *shrunk* to at most ``--max-mutant-blocks`` basic blocks,
-   proving the finder and the minimizer both work.
+   off-by-one in its cycle accounting, and one whose sample point
+   charges a cycle, must each be *caught* by the oracle (the engine
+   differential and the profiling axis respectively) and *shrunk* to
+   at most ``--max-mutant-blocks`` basic blocks, proving the finder
+   and the minimizer both work.
 5. **Batch axis** — every corpus case plus ``--batch-budget`` generated
    programs must be bit-identical between the batched multi-config
    runner (:func:`repro.machine.batch.run_batch`) and fresh sequential
@@ -49,7 +53,10 @@ from pathlib import Path
 from repro.qa.corpus import default_corpus_dir, iter_cases
 from repro.qa.fuzz import run_fuzz
 from repro.qa.generate import GeneratorConfig, generate_spec
-from repro.qa.mutants import mutant_oracle_setup
+from repro.qa.mutants import (
+    mutant_oracle_setup,
+    profiling_mutant_oracle_setup,
+)
 from repro.qa.oracle import (
     OracleFailure,
     check_batch,
@@ -105,9 +112,14 @@ def check_clean_fuzz(budget: int, seed: int, model_cases: int) -> bool:
     if not stats.ok:
         print(f"FAIL: clean fuzz found failures\n{stats.summary()}")
         return False
+    if not stats.profiling_cells:
+        print("FAIL: the profiling axis checked zero cells")
+        return False
     print(
         f"OK: {stats.programs} program(s) and {stats.model_cases} model "
-        f"case(s) passed the differential oracle in {elapsed:.1f}s"
+        f"case(s) passed the differential oracle in {elapsed:.1f}s; "
+        f"profiling axis: {stats.profiling_cells} unprofiled cell(s) "
+        "equal to their profiled runs"
     )
     return True
 
@@ -130,38 +142,56 @@ def check_corpus_replay() -> bool:
     return True
 
 
+#: Mutation self-tests: (name, oracle setup, the check that must fire).
+MUTANTS = (
+    ("off-by-one engine", mutant_oracle_setup, "differential"),
+    ("sample-leak engine", profiling_mutant_oracle_setup, "profiling"),
+)
+
+
 def check_mutation_selftest(seed: int, max_blocks: int) -> bool:
-    config, runners = mutant_oracle_setup()
-    stats = run_fuzz(
-        budget=3,
-        seed=seed,
-        oracle_config=config,
-        runners=runners,
-        shrink=True,
-        model_cases=0,
-        max_findings=1,
-    )
-    if stats.ok:
-        print(
-            "FAIL: the off-by-one mutant engine passed the oracle "
-            "(the differential check is blind)"
+    ok = True
+    for name, setup, check in MUTANTS:
+        config, runners = setup()
+        stats = run_fuzz(
+            budget=3,
+            seed=seed,
+            oracle_config=config,
+            runners=runners,
+            shrink=True,
+            model_cases=0,
+            max_findings=1,
         )
-        return False
-    finding = stats.findings[0]
-    if finding.shrunk_blocks is None:
-        print("FAIL: mutant failure was not shrunk")
-        return False
-    if finding.shrunk_blocks > max_blocks:
-        print(
-            f"FAIL: mutant failure shrank to {finding.shrunk_blocks} "
-            f"block(s), above the {max_blocks}-block bound"
-        )
-        return False
-    print(
-        f"OK: mutant caught ({finding.failure.summary()}) and shrunk to "
-        f"{finding.shrunk_blocks} block(s)"
-    )
-    return True
+        if stats.ok:
+            print(
+                f"FAIL: the {name} mutant passed the oracle "
+                f"(the {check} check is blind)"
+            )
+            ok = False
+            continue
+        finding = stats.findings[0]
+        if finding.failure.check != check:
+            print(
+                f"FAIL: the {name} mutant was caught by "
+                f"{finding.failure.check!r}, not {check!r}"
+            )
+            ok = False
+        elif finding.shrunk_blocks is None:
+            print(f"FAIL: {name} mutant failure was not shrunk")
+            ok = False
+        elif finding.shrunk_blocks > max_blocks:
+            print(
+                f"FAIL: {name} mutant failure shrank to "
+                f"{finding.shrunk_blocks} block(s), above the "
+                f"{max_blocks}-block bound"
+            )
+            ok = False
+        else:
+            print(
+                f"OK: {name} mutant caught ({finding.failure.summary()}) "
+                f"and shrunk to {finding.shrunk_blocks} block(s)"
+            )
+    return ok
 
 
 def check_batch_axis(budget: int, seed: int) -> bool:

@@ -19,7 +19,8 @@ With ``--max-telemetry-overhead`` it additionally runs the
 service-telemetry overhead probe (``benchmarks/bench_obs.py
 measure_telemetry``): executing a tiny suite inside a telemetry job
 scope must cost at most the given fraction over the bare execution
-(default gate in CI: 0.05 = 5%), and the results must stay
+(default gate in CI: 0.05 = 5%; the median ratio over interleaved
+plain-traced-traced-plain blocks), and the results must stay
 byte-identical — telemetry observes, never perturbs.
 
 With ``--min-batch-speedup`` it additionally runs the batched-sweep
@@ -55,6 +56,9 @@ from pathlib import Path
 import repro.api as api
 from repro.service.api import TuningService
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+from bench_obs import TELEMETRY_BLOCKS, measure_telemetry  # noqa: E402
+
 
 def timed_suite(engine: str, scale: str) -> tuple[api.SuiteResult, float]:
     # A fresh, uncached in-memory service per engine: every run is a
@@ -85,8 +89,9 @@ def main() -> int:
     parser.add_argument(
         "--telemetry-repeats",
         type=int,
-        default=3,
-        help="suite repeats for the telemetry probe (median; default 3)",
+        default=TELEMETRY_BLOCKS,
+        help="plain-traced-traced-plain suite blocks for the telemetry "
+        f"probe (median block ratio; default {TELEMETRY_BLOCKS})",
     )
     parser.add_argument(
         "--min-batch-speedup",
@@ -157,16 +162,12 @@ def main() -> int:
         return 1
 
     if args.max_telemetry_overhead is not None:
-        sys.path.insert(
-            0, str(Path(__file__).resolve().parents[1] / "benchmarks")
-        )
-        from bench_obs import measure_telemetry
-
         probe = measure_telemetry(repeats=args.telemetry_repeats)
         print(
             f"telemetry probe: plain={probe['plain_s']:.2f}s "
             f"traced={probe['traced_s']:.2f}s "
             f"overhead={probe['telemetry_overhead'] * 100:.1f}% "
+            f"(median of {probe['repeats']} block ratio(s)) "
             f"(ceiling {args.max_telemetry_overhead * 100:.1f}%), "
             f"{probe['span_records']} span record(s)"
         )
@@ -186,9 +187,6 @@ def main() -> int:
             return 1
 
     if args.min_batch_speedup is not None:
-        sys.path.insert(
-            0, str(Path(__file__).resolve().parents[1] / "benchmarks")
-        )
         from bench_sweep import measure_sweep
 
         sweep = measure_sweep(pairs=5)
@@ -212,9 +210,6 @@ def main() -> int:
             return 1
 
     if args.min_codecache_speedup is not None:
-        sys.path.insert(
-            0, str(Path(__file__).resolve().parents[1] / "benchmarks")
-        )
         from bench_codecache import measure_codecache
 
         probe = measure_codecache()

@@ -351,9 +351,13 @@ class SweepResult(_Payload):
     ``cache_scale``), the full run payload (``run``, same shape a
     :class:`RunResult` stores), and provenance flags: ``cached`` (came
     from the artifact store) and ``batched`` (executed in the batched
-    pass; ``None`` for cached cells, ``False`` for per-cell fallback).
-    ``execution`` summarizes the run: cached/computed counts and one
-    record per batch group with its fallback reason, if any.
+    pass; ``None`` for cached and reused cells, ``False`` for per-cell
+    fallback).  A computed cell whose program was already simulated
+    under its config (a ``baseline`` cell, by its cache scale's
+    profiling run) also carries ``reused: true``; it joined no batch.
+    ``execution`` summarizes the run: cached/computed counts,
+    ``reused_cells`` when any cell was reused, and one record per batch
+    actually run with its fallback reason, if any.
     """
 
     workload: str

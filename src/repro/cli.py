@@ -175,6 +175,8 @@ def _format_sweep_table(result) -> str:
         ratio = f"{base / cycles:>8.3f}" if base and cycles else f"{'-':>8}"
         if entry["cached"]:
             source = "cache"
+        elif entry.get("reused"):
+            source = "reuse"
         else:
             source = "batch" if entry["batched"] else "replay"
         distance = entry["distance"] if entry["distance"] is not None else "-"
@@ -197,11 +199,14 @@ def _format_sweep_table(result) -> str:
             else ""
         )
         for g in execution["groups"]
-    ) or "all cached"
+    ) or ("all cached" if not execution["computed_cells"] else "no batch")
+    reused = execution.get("reused_cells")
     lines.append(
         f"  cells: {len(result.cells)} "
         f"({execution['cached_cells']} cached, "
-        f"{execution['computed_cells']} computed) — {groups}"
+        f"{execution['computed_cells']} computed"
+        + (f", {reused} reused" if reused else "")
+        + f") — {groups}"
     )
     return "\n".join(lines)
 

@@ -5,9 +5,10 @@ then to the outer site and compare the speedups.  Expected shape
 (paper): for short-trip-count loops (graphs, hash joins) inner-site
 injection is ineffective or harmful while the outer site delivers the
 gains; DFS is the exception where the inner site also helps.
-Both runs are cached under ``site`` single-run keys; a forced site that
-leaves the hints unchanged (the Eq-2 choice already) is answered from
-the suite comparison's ``apt-get`` run.
+Both runs are cached under ``site`` single-run keys.  A forced site
+that leaves the hints unchanged (the Eq-2 choice already) injects the
+plain ``apt-get`` code, so the service answers it from that run's
+simulation entry; the baseline likewise comes from the profiling run.
 """
 
 from __future__ import annotations
@@ -29,10 +30,11 @@ def run(scale: str = "small") -> ExperimentResult:
     inner_speedups = []
     outer_speedups = []
     for name in names:
-        baseline = cached_baseline(name, scale)
+        # Profile first: its run answers the baseline (same program).
         _, hints = cached_profile(name, scale)
         if not len(hints):
             continue
+        baseline = cached_baseline(name, scale)
         inner_run = cached_run(name, scale, "apt-get", site="inner")
         outer_run = cached_run(name, scale, "apt-get", site="outer")
         chosen = {h.site.value for h in hints}

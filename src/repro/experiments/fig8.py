@@ -32,10 +32,11 @@ def run(scale: str = "small") -> ExperimentResult:
     lbr_speedups = []
     best_speedups = []
     for name in names:
-        baseline = cached_baseline(name, scale)
+        # Profile first: its run answers the baseline (same program).
         _, hints = cached_profile(name, scale)
         if not len(hints):
             continue
+        baseline = cached_baseline(name, scale)
         lbr_run = cached_run(name, scale, "apt-get")
         lbr_speedup = baseline.cycles / lbr_run.cycles
         best_speedup, best_distance = 0.0, 0

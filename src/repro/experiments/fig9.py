@@ -29,10 +29,11 @@ def run(scale: str = "small") -> ExperimentResult:
     series: dict[str, list[float]] = {str(d): [] for d in STATIC_DISTANCES}
     series["lbr"] = []
     for name in names:
-        baseline = cached_baseline(name, scale)
+        # Profile first: its run answers the baseline (same program).
         _, hints = cached_profile(name, scale)
         if not len(hints):
             continue
+        baseline = cached_baseline(name, scale)
         row = [name]
         for distance in STATIC_DISTANCES:
             swept = cached_run(

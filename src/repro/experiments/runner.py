@@ -103,21 +103,52 @@ def _config(config: Optional[MachineConfig]) -> MachineConfig:
     return get_service().config
 
 
+def _simulate(
+    workload: Workload,
+    module,
+    space,
+    config: Optional[MachineConfig],
+    scheme: str,
+    sims=None,
+) -> RunResult:
+    """Run the built (and transformed) ``module`` once.
+
+    ``sims`` is the caller's book of simulation entries (the tuning
+    service passes one; see ``repro.service.api``).  When it already
+    holds a run of exactly this code under this config, that run is
+    the answer and nothing is simulated; otherwise the new run is
+    recorded in it.
+    """
+    key = None
+    if sims is not None:
+        key = sims.key(module, workload.entry)
+        result = sims.get(key)
+        if result is not None:
+            return result
+    machine = Machine(module, space, config=_config(config))
+    with telemetry.run_phase(machine, scheme=scheme):
+        result = machine.run(workload.entry)
+    if sims is not None:
+        sims.put(key, result)
+    return result
+
+
 def run_baseline(
-    workload: Workload, config: Optional[MachineConfig] = None
+    workload: Workload, config: Optional[MachineConfig] = None, sims=None
 ) -> SchemeRun:
     with telemetry.build_phase(workload.name, scheme="baseline"):
         module, space = workload.build()
-    machine = Machine(module, space, config=_config(config))
-    with telemetry.run_phase(machine, scheme="baseline"):
-        result = machine.run(workload.entry)
-    return SchemeRun("baseline", result)
+    return SchemeRun(
+        "baseline",
+        _simulate(workload, module, space, config, "baseline", sims),
+    )
 
 
 def run_ainsworth_jones(
     workload: Workload,
     distance: int = 32,
     config: Optional[MachineConfig] = None,
+    sims=None,
 ) -> SchemeRun:
     scheme = f"aj-{distance}"
     with telemetry.build_phase(workload.name, scheme=scheme):
@@ -125,9 +156,7 @@ def run_ainsworth_jones(
         report = AinsworthJonesPass(
             AinsworthJonesConfig(distance=distance)
         ).run(module)
-    machine = Machine(module, space, config=_config(config))
-    with telemetry.run_phase(machine, scheme=scheme):
-        result = machine.run(workload.entry)
+    result = _simulate(workload, module, space, config, scheme, sims)
     return SchemeRun(scheme, result, report=report)
 
 
@@ -135,13 +164,23 @@ def profile_workload(
     workload: Workload,
     config: Optional[MachineConfig] = None,
     period: Optional[int] = None,
+    sims=None,
 ) -> tuple[ExecutionProfile, HintSet]:
-    """One profiling run + analysis (APT-GET steps 1-5)."""
+    """One profiling run + analysis (APT-GET steps 1-5).
+
+    The profiling run is always simulated (its samples are the point).
+    Sampling only observes, so the run is also a plain run of the
+    unmodified program: ``profile.value``/``profile.counters`` hold it,
+    and it is recorded in ``sims`` when one is given.
+    """
     with telemetry.build_phase(workload.name, scheme="profile"):
         module, space = workload.build()
+    key = sims.key(module, workload.entry) if sims is not None else None
     machine = Machine(module, space, config=_config(config))
     with telemetry.run_phase(machine, scheme="profile"):
         profile = collect_profile(machine, workload.entry, period=period)
+    if sims is not None:
+        sims.put(key, RunResult(profile.value, profile.counters))
     hints = AptGet(AptGetConfig()).analyze(module, profile)
     return profile, hints
 
@@ -151,13 +190,12 @@ def run_with_hints(
     hints: HintSet,
     config: Optional[MachineConfig] = None,
     scheme: str = "apt-get",
+    sims=None,
 ) -> SchemeRun:
     with telemetry.build_phase(workload.name, scheme=scheme):
         module, space = workload.build()
         report = AptGetPass(hints).run(module)
-    machine = Machine(module, space, config=_config(config))
-    with telemetry.run_phase(machine, scheme=scheme):
-        result = machine.run(workload.entry)
+    result = _simulate(workload, module, space, config, scheme, sims)
     return SchemeRun(scheme, result, report=report, hints=hints)
 
 

@@ -68,7 +68,11 @@ class Opcode(enum.IntEnum):
 TERMINATORS = frozenset({Opcode.JMP, Opcode.BR, Opcode.RET})
 
 #: Binary arithmetic opcodes mapped to a Python expression template used by
-#: the translating engine and the interpreter's dispatch tables.
+#: the translating engine and the interpreter's dispatch tables.  MIN/MAX
+#: are conditional expressions, not builtin calls (the A&J index clamp
+#: runs once per inner iteration): ``min(a, b)`` is ``a`` unless
+#: ``b < a`` and ``max(a, b)`` is ``a`` unless ``b > a``.  Operands are
+#: registers, locals or constants, so evaluating one twice is free.
 BINOP_EXPR = {
     Opcode.ADD: "({a}) + ({b})",
     Opcode.SUB: "({a}) - ({b})",
@@ -80,8 +84,8 @@ BINOP_EXPR = {
     Opcode.XOR: "({a}) ^ ({b})",
     Opcode.SHL: "({a}) << ({b})",
     Opcode.SHR: "({a}) >> ({b})",
-    Opcode.MIN: "min(({a}), ({b}))",
-    Opcode.MAX: "max(({a}), ({b}))",
+    Opcode.MIN: "({b}) if ({b}) < ({a}) else ({a})",
+    Opcode.MAX: "({b}) if ({b}) > ({a}) else ({a})",
     Opcode.CMP_EQ: "1 if ({a}) == ({b}) else 0",
     Opcode.CMP_NE: "1 if ({a}) != ({b}) else 0",
     Opcode.CMP_LT: "1 if ({a}) < ({b}) else 0",

@@ -126,11 +126,10 @@ class BatchCell:
 # ----------------------------------------------------------------------
 def _build_binop_funcs() -> dict:
     funcs: dict = {}
-    namespace = {"min": min, "max": max}
     for opcode, expr in BINOP_EXPR.items():
         body = expr.format(a="a", b="b")
         source = f"def _f(a, b):\n    return {body}\n"
-        scope = dict(namespace)
+        scope: dict = {}
         exec(source, scope)  # noqa: S102 - trusted templates
         funcs[opcode] = scope["_f"]
     return funcs

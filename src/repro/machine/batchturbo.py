@@ -114,14 +114,6 @@ _counter = itertools.count()
 #: loop unpacks one tuple per cell instead of subscripting each list.
 #: Ports stay subscripted (``LD[_i](...)``): they sit on miss arms.
 _CELL_VIEWS = ("_ks", "_kk", "_kt", "_kc", "_ku", "_kq")
-#: MIN/MAX without the builtin call: the A&J index clamp runs once per
-#: cell per inner iteration.  ``min(a, b)`` is ``a`` unless ``b < a``
-#: and ``max(a, b)`` is ``a`` unless ``b > a``, so these give the
-#: builtins' results; operands are locals, constants or table reads.
-_MINMAX = {
-    Opcode.MIN: "({b}) if ({b}) < ({a}) else ({a})",
-    Opcode.MAX: "({b}) if ({b}) > ({a}) else ({a})",
-}
 _VIEW_RE = re.compile(r"\b(?:_d|" + "|".join(_CELL_VIEWS) + r")\b")
 
 
@@ -898,8 +890,7 @@ class _BatchSuperblockCodegen:
                 return uniform, f"{x(base)} + {x(index)}", specs
             return uniform, f"{x(base)} + {x(index)}*{x(scale)}", specs
         a, b = specs
-        template = _MINMAX.get(op) or BINOP_EXPR[op]
-        return uniform, template.format(a=x(a), b=x(b)), specs
+        return uniform, BINOP_EXPR[op].format(a=x(a), b=x(b)), specs
 
     def _emit_load(self, insts, dst_divergent: bool) -> None:
         inst = insts[0]

@@ -122,7 +122,7 @@ def _build_binop_factories() -> dict:
                     f"        R[dst] = {body}\n"
                     f"    return op\n"
                 )
-                namespace = {"min": min, "max": max}
+                namespace: dict = {}
                 exec(source, namespace)  # noqa: S102 - trusted templates
                 variants[(a_is_reg, b_is_reg)] = namespace[name]
         factories[opcode] = variants

@@ -75,7 +75,7 @@ from repro.obs import telemetry as obs_telemetry
 #: Bump when the generated stepper code changes (or the payload
 #: layout does): it is the only codegen version in the key, so old
 #: entries then miss and are rewritten instead of being served.
-CODECACHE_SCHEMA = 2
+CODECACHE_SCHEMA = 3
 
 #: Engines whose compiled form is cacheable; ``reference`` interprets.
 CACHEABLE_ENGINES = ("turbo", "fast", "translate")

@@ -20,7 +20,9 @@ def collect_profile(
     """Profile one run of ``function`` on ``machine``.
 
     Enables the machine's LBR/PEBS sampling for the duration of the run
-    and restores the previous profiling state afterwards.
+    and restores the previous profiling state afterwards.  Sampling only
+    observes, so the profile's ``value`` and ``counters`` are those of
+    an unprofiled run of the same program.
     """
     previous_sampler = machine.sampler
     previous_lbr = machine.lbr
@@ -30,6 +32,8 @@ def collect_profile(
     finally:
         machine.lbr = previous_lbr
         machine.sampler = previous_sampler
-    return ExecutionProfile.from_sampler(
+    profile = ExecutionProfile.from_sampler(
         sampler, counters=result.counters, function=function
     )
+    profile.value = result.value
+    return profile

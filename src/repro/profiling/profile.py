@@ -31,6 +31,9 @@ class ExecutionProfile:
     counters: Counters = field(default_factory=Counters)
     #: Name of the profiled entry function.
     function: str = "main"
+    #: Return value of the profiled run (not serialized: a profile file
+    #: carries what the analysis reads, the service keeps the run).
+    value: Optional[int] = None
 
     @classmethod
     def from_sampler(

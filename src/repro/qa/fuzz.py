@@ -19,6 +19,7 @@ from repro.qa.oracle import (
     OracleConfig,
     OracleFailure,
     check_models,
+    check_program,
     focused_config,
     oracle_failure,
 )
@@ -51,6 +52,9 @@ class FuzzStats:
 
     programs: int = 0
     model_cases: int = 0
+    #: (scheme, engine) cells of passing programs the profiling axis
+    #: checked (an unprofiled run equal to the profiled one).
+    profiling_cells: int = 0
     findings: list[FuzzFinding] = field(default_factory=list)
 
     @property
@@ -60,7 +64,8 @@ class FuzzStats:
     def summary(self) -> str:
         lines = [
             f"fuzz: {self.programs} program(s) through the differential "
-            f"oracle, {self.model_cases} analytic model case(s), "
+            f"oracle ({self.profiling_cells} profiling-axis cell(s)), "
+            f"{self.model_cases} analytic model case(s), "
             f"{len(self.findings)} failure(s)"
         ]
         lines.extend(f"  FAIL {finding.summary()}" for finding in self.findings)
@@ -102,9 +107,13 @@ def run_fuzz(
         case_seed = seed + index
         spec = generate_spec(case_seed, gen_config)
         stats.programs += 1
-        failure = oracle_failure(spec, oracle_config, runners)
-        if failure is None:
+        try:
+            stats.profiling_cells += check_program(
+                spec, oracle_config, runners
+            )
             continue
+        except OracleFailure as error:
+            failure = error
         say(f"seed {case_seed}: {failure.summary()}")
         finding = FuzzFinding(
             seed=case_seed, digest=spec_digest(spec), failure=failure

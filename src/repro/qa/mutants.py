@@ -4,7 +4,8 @@ A fuzzer that never fails proves nothing — these mutants prove the
 differential oracle and the shrinker actually catch and minimize engine
 bugs.  Each mutant is built by taking the *source* of a real engine
 module, applying a tiny seeded defect (an off-by-one in the cycle
-accounting), and executing the mutated source into a scratch module —
+accounting, or a cycle charged per profiling sample), and executing
+the mutated source into a scratch module —
 the real engine module is never touched, so mutants are safe to build
 inside a running test session.
 
@@ -42,26 +43,37 @@ _RET_MUTATION = (
 MUTANT_ENGINE = "fast-offbyone"
 
 
-def offbyone_blockengine() -> types.ModuleType:
-    """A scratch copy of :mod:`repro.machine.blockengine` with a seeded
-    off-by-one in the RET cycle cost."""
-    source = inspect.getsource(blockengine)
-    if _RET_NEEDLE not in source:
+def _scratch_copy(
+    real: types.ModuleType, needle: str, mutation: str, label: str,
+    what: str,
+) -> types.ModuleType:
+    """Execute ``real``'s source with ``needle`` replaced by ``mutation``
+    into a new module; ``real`` itself is never touched."""
+    source = inspect.getsource(real)
+    if needle not in source:
         raise RuntimeError(
-            "mutation anchor not found in blockengine source; "
-            "update repro.qa.mutants after refactoring the RET handling"
+            f"mutation anchor not found in {real.__name__} source; "
+            f"update repro.qa.mutants after refactoring {what}"
         )
-    mutated = source.replace(_RET_NEEDLE, _RET_MUTATION, 1)
-    module = types.ModuleType("repro.machine._qa_offbyone_blockengine")
-    module.__file__ = "<qa-mutant:blockengine>"
-    exec(compile(mutated, "<qa-mutant:blockengine>", "exec"), module.__dict__)
+    mutated = source.replace(needle, mutation, 1)
+    module = types.ModuleType(f"repro.machine._qa_{label}")
+    filename = f"<qa-mutant:{label}>"
+    module.__file__ = filename
+    exec(compile(mutated, filename, "exec"), module.__dict__)
     return module
 
 
-def offbyone_runner(config: OracleConfig):
-    """Machine factory for the off-by-one mutant (pass to the oracle as
-    ``runners={MUTANT_ENGINE: offbyone_runner(config)}``)."""
-    mutant = offbyone_blockengine()
+def offbyone_blockengine() -> types.ModuleType:
+    """A scratch copy of :mod:`repro.machine.blockengine` with a seeded
+    off-by-one in the RET cycle cost."""
+    return _scratch_copy(
+        blockengine, _RET_NEEDLE, _RET_MUTATION, "offbyone_blockengine",
+        "the RET handling",
+    )
+
+
+def _block_runner(mutant: types.ModuleType, config: OracleConfig):
+    """Machine factory running ``mutant``'s block compiler as ``fast``."""
 
     def make(module, space) -> Machine:
         machine = Machine(
@@ -74,6 +86,12 @@ def offbyone_runner(config: OracleConfig):
         return machine
 
     return make
+
+
+def offbyone_runner(config: OracleConfig):
+    """Machine factory for the off-by-one mutant (pass to the oracle as
+    ``runners={MUTANT_ENGINE: offbyone_runner(config)}``)."""
+    return _block_runner(offbyone_blockengine(), config)
 
 
 #: Off-by-one target for the turbo tier: the steady-state stepper's
@@ -92,18 +110,10 @@ TURBO_MUTANT_ENGINE = "turbo-offbyone"
 def offbyone_superblock() -> types.ModuleType:
     """A scratch copy of :mod:`repro.machine.superblock` with a seeded
     off-by-one in the back-edge retired-count accumulation."""
-    source = inspect.getsource(superblock)
-    if _TURBO_NEEDLE not in source:
-        raise RuntimeError(
-            "mutation anchor not found in superblock source; "
-            "update repro.qa.mutants after refactoring the back-edge "
-            "accumulation"
-        )
-    mutated = source.replace(_TURBO_NEEDLE, _TURBO_MUTATION, 1)
-    module = types.ModuleType("repro.machine._qa_offbyone_superblock")
-    module.__file__ = "<qa-mutant:superblock>"
-    exec(compile(mutated, "<qa-mutant:superblock>", "exec"), module.__dict__)
-    return module
+    return _scratch_copy(
+        superblock, _TURBO_NEEDLE, _TURBO_MUTATION, "offbyone_superblock",
+        "the back-edge accumulation",
+    )
 
 
 def turbo_offbyone_runner(config: OracleConfig):
@@ -122,6 +132,60 @@ def turbo_offbyone_runner(config: OracleConfig):
         return machine
 
     return make
+
+
+#: Profiling-leak target: the dispatch loop's sample point.  Charging a
+#: cycle whenever a sample is taken makes sampling perturb timing, the
+#: one defect the engine differential cannot see when every engine
+#: shares it; only the oracle's profiled-vs-unprofiled axis catches it.
+_SAMPLE_NEEDLE = (
+    "                if st.cycle >= st.next_sample:\n"
+    "                    st.next_sample = st.take(st.cycle)\n"
+)
+_SAMPLE_MUTATION = (
+    "                if st.cycle >= st.next_sample:\n"
+    "                    st.cycle += 1\n"
+    "                    st.next_sample = st.take(st.cycle)\n"
+)
+
+#: The name the profiling-leak mutant engine appears under.
+PROFILING_MUTANT_ENGINE = "fast-sampleleak"
+
+
+def sampleleak_blockengine() -> types.ModuleType:
+    """A scratch copy of :mod:`repro.machine.blockengine` whose
+    ``ProfileSampler.take`` call charges one cycle per sample."""
+    return _scratch_copy(
+        blockengine, _SAMPLE_NEEDLE, _SAMPLE_MUTATION,
+        "sampleleak_blockengine", "the sample point",
+    )
+
+
+#: Sample period of the profiling-leak matrix: short enough that a
+#: loop of a few iterations already takes a sample, so the shrinker
+#: can cut a failure down to one loop.
+PROFILING_MUTANT_PERIOD = 17
+
+
+def profiling_mutant_oracle_setup(base: OracleConfig = None):
+    """The (config, runners) pair for the profiling-leak mutant: the
+    broken engine alone (no second engine to differ from), untraced
+    'none' scheme, so only the profiling axis can catch it."""
+    base = base or OracleConfig()
+    from dataclasses import replace
+
+    config = replace(
+        base,
+        engines=(PROFILING_MUTANT_ENGINE,),
+        schemes=("none",),
+        traced_modes=(False,),
+        sample_period=PROFILING_MUTANT_PERIOD,
+    )
+    return config, {
+        PROFILING_MUTANT_ENGINE: _block_runner(
+            sampleleak_blockengine(), config
+        )
+    }
 
 
 def turbo_mutant_oracle_setup(base: OracleConfig = None):

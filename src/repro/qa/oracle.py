@@ -10,14 +10,19 @@ One spec is checked as ``schemes x engines x tracing``:
   the ``fast`` name runs turbo's compiled form, so the turbo axis
   covers it) plus any caller-supplied scratch runners (see
   :mod:`repro.qa.mutants`);
-* **tracing** — lifecycle tracing off and on.
+* **tracing** — lifecycle tracing off and on;
+* **profiling** — every cell above runs with LBR/PEBS sampling armed,
+  and each (scheme, engine) is run once more unprofiled.
 
 Every observation must be **bit-identical** across engines (return
 value, the full PMU counter vector, LBR snapshots, PEBS records,
 prefetch-lifecycle spans, demand events, per-site aggregates) and
 identical between traced and untraced runs of the same engine
-(tracing is observability, never behaviour).  On top of the
-differential check, each observation must satisfy the metamorphic
+(tracing is observability, never behaviour).  The unprofiled run must
+return the same value, counters and outstanding prefetches as the
+profiled one: sampling is observation too, which is what lets the
+tuning service answer a baseline run from a profiling run.  On top of
+the differential check, each observation must satisfy the metamorphic
 invariants the simulator promises:
 
 * ``PerfStat.check_invariants`` counter conservation;
@@ -195,9 +200,11 @@ def _observe(
     traced: bool,
     config: OracleConfig,
     runners: Optional[dict] = None,
+    profiled: bool = True,
 ) -> dict:
     """Run one (engine, tracing) cell and flatten everything comparable
-    into plain data."""
+    into plain data (without the sampler's records when ``profiled`` is
+    off)."""
     module, space = builder()
     factory = (runners or {}).get(engine)
     if factory is not None:
@@ -211,19 +218,23 @@ def _observe(
         if traced
         else None
     )
-    machine.enable_profiling(period=config.sample_period)
+    if profiled:
+        machine.enable_profiling(period=config.sample_period)
     result = machine.run(config.function)
 
-    sampler = machine.sampler
-    assert sampler is not None
     observation = {
         "value": result.value,
         "counters": result.counters.as_dict(),
-        "lbr_samples": [tuple(sample) for sample in sampler.samples],
-        "pebs_counts": dict(sampler.load_miss_counts),
-        "pebs_latency": dict(sampler.load_miss_latency),
         "outstanding": machine.mem.sw_prefetch_outstanding(),
     }
+    if profiled:
+        sampler = machine.sampler
+        assert sampler is not None
+        observation.update(
+            lbr_samples=[tuple(sample) for sample in sampler.samples],
+            pebs_counts=dict(sampler.load_miss_counts),
+            pebs_latency=dict(sampler.load_miss_latency),
+        )
     if trace is not None:
         observation["trace"] = {
             "counts": trace.event_counts(),
@@ -253,6 +264,10 @@ _COMPARED_KEYS = (
     "pebs_latency",
     "outstanding",
 )
+
+
+#: Keys an unprofiled run must share with the profiled run of its cell.
+_UNPROFILED_KEYS = ("value", "counters", "outstanding")
 
 
 def _describe_diff(key: str, a, b) -> str:
@@ -403,14 +418,55 @@ def _check_differential(
 # ----------------------------------------------------------------------
 # Entry points
 # ----------------------------------------------------------------------
+def _check_unprofiled(
+    builder,
+    observations: dict,
+    scheme: str,
+    config: OracleConfig,
+    runners: Optional[dict],
+) -> int:
+    """The profiling axis: run each engine's cell once more without
+    sampling; value, counters and outstanding prefetches must equal the
+    profiled (untraced when there is one) observation.  Returns the
+    number of cells checked."""
+    checked = 0
+    for engine in config.engines:
+        profiled = observations.get((engine, False))
+        if profiled is None:
+            profiled = observations[(engine, config.traced_modes[0])]
+        try:
+            plain = _observe(
+                builder, engine, False, config, runners, profiled=False
+            )
+        except Exception as error:
+            raise OracleFailure(
+                "exception", f"unprofiled run raised {error!r}",
+                scheme, engine, False,
+            ) from error
+        for key in _UNPROFILED_KEYS:
+            if plain[key] != profiled[key]:
+                raise OracleFailure(
+                    "profiling",
+                    _describe_diff(key, profiled[key], plain[key])
+                    + " (profiled vs unprofiled)",
+                    scheme,
+                    engine,
+                    False,
+                )
+        checked += 1
+    return checked
+
+
 def check_program(
     spec: dict,
     config: Optional[OracleConfig] = None,
     runners: Optional[dict] = None,
-) -> None:
+) -> int:
     """Run the full differential matrix on one spec; raises
-    :class:`OracleFailure` on the first violation."""
+    :class:`OracleFailure` on the first violation.  Returns the number
+    of (scheme, engine) cells the profiling axis checked."""
     config = config or OracleConfig()
+    unprofiled = 0
     for scheme in config.schemes:
         try:
             builder = _scheme_builder(spec, scheme, config)
@@ -442,6 +498,10 @@ def check_program(
                 )
                 observations[(engine, traced)] = observation
         _check_differential(observations, scheme, config)
+        unprofiled += _check_unprofiled(
+            builder, observations, scheme, config, runners
+        )
+    return unprofiled
 
 
 #: Batch-axis grids: cache-capacity divisors for the uniform batch and

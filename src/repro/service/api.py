@@ -18,6 +18,7 @@ other consumer; store-backed reads cannot alias.
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import os
 from dataclasses import fields as dataclass_fields
@@ -26,6 +27,7 @@ from typing import Iterable, Optional, Sequence
 
 from repro.core.hints import HintSet
 from repro.core.site import InjectionSite
+from repro.ir.printer import format_module
 from repro.experiments.runner import (
     SchemeRun,
     WorkloadComparison,
@@ -141,6 +143,71 @@ def run_from_payload(payload: dict) -> SchemeRun:
     )
 
 
+def artifact_key(
+    kind: str, workload: str, scale: str, config: MachineConfig, **params
+) -> CacheKey:
+    """The key of one artifact computed under ``config``.
+
+    Every key names the engine and the memory-hierarchy fingerprint
+    explicitly (on top of the whole-config fingerprint), so runs with
+    different engines or cache geometries can never collide in a shared
+    cache directory — and a human reading the store can tell which
+    engine produced an artifact.
+    """
+    return CacheKey.make(
+        kind,
+        workload,
+        scale,
+        config_fingerprint(config),
+        engine=config.engine,
+        mem=config_fingerprint(config.memory),
+        **params,
+    )
+
+
+class SimEntries:
+    """The simulation entries of one workload at one scale under one
+    machine config: one ``sim`` artifact per distinct simulated program.
+
+    An entry is keyed by what the run simulates — workload, scale, the
+    engine-aware config fingerprint, a digest of the printed final
+    module and the entry function — and holds ``{value, counters}``.
+    Runs that simulate the same program (a profiling run and a baseline
+    run; an override that leaves the hints as they were) therefore
+    share one simulation.  ``lookup``/``record`` are the storage: the
+    service's store, or a job's own dict.
+    """
+
+    def __init__(self, workload, scale, config, lookup, record) -> None:
+        self.workload = workload
+        self.scale = scale
+        self.config = config
+        self._lookup = lookup
+        self._record = record
+
+    def key(self, module, entry: str) -> CacheKey:
+        digest = hashlib.sha256(format_module(module).encode()).hexdigest()
+        return artifact_key(
+            "sim", self.workload, self.scale, self.config,
+            module=digest, entry=entry,
+        )
+
+    def get(self, key: CacheKey) -> Optional[RunResult]:
+        payload = self._lookup(key)
+        if payload is None:
+            return None
+        return RunResult(
+            value=payload["value"],
+            counters=_counters_from_dict(payload["counters"]),
+        )
+
+    def put(self, key: CacheKey, result: RunResult) -> None:
+        self._record(
+            key,
+            {"value": result.value, "counters": result.counters.as_dict()},
+        )
+
+
 # ----------------------------------------------------------------------
 # Worker jobs (module-level: must be picklable for the process pool).
 # Each recomputes exactly the artifacts the parent found missing and
@@ -155,25 +222,37 @@ def _suite_job(
     hints_payload: Optional[dict],
     config: MachineConfig,
 ) -> dict:
+    """Compute one workload's missing suite pieces.
+
+    Returns the pieces plus, under ``"sim"``, the simulation entries its
+    runs produced (the parent stores them).  A run whose program an
+    earlier run of this job already simulated is answered from it.
+    The baseline runs before the profile, so a job that needs both
+    simulates both: see ROADMAP.md ("a suite job's profile answers its
+    baseline") for why they are not shared yet.
+    """
+    entries: dict = {}
+    sims = SimEntries(name, scale, config, entries.get, entries.__setitem__)
     out: dict = {}
+    if "baseline" in needs:
+        out["baseline"] = run_to_payload(
+            run_baseline(make_workload(name, scale), config=config, sims=sims)
+        )
     hints: Optional[HintSet] = None
     if "profile" in needs:
         profile, hints = profile_workload(
-            make_workload(name, scale), config=config
+            make_workload(name, scale), config=config, sims=sims
         )
         out["profile"] = profile_to_payload(profile, hints)
     elif hints_payload is not None:
         hints = HintSet.from_json(json.dumps(hints_payload))
-    if "baseline" in needs:
-        out["baseline"] = run_to_payload(
-            run_baseline(make_workload(name, scale), config=config)
-        )
     if "aj" in needs:
         out["aj"] = run_to_payload(
             run_ainsworth_jones(
                 make_workload(name, scale),
                 distance=aj_distance,
                 config=config,
+                sims=sims,
             )
         )
     if "apt" in needs:
@@ -182,8 +261,11 @@ def _suite_job(
                 f"apt run for {name!r} requested without hints"
             )
         out["apt"] = run_to_payload(
-            run_with_hints(make_workload(name, scale), hints, config=config)
+            run_with_hints(
+                make_workload(name, scale), hints, config=config, sims=sims
+            )
         )
+    out["sim"] = entries
     return out
 
 
@@ -378,24 +460,10 @@ class TuningService:
         config: Optional[MachineConfig] = None,
         **params,
     ) -> CacheKey:
-        """Build an artifact key.
-
-        Every key names the engine and the memory-hierarchy fingerprint
-        explicitly (on top of the whole-config fingerprint), so runs
-        with different engines or cache geometries can never collide in
-        a shared cache directory — and a human reading the store can
-        tell which engine produced an artifact.
-        """
+        """Build an artifact key (:func:`artifact_key`) under ``config``,
+        this service's config by default."""
         config = config if config is not None else self.config
-        return CacheKey.make(
-            kind,
-            workload,
-            scale,
-            config_fingerprint(config),
-            engine=config.engine,
-            mem=config_fingerprint(config.memory),
-            **params,
-        )
+        return artifact_key(kind, workload, scale, config, **params)
 
     def _get(self, key: CacheKey) -> Optional[dict]:
         payload = self.store.get(key)
@@ -414,6 +482,22 @@ class TuningService:
             hit=payload is not None,
         )
         return payload
+
+    def _sim_get(self, key: CacheKey) -> Optional[dict]:
+        """Look up a simulation entry.  Counted apart from ``cache.*``
+        (``sim.hits``/``sim.misses``), so the request-artifact hit ratio
+        keeps meaning what it did."""
+        payload = self.store.get(key)
+        hit = payload is not None
+        self.metrics.inc("sim.hits" if hit else "sim.misses")
+        telemetry.annotate("sim-cache", workload=key.workload, hit=hit)
+        return payload
+
+    def _sims(
+        self, workload: str, scale: str, config: MachineConfig
+    ) -> SimEntries:
+        """This service's simulation entries for one workload/config."""
+        return SimEntries(workload, scale, config, self._sim_get, self._put)
 
     def _put(self, key: CacheKey, payload: dict) -> None:
         """``store.put`` under a telemetry span (no-op outside a job)."""
@@ -522,12 +606,25 @@ class TuningService:
     ) -> tuple[ExecutionProfile, HintSet]:
         """Cached profiling run + hint analysis (APT-GET steps 1-5)."""
         workload = self._shim_workload(workload, name)
-        config = self._config_for(engine)
+        return self._profile(workload, scale, self._config_for(engine))
+
+    def _profile(
+        self,
+        workload: str,
+        scale: str,
+        config: MachineConfig,
+        source: Optional[Workload] = None,
+    ) -> tuple[ExecutionProfile, HintSet]:
+        """The profile artifact under ``config``; on a miss, profiles
+        ``source`` (a fresh registry build by default) and records the
+        profiling run as the unmodified program's simulation entry."""
         key = self._key("profile", workload, scale, config=config)
         payload = self._get(key)
         if payload is None:
             profile, hints = profile_workload(
-                make_workload(workload, scale), config=config
+                source or make_workload(workload, scale),
+                config=config,
+                sims=self._sims(workload, scale, config),
             )
             payload = profile_to_payload(profile, hints)
             self._put(key, payload)
@@ -579,52 +676,62 @@ class TuningService:
         hint's distance (Figs 8/9) and ``site`` (``"inner"``/``"outer"``)
         forces every hint's injection site (Fig 10).  Each override
         joins the artifact key only when set, so plain ``apt-get`` keys
-        are unchanged.  An override that leaves the hint set as it was
-        is answered from the plain ``apt-get`` artifact.
+        are unchanged.
+
+        On a miss the run is built and transformed, then answered from
+        the simulation entry of the same program when one exists (the
+        profiling run's, for ``baseline``; the plain run's, for an
+        override that leaves the hints as they were) and simulated
+        otherwise.
         """
         config = self._config_for(engine)
         overrides = _hint_overrides(scheme, hint_distance, site)
-        if scheme == "baseline":
-            key = self._key("run", workload, scale, config=config,
-                            scheme="baseline")
-            compute = lambda: run_baseline(  # noqa: E731
-                make_workload(workload, scale), config=config
-            )
-        elif scheme == "aj":
-            key = self._key("run", workload, scale, config=config,
-                            scheme="aj", distance=distance)
-            compute = lambda: run_ainsworth_jones(  # noqa: E731
-                make_workload(workload, scale),
-                distance=distance,
-                config=config,
-            )
+        if scheme == "aj":
+            params: dict = {"distance": distance}
         elif scheme == "apt-get":
-            key = self._key("run", workload, scale, config=config,
-                            scheme="apt-get", **overrides)
-
-            def compute():
-                _, hints = self.profile(workload, scale, engine=engine)
-                if overrides:
-                    overridden = _override_hints(hints, overrides)
-                    if overridden.to_json() == hints.to_json():
-                        return self.run(
-                            workload, scale, scheme="apt-get", engine=engine
-                        )
-                    hints = overridden
-                return run_with_hints(
-                    make_workload(workload, scale), hints, config=config
-                )
-
+            params = overrides
+        elif scheme == "baseline":
+            params = {}
         else:
             raise ValueError(
                 f"unknown scheme {scheme!r}; "
                 "expected baseline, aj, or apt-get"
             )
+        key = self._key(
+            "run", workload, scale, config=config, scheme=scheme, **params
+        )
         payload = self._get(key)
         if payload is None:
-            payload = run_to_payload(compute())
+            payload = run_to_payload(
+                self._measure(workload, scale, config, scheme, distance,
+                              overrides)
+            )
             self._put(key, payload)
         return run_from_payload(payload)
+
+    def _measure(
+        self,
+        workload: str,
+        scale: str,
+        config: MachineConfig,
+        scheme: str,
+        distance: int = 32,
+        overrides: Optional[dict] = None,
+    ) -> SchemeRun:
+        """Build, transform and run one scheme through this service's
+        simulation entries."""
+        sims = self._sims(workload, scale, config)
+        instance = make_workload(workload, scale)
+        if scheme == "baseline":
+            return run_baseline(instance, config=config, sims=sims)
+        if scheme == "aj":
+            return run_ainsworth_jones(
+                instance, distance=distance, config=config, sims=sims
+            )
+        _, hints = self._profile(workload, scale, config)
+        if overrides:
+            hints = _override_hints(hints, overrides)
+        return run_with_hints(instance, hints, config=config, sims=sims)
 
     # ------------------------------------------------------------------
     # Batched multi-config sweeps.
@@ -664,9 +771,7 @@ class TuningService:
         params = {"scheme": scheme}
         if scheme == "aj":
             params["distance"] = distance
-        return self._key(
-            "run", workload, scale, config=cell_config, **params
-        )
+        return artifact_key("run", workload, scale, cell_config, **params)
 
     def sweep(
         self,
@@ -687,6 +792,13 @@ class TuningService:
         pass over the instruction stream per group when the cells align,
         per-cell sequential replay when they do not (the ``execution``
         metadata records which happened and why).
+
+        The profiles the ``apt-get`` cells need are taken first.  Each
+        missing cell is then built and transformed and looked up among
+        the simulation entries: a cell whose program was already
+        simulated under its config (a ``baseline`` cell, by its cache
+        scale's profiling run) is answered from that run, reported with
+        ``cached: false`` and ``reused: true``, and joins no batch.
 
         Returns a payload dict (``cells`` + ``execution``); the v1
         :class:`repro.api.SweepRequest` path wraps it in a
@@ -724,26 +836,39 @@ class TuningService:
         source = (
             _SharedBuild(make_workload(workload, scale)) if misses else None
         )
+        hints_at: dict[int, HintSet] = {}
+        for index in by_scheme.get("apt-get", ()):
+            cache_scale = cells[index]["cache_scale"]
+            hints_at[cache_scale] = self._profile(
+                workload, scale, self._cell_config(engine, cache_scale),
+                source,
+            )[1]
         for scheme, indices in by_scheme.items():
             group_meta = self._run_sweep_group(
                 source, workload, scale, scheme, indices, cells, keys,
-                engine,
+                engine, hints_at,
             )
-            groups.append(group_meta)
+            if group_meta is not None:
+                groups.append(group_meta)
 
         self.metrics.inc("sweep.cells", len(grid))
         self.metrics.inc("sweep.cached_cells", len(grid) - len(misses))
         self.flush_metrics()
+        execution = {
+            "cached_cells": len(grid) - len(misses),
+            "computed_cells": len(misses),
+            "groups": groups,
+        }
+        if misses:
+            reused = sum(1 for index in misses if cells[index].get("reused"))
+            if reused:
+                execution["reused_cells"] = reused
         return {
             "workload": workload,
             "scale": scale,
             "engine": config.engine,
             "cells": cells,
-            "execution": {
-                "cached_cells": len(grid) - len(misses),
-                "computed_cells": len(misses),
-                "groups": groups,
-            },
+            "execution": execution,
         }
 
     def _run_sweep_group(
@@ -756,12 +881,13 @@ class TuningService:
         cells: list[dict],
         keys: list,
         engine: Optional[str],
-    ) -> dict:
-        """Prepare, batch-execute and store one scheme's missing cells,
-        each on its own clone of the sweep's one build."""
-        batch_cells: list[BatchCell] = []
-        reports: list = []
-        hint_sets: list = []
+        hints_at: dict[int, HintSet],
+    ) -> Optional[dict]:
+        """Prepare one scheme's missing cells, each on its own clone of
+        the sweep's one build; answer the already-simulated ones from
+        their entries and batch-execute the rest.  Returns the batch's
+        group record, ``None`` when no cell needed simulating."""
+        pending: list[tuple] = []
         for index in indices:
             cell = cells[index]
             cell_config = self._cell_config(engine, cell["cache_scale"])
@@ -775,30 +901,42 @@ class TuningService:
                         AinsworthJonesConfig(distance=cell["distance"])
                     ).run(module)
                 elif scheme == "apt-get":
-                    hints = self._profile_with_config(
-                        source, workload, scale, cell_config
-                    )[1]
+                    hints = hints_at[cell["cache_scale"]]
                     report = AptGetPass(hints).run(module)
-            reports.append(report)
-            hint_sets.append(hints)
-            batch_cells.append(BatchCell(module, space, cell_config))
+            sims = self._sims(workload, scale, cell_config)
+            sim_key = sims.key(module, source.entry)
+            result = sims.get(sim_key)
+            if result is not None:
+                self._store_cell(
+                    cells, keys, index, label, result, report, hints
+                )
+                cell["reused"] = True
+                continue
+            pending.append((
+                index, label, report, hints, sims, sim_key,
+                BatchCell(module, space, cell_config),
+            ))
+        if not pending:
+            return None
 
         with telemetry.phase(
-            "sweep.batch", scheme=scheme, cells=len(indices)
+            "sweep.batch", scheme=scheme, cells=len(pending)
         ):
-            outcome = run_batch(batch_cells, function=source.entry)
+            outcome = run_batch(
+                [entry[-1] for entry in pending], function=source.entry
+            )
         replayed = set(outcome.replayed)
         telemetry.annotate(
             "sweep.outcome",
             scheme=scheme,
-            cells=len(indices),
+            cells=len(pending),
             batched=outcome.batched,
             shadowed=outcome.shadowed,
             reason=outcome.reason,
         )
-        if len(replayed) < len(indices):
+        if len(replayed) < len(pending):
             self.metrics.inc(
-                "sweep.batched_cells", len(indices) - len(replayed)
+                "sweep.batched_cells", len(pending) - len(replayed)
             )
         if replayed:
             self.metrics.inc("sweep.fallback_cells", len(replayed))
@@ -812,25 +950,19 @@ class TuningService:
         self.metrics.event(
             "sweep.group",
             scheme=scheme,
-            cells=len(indices),
+            cells=len(pending),
             batched=outcome.batched,
         )
 
-        for position, index in enumerate(indices):
-            cell = cells[index]
-            run = SchemeRun(
-                self._cell_label(scheme, cell["distance"]),
-                outcome.results[position],
-                report=reports[position],
-                hints=hint_sets[position],
-            )
-            payload = run_to_payload(run)
-            self._put(keys[index], payload)
-            cell["run"] = payload
-            cell["batched"] = position not in replayed
+        for position, entry in enumerate(pending):
+            index, label, report, hints, sims, sim_key, _ = entry
+            result = outcome.results[position]
+            sims.put(sim_key, result)
+            self._store_cell(cells, keys, index, label, result, report, hints)
+            cells[index]["batched"] = position not in replayed
         group = {
             "scheme": scheme,
-            "cells": len(indices),
+            "cells": len(pending),
             "batched": outcome.batched,
             "reason": outcome.reason,
             "reason_code": outcome.reason_code,
@@ -839,27 +971,20 @@ class TuningService:
             group["replayed_cells"] = len(replayed)
         return group
 
+    def _store_cell(
+        self, cells, keys, index, label, result, report, hints
+    ) -> None:
+        """Store one computed sweep cell under its run key."""
+        payload = run_to_payload(
+            SchemeRun(label, result, report=report, hints=hints)
+        )
+        self._put(keys[index], payload)
+        cells[index]["run"] = payload
+
     @staticmethod
     def _cell_label(scheme: str, distance: Optional[int]) -> str:
         """The SchemeRun label, matching the sequential runner's."""
         return f"aj-{distance}" if scheme == "aj" else scheme
-
-    def _profile_with_config(
-        self,
-        source: _SharedBuild,
-        workload: str,
-        scale: str,
-        config: MachineConfig,
-    ) -> tuple[ExecutionProfile, HintSet]:
-        """`profile()` under an explicit (possibly cache-scaled) config,
-        profiling a clone of the sweep's build on a miss."""
-        key = self._key("profile", workload, scale, config=config)
-        payload = self._get(key)
-        if payload is None:
-            profile, hints = profile_workload(source, config=config)
-            payload = profile_to_payload(profile, hints)
-            self._put(key, payload)
-        return profile_from_payload(payload)
 
     def site_report(
         self,
@@ -963,6 +1088,8 @@ class TuningService:
         workload whose job raises or times out (after retries) comes
         back as a :class:`WorkloadComparison` with ``error`` set and no
         runs — an error row — while every other workload completes.
+        Jobs return the simulation entries their runs produced, and
+        this process stores them.
         """
         config = self._config_for(engine)
         names = list(names) if names is not None else scale_suite(scale)
@@ -1010,7 +1137,10 @@ class TuningService:
                     errors[outcome.key] = outcome.error
                     self.metrics.inc("service.errors")
                     continue
-                for piece, payload in outcome.value.items():
+                pieces = dict(outcome.value)
+                for key, payload in pieces.pop("sim").items():
+                    self._put(key, payload)
+                for piece, payload in pieces.items():
                     key = self._piece_key(
                         piece, outcome.key, scale, aj_distance, config
                     )

@@ -332,9 +332,10 @@ class TestSweep:
         assert len(builds) == 1
         assert len(result.cells) == 8  # 2 baseline + 4 aj + 2 apt-get
 
+        # The 2 baseline cells are answered by their profiling runs.
         batch_cells = [cell for batch in batches for cell in batch]
-        assert len(batch_cells) == 8
-        assert len({id(cell.module) for cell in batch_cells}) == 8
+        assert len(batch_cells) == 6
+        assert len({id(cell.module) for cell in batch_cells}) == 6
         lists = [
             segment.values
             for cell in batch_cells
@@ -401,7 +402,8 @@ class TestSweep:
         assert calls == []
 
     def test_batched_sweep_cells_match_single_runs(self):
-        """Every scheme's cells run in one batched pass, and each cell's
+        """Every scheme's cells run in one batched pass (the baseline
+        cells reuse their profiling runs instead), and each cell's
         full run payload equals that cell computed alone on a fresh
         service with the same (cache-scaled) machine config."""
         from dataclasses import replace
@@ -417,7 +419,10 @@ class TestSweep:
         assert len(result.cells) == 8  # 2 baseline + 4 aj + 2 apt-get
         assert all(group["batched"] for group in result.execution["groups"])
         for cell in result.cells:
-            assert cell["batched"] is True, cell
+            if cell["scheme"] == "baseline":
+                assert cell["reused"] and cell["batched"] is None, cell
+            else:
+                assert cell["batched"] is True, cell
             config = service.config
             if cell["cache_scale"] != 1:
                 config = replace(
@@ -428,6 +433,55 @@ class TestSweep:
                 distance=cell["distance"] or 32,
             )
             assert cell["run"] == run_to_payload(alone), cell["scheme"]
+
+    @pytest.mark.parametrize(
+        "schemes", [("baseline", "apt-get"), ("baseline", "aj", "apt-get")]
+    )
+    def test_fresh_baseline_cells_reuse_the_profiling_runs(
+        self, schemes, monkeypatch
+    ):
+        """The sweep profiles before it looks up its baseline cells, so
+        those are answered from the profiling runs: no batch runs them,
+        they report ``cached: false`` and ``reused: true``, and each
+        equals the sequential run on a fresh service."""
+        from dataclasses import replace
+
+        import repro.service.api as service_api
+        from repro.service.api import run_to_payload
+
+        batches = []
+        real_run_batch = service_api.run_batch
+
+        def capturing_run_batch(cells, **kwargs):
+            cells = list(cells)
+            batches.append(cells)
+            return real_run_batch(cells, **kwargs)
+
+        monkeypatch.setattr(service_api, "run_batch", capturing_run_batch)
+        service = TuningService()
+        result = api.sweep(
+            "HJ8-tiny", "tiny", service=service, schemes=schemes,
+            distances=(4,), cache_scales=(1, 2),
+        )
+        monkeypatch.undo()
+        groups = [group["scheme"] for group in result.execution["groups"]]
+        assert "baseline" not in groups
+        assert len(batches) == len(schemes) - 1
+        assert sum(len(cells) for cells in batches) == 2 * len(groups)
+        assert result.execution["reused_cells"] == 2
+        for cache_scale in (1, 2):
+            cell = result.cell("baseline", cache_scale=cache_scale)
+            assert cell["cached"] is False
+            assert cell["reused"] is True and cell["batched"] is None
+            config = service.config
+            if cache_scale != 1:
+                config = replace(
+                    config, memory=config.memory.scaled(cache_scale)
+                )
+            alone = TuningService(machine_config=config).run(
+                "HJ8-tiny", "tiny", scheme="baseline"
+            )
+            assert cell["run"] == run_to_payload(alone)
 
     def test_sweep_cells_share_artifacts_with_single_runs(self, tmp_path):
         """Per-cell artifacts reuse the sequential run keys: a sweep
@@ -550,6 +604,55 @@ class TestEngineAwareCacheKeys:
         key_b = scaled._key("run", "w", "tiny", scheme="baseline")
         assert key_a != key_b
         assert dict(key_a.params)["mem"] != dict(key_b.params)["mem"]
+
+
+class TestRequestDigestsUnchanged:
+    """Simulation entries add an artifact kind; they change no request
+    key.  Digests recorded before the entries existed."""
+
+    @pytest.mark.parametrize(
+        "request_, digest",
+        [
+            (
+                api.ProfileRequest(workload="HJ8-tiny", scale="tiny"),
+                "25195d358a93c4701670990dab7cb6c7"
+                "3314a5a665a1df33247f8d9d34ed58ec",
+            ),
+            (
+                api.RunRequest(
+                    workload="HJ8-tiny", scale="tiny", scheme="baseline"
+                ),
+                "78c4407b7c1463e2b224f30d6190aeb8"
+                "42434cad064d200ef9c381f99e73a00d",
+            ),
+            (
+                api.RunRequest(
+                    workload="BFS-tiny", scale="tiny", scheme="apt-get",
+                    engine="turbo",
+                ),
+                "b9883ccd6d3594e951c99bb66cbaa204"
+                "763a0ae6b8b3f9c430acf91e0371659e",
+            ),
+            (
+                api.SweepRequest(
+                    workload="HJ8-tiny", scale="tiny",
+                    schemes=("baseline", "aj", "apt-get"),
+                    distances=(4, 8), cache_scales=(1, 2),
+                ),
+                "16b493211e4ceea27c6e4f02695107bc"
+                "9803c3a98ea976ecacc220519736284b",
+            ),
+            (
+                api.SuiteRequest(
+                    scale="tiny", workloads=("micro-tiny", "BFS-tiny")
+                ),
+                "f6b88445eb76dda134a80bc5640dfda4"
+                "059aa4efea0e48e3a1d817700bf896b5",
+            ),
+        ],
+    )
+    def test_literal_digest(self, request_, digest):
+        assert TuningService().request_key(request_).digest() == digest
 
 
 class TestTopLevelReExports:

@@ -3,6 +3,7 @@ fallback, and the service/CLI integration."""
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
 import pytest
@@ -156,7 +157,7 @@ def test_schema_one_entries_are_not_served(cache_dir, monkeypatch):
     from repro.machine import superblock
     from tests.test_machine_batch import build_kernel
 
-    assert codecache.CODECACHE_SCHEMA == 2
+    assert codecache.CODECACHE_SCHEMA == 3
     config = _config(cache_dir)
     cache = codecache.resolve(cache_dir)
     with monkeypatch.context() as old:
@@ -195,6 +196,79 @@ def test_schema_one_entries_are_not_served(cache_dir, monkeypatch):
     assert cache.invalidated == 1
     (fresh,) = machine._compiled[("turbo", "main")].superblocks()
     assert "sw_prefetch_redundant" in fresh.source_plain
+
+
+#: A call of the ``min``/``max`` builtins in generated code.
+_MINMAX_CALL = re.compile(r"\b(?:min|max)\(")
+
+
+def test_schema_two_entries_are_not_served(cache_dir, monkeypatch):
+    """Entries written before MIN/MAX became conditional expressions
+    (schema 2, whose steppers call the ``min``/``max`` builtins) must
+    not be served: the schema is the only codegen version in the key."""
+    from repro.ir.opcodes import BINOP_EXPR, Opcode
+    from tests.test_machine_batch import build_kernel
+
+    assert codecache.CODECACHE_SCHEMA == 3
+    config = _config(cache_dir)
+    cache = codecache.resolve(cache_dir)
+    with monkeypatch.context() as old:
+        old.setattr(codecache, "CODECACHE_SCHEMA", 2)
+        old.setitem(BINOP_EXPR, Opcode.MIN, "min(({a}), ({b}))")
+        module, space = build_kernel(distance=4)
+        machine = Machine(module, space, config=config, engine="turbo")
+        expected = machine.run("main")
+        (stale,) = machine._compiled[("turbo", "main")].superblocks()
+        assert _MINMAX_CALL.search(stale.source_plain)
+        old_key = cache.key(module.function("main"), config, "turbo")
+    assert (cache.misses, cache.hits) == (1, 0)
+
+    module, space = build_kernel(distance=4)
+    key = cache.key(module.function("main"), config, "turbo")
+    assert key.digest() != old_key.digest()
+    machine = Machine(module, space, config=config, engine="turbo")
+    result = machine.run("main")
+    assert (cache.misses, cache.hits) == (2, 0)
+    (fresh,) = machine._compiled[("turbo", "main")].superblocks()
+    assert not _MINMAX_CALL.search(fresh.source_plain)
+    assert result.value == expected.value
+    assert result.counters.as_dict() == expected.counters.as_dict()
+
+    # Planted under the current key, the old payload is rejected too.
+    cache.store.put(key, cache.store.get(old_key))
+    module, space = build_kernel(distance=4)
+    machine = Machine(module, space, config=config, engine="turbo")
+    machine.run("main")
+    assert cache.invalidated == 1
+    (fresh,) = machine._compiled[("turbo", "main")].superblocks()
+    assert not _MINMAX_CALL.search(fresh.source_plain)
+
+
+def test_hj8_aj_turbo_steppers_call_no_min_max():
+    """The A&J index clamp (a MIN per prefetch) compiles to a
+    conditional expression in HJ8-tiny's turbo steppers, not a call."""
+    from repro.ir.opcodes import Opcode
+    from repro.machine.superblock import compile_turbo
+    from repro.passes.ainsworth_jones import (
+        AinsworthJonesConfig,
+        AinsworthJonesPass,
+    )
+    from repro.workloads.registry import make_workload
+
+    workload = make_workload("HJ8-tiny")
+    module, _ = workload.build()
+    AinsworthJonesPass(AinsworthJonesConfig(distance=32)).run(module)
+    function = module.function(workload.entry)
+    assert any(
+        inst.op in (Opcode.MIN, Opcode.MAX)
+        for block in function.blocks
+        for inst in block.instructions
+    )
+    steppers = compile_turbo(function, MachineConfig()).superblocks()
+    assert steppers
+    for stepper in steppers:
+        for source in (stepper.source_plain, stepper.source_profiled):
+            assert not _MINMAX_CALL.search(source), source
 
 
 @pytest.mark.parametrize(

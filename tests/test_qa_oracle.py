@@ -10,10 +10,12 @@ from repro.qa.fuzz import run_fuzz
 from repro.qa.generate import generate_spec
 from repro.qa.mutants import (
     MUTANT_ENGINE,
+    PROFILING_MUTANT_ENGINE,
     TURBO_MUTANT_ENGINE,
     mutant_oracle_setup,
     offbyone_blockengine,
     offbyone_superblock,
+    profiling_mutant_oracle_setup,
     turbo_mutant_oracle_setup,
 )
 from repro.qa.oracle import (
@@ -29,9 +31,12 @@ from repro.qa.oracle import (
 
 
 def test_generated_programs_pass_full_matrix():
-    # Four engines x tracing on/off x three schemes, bit-identical.
+    # Four engines x tracing on/off x three schemes, bit-identical; each
+    # (scheme, engine) also unprofiled, equal to its profiled run.
+    config = OracleConfig()
     for seed in (0, 1, 2):
-        check_program(generate_spec(seed))
+        checked = check_program(generate_spec(seed), config)
+        assert checked == len(config.schemes) * len(config.engines)
 
 
 def test_batch_axis_is_bit_identical():
@@ -61,6 +66,18 @@ def test_mutant_engine_is_caught():
     assert failure is not None
     assert failure.engine == MUTANT_ENGINE
     assert failure.check == "differential"
+    assert "cycles" in failure.detail
+
+
+def test_profiling_mutant_is_caught_by_the_profiling_axis():
+    # Every engine would share a sampling leak, so no differential sees
+    # it: the mutant runs alone and only profiled-vs-unprofiled can.
+    config, runners = profiling_mutant_oracle_setup()
+    assert config.engines == (PROFILING_MUTANT_ENGINE,)
+    failure = oracle_failure(generate_spec(0), config, runners)
+    assert failure is not None
+    assert failure.engine == PROFILING_MUTANT_ENGINE
+    assert failure.check == "profiling"
     assert "cycles" in failure.detail
 
 

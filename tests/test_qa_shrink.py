@@ -6,7 +6,10 @@ from __future__ import annotations
 import pytest
 
 from repro.qa.generate import build_program, generate_spec
-from repro.qa.mutants import mutant_oracle_setup
+from repro.qa.mutants import (
+    mutant_oracle_setup,
+    profiling_mutant_oracle_setup,
+)
 from repro.qa.oracle import oracle_failure
 from repro.qa.shrink import count_blocks, shrink_spec
 
@@ -24,6 +27,23 @@ def test_mutant_failure_shrinks_to_three_blocks_or_fewer():
 
     def still_fails(candidate):
         return oracle_failure(candidate, config, runners) is not None
+
+    assert still_fails(spec)
+    shrunk = shrink_spec(spec, still_fails)
+    assert still_fails(shrunk)
+    assert count_blocks(shrunk) <= 3
+    assert count_blocks(shrunk) < count_blocks(spec)
+
+
+def test_profiling_mutant_failure_shrinks():
+    """A sample point that charges a cycle minimizes to <= 3 basic
+    blocks and the minimized spec still fails the profiling axis."""
+    config, runners = profiling_mutant_oracle_setup()
+    spec = generate_spec(0)
+
+    def still_fails(candidate):
+        failure = oracle_failure(candidate, config, runners)
+        return failure is not None and failure.check == "profiling"
 
     assert still_fails(spec)
     shrunk = shrink_spec(spec, still_fails)

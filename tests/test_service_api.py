@@ -303,6 +303,97 @@ class TestHintOverrides:
         assert machine_runs == []
 
 
+class TestSimulationEntries:
+    """Runs that simulate the same program under the same config share
+    one simulation (the internal ``sim`` entries); every result equals
+    a fresh service's."""
+
+    def test_baseline_after_profile_simulates_nothing(self, machine_runs):
+        service = TuningService()
+        service.profile("HJ8-tiny", "tiny")
+        del machine_runs[:]
+        baseline = service.run("HJ8-tiny", "tiny", scheme="baseline")
+        assert machine_runs == []
+        fresh = TuningService().run("HJ8-tiny", "tiny", scheme="baseline")
+        assert service_api.run_to_payload(baseline) == (
+            service_api.run_to_payload(fresh)
+        )
+        # Counted apart from the request-artifact cache.
+        assert service.metrics.get("sim.hits") == 1
+        assert service.metrics.get("cache.hits") == 0
+
+    def test_forced_site_injecting_plain_code_simulates_nothing(
+        self, machine_runs
+    ):
+        # HJ8-tiny's hints already sit on the outer site; forcing it
+        # rewrites the hint JSON but injects the same code.
+        service = TuningService()
+        service.run("HJ8-tiny", "tiny", scheme="apt-get")
+        del machine_runs[:]
+        forced = service.run(
+            "HJ8-tiny", "tiny", scheme="apt-get", site="outer"
+        )
+        assert machine_runs == []
+        fresh = TuningService().run(
+            "HJ8-tiny", "tiny", scheme="apt-get", site="outer"
+        )
+        assert service_api.run_to_payload(forced) == (
+            service_api.run_to_payload(fresh)
+        )
+
+    def test_entries_never_cross_engines(self, machine_runs):
+        service = TuningService()
+        service.profile("HJ8-tiny", "tiny", engine="fast")
+        del machine_runs[:]
+        turbo = service.run(
+            "HJ8-tiny", "tiny", scheme="baseline", engine="turbo"
+        )
+        assert len(machine_runs) == 1
+        assert machine_runs[0].engine == "turbo"
+        assert service.metrics.get("sim.hits") == 0
+        fresh = TuningService().run(
+            "HJ8-tiny", "tiny", scheme="baseline", engine="turbo"
+        )
+        assert service_api.run_to_payload(turbo) == (
+            service_api.run_to_payload(fresh)
+        )
+
+    def test_disk_entry_answers_a_second_service_of_its_config_only(
+        self, tmp_path, machine_runs
+    ):
+        from dataclasses import replace
+
+        from repro.machine.config import MachineConfig
+
+        TuningService(cache_dir=tmp_path).profile("HJ8-tiny", "tiny")
+        del machine_runs[:]
+        second = TuningService(cache_dir=tmp_path)
+        second.run("HJ8-tiny", "tiny", scheme="baseline")
+        assert machine_runs == []
+        assert second.metrics.get("sim.hits") == 1
+        assert second.store.stats()["by_kind"]["sim"] == 1
+
+        config = MachineConfig()
+        halved = TuningService(
+            cache_dir=tmp_path,
+            machine_config=replace(config, memory=config.memory.scaled(2)),
+        )
+        halved.run("HJ8-tiny", "tiny", scheme="baseline")
+        assert len(machine_runs) == 1
+        assert halved.metrics.get("sim.hits") == 0
+
+    def test_suite_jobs_return_their_entries(self, machine_runs):
+        service = TuningService(jobs=2)
+        service.compare_suite("tiny", names=("micro-tiny",))
+        # baseline, profile (same program as the baseline), aj, apt-get.
+        assert service.store.stats()["by_kind"]["sim"] == 3
+        del machine_runs[:]
+        service.run("micro-tiny", "tiny", scheme="aj", distance=16)
+        assert len(machine_runs) == 1
+        service.run("micro-tiny", "tiny", scheme="apt-get", site="inner")
+        assert len(machine_runs) == 1  # micro-tiny's hint is inner already
+
+
 class TestEnvironmentDefaults:
     def test_get_service_reads_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "envcache"))
