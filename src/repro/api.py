@@ -53,7 +53,6 @@ from repro.service.api import (
     configure_service,
     get_service,
     profile_from_payload,
-    profile_to_payload,
     run_from_payload,
     run_to_payload,
     sweep_cell_grid,
@@ -269,15 +268,10 @@ class ProfileResult(_Payload):
     hints: dict = field(repr=False)
 
     def execution_profile(self) -> ExecutionProfile:
-        profile, _ = profile_from_payload(
-            {"profile": self.profile["profile"],
-             "counters": self.profile["counters"],
-             "hints": self.hints}
-        )
-        return profile
+        return profile_from_payload(self.profile, self.profile["profile"])
 
     def hint_set(self) -> HintSet:
-        return HintSet.from_json(json.dumps(self.hints))
+        return HintSet.from_dict(self.hints)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -484,18 +478,15 @@ def execute(
     one) and return the matching result dataclass."""
     service = service if service is not None else get_service()
     if isinstance(request, ProfileRequest):
-        profile_obj, hints = service.profile(
-            request.workload, request.scale, engine=request.engine
+        config = service._config_for(request.engine)
+        payload, samples = service.profile_payloads(
+            request.workload, request.scale, config
         )
-        payload = profile_to_payload(profile_obj, hints)
         return ProfileResult(
             workload=request.workload,
             scale=request.scale,
-            engine=service._config_for(request.engine).engine,
-            profile={
-                "profile": payload["profile"],
-                "counters": payload["counters"],
-            },
+            engine=config.engine,
+            profile={"profile": samples, "counters": payload["counters"]},
             hints=payload["hints"],
         )
     if isinstance(request, RunRequest):

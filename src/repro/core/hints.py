@@ -72,15 +72,19 @@ class HintSet:
     def by_pc(self) -> dict[int, PrefetchHint]:
         return {hint.load_pc: hint for hint in self.hints}
 
+    def to_dict(self) -> dict:
+        return {"hints": [hint.to_dict() for hint in self.hints]}
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "HintSet":
+        return cls(hints=[PrefetchHint.from_dict(h) for h in raw["hints"]])
+
     def to_json(self) -> str:
-        return json.dumps(
-            {"hints": [hint.to_dict() for hint in self.hints]}, indent=2
-        )
+        return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "HintSet":
-        raw = json.loads(text)
-        return cls(hints=[PrefetchHint.from_dict(h) for h in raw["hints"]])
+        return cls.from_dict(json.loads(text))
 
     @classmethod
     def from_hints(cls, hints: Iterable[PrefetchHint]) -> "HintSet":

@@ -14,7 +14,7 @@ from __future__ import annotations
 from repro.experiments.result import ExperimentResult
 from repro.experiments.runner import (
     cached_baseline,
-    cached_profile,
+    cached_hints,
     cached_run,
     geomean,
     scale_suite,
@@ -30,7 +30,7 @@ def run(scale: str = "small") -> ExperimentResult:
     series["lbr"] = []
     for name in names:
         # Profile first: its run answers the baseline (same program).
-        _, hints = cached_profile(name, scale)
+        hints = cached_hints(name, scale)
         if not len(hints):
             continue
         baseline = cached_baseline(name, scale)

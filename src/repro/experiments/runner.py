@@ -257,6 +257,13 @@ def cached_profile(
     return get_service().profile(name, scale)
 
 
+def cached_hints(name: str, scale: str = "small") -> HintSet:
+    """The workload's APT-GET hints, read without its LBR samples."""
+    from repro.service.api import get_service
+
+    return get_service().analyze(name, scale)
+
+
 def cached_run(name: str, scale: str, scheme: str, **overrides) -> SchemeRun:
     """One cached ``TuningService.run`` measurement: ``distance`` for
     ``aj``, ``hint_distance``/``site`` for ``apt-get``."""

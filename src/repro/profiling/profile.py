@@ -76,26 +76,25 @@ class ExecutionProfile:
     # (De)serialization: hint files travel between profile and compile
     # steps, so profiles should too (perf.data analog).
     # ------------------------------------------------------------------
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "function": self.function,
-                "lbr_samples": [
-                    [list(entry) for entry in sample]
-                    for sample in self.lbr_samples
-                ],
-                "load_miss_counts": {
-                    str(pc): count for pc, count in self.load_miss_counts.items()
-                },
-                "load_miss_latency": {
-                    str(pc): lat for pc, lat in self.load_miss_latency.items()
-                },
-            }
-        )
+    def to_dict(self) -> dict:
+        """The sample body as plain JSON-able data (no counters: those
+        travel with the run)."""
+        return {
+            "function": self.function,
+            "lbr_samples": [
+                [list(entry) for entry in sample]
+                for sample in self.lbr_samples
+            ],
+            "load_miss_counts": {
+                str(pc): count for pc, count in self.load_miss_counts.items()
+            },
+            "load_miss_latency": {
+                str(pc): lat for pc, lat in self.load_miss_latency.items()
+            },
+        }
 
     @classmethod
-    def from_json(cls, text: str) -> "ExecutionProfile":
-        raw = json.loads(text)
+    def from_dict(cls, raw: dict) -> "ExecutionProfile":
         return cls(
             lbr_samples=[
                 tuple(LBREntry(*entry) for entry in sample)
@@ -109,6 +108,13 @@ class ExecutionProfile:
             },
             function=raw.get("function", "main"),
         )
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
+
+    @classmethod
+    def from_json(cls, text: str) -> "ExecutionProfile":
+        return cls.from_dict(json.loads(text))
 
     def merge(self, other: "ExecutionProfile") -> "ExecutionProfile":
         """Combine two profiles of the same binary (multi-run profiling)."""

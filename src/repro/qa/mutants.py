@@ -161,12 +161,6 @@ def sampleleak_blockengine() -> types.ModuleType:
     )
 
 
-#: Sample period of the profiling-leak matrix: short enough that a
-#: loop of a few iterations already takes a sample, so the shrinker
-#: can cut a failure down to one loop.
-PROFILING_MUTANT_PERIOD = 17
-
-
 def profiling_mutant_oracle_setup(base: OracleConfig = None):
     """The (config, runners) pair for the profiling-leak mutant: the
     broken engine alone (no second engine to differ from), untraced
@@ -179,7 +173,6 @@ def profiling_mutant_oracle_setup(base: OracleConfig = None):
         engines=(PROFILING_MUTANT_ENGINE,),
         schemes=("none",),
         traced_modes=(False,),
-        sample_period=PROFILING_MUTANT_PERIOD,
     )
     return config, {
         PROFILING_MUTANT_ENGINE: _block_runner(

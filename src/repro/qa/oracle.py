@@ -92,7 +92,10 @@ class OracleConfig:
     schemes: tuple = SCHEMES
     traced_modes: tuple = (False, True)
     aj_distance: int = 4
-    sample_period: int = 251
+    #: Cycles between LBR samples: short enough that every generated
+    #: program (seeds 0-49 end after 23 cycles or more) takes one, so
+    #: the sample streams the differential compares are never empty.
+    sample_period: int = 17
     trace_capacity: int = 8192
     function: str = "main"
 

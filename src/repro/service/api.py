@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import copy
 import hashlib
-import json
 import os
 from dataclasses import fields as dataclass_fields
 from dataclasses import replace
@@ -87,18 +86,18 @@ def _counters_from_dict(raw: dict) -> Counters:
 
 
 def profile_to_payload(profile: ExecutionProfile, hints: HintSet) -> dict:
-    return {
-        "profile": json.loads(profile.to_json()),
-        "counters": profile.counters.as_dict(),
-        "hints": json.loads(hints.to_json()),
-    }
+    """The ``profile`` entry: the profiled run's counters and the hints
+    derived from it, all a hint reader needs.  The samples themselves
+    go to their own ``lbr`` entry, in :meth:`ExecutionProfile.to_dict`'s
+    shape."""
+    return {"counters": profile.counters.as_dict(), "hints": hints.to_dict()}
 
 
-def profile_from_payload(payload: dict) -> tuple[ExecutionProfile, HintSet]:
-    profile = ExecutionProfile.from_json(json.dumps(payload["profile"]))
+def profile_from_payload(payload: dict, samples: dict) -> ExecutionProfile:
+    """The profile a ``profile`` entry and its ``lbr`` entry describe."""
+    profile = ExecutionProfile.from_dict(samples)
     profile.counters = _counters_from_dict(payload.get("counters", {}))
-    hints = HintSet.from_json(json.dumps(payload["hints"]))
-    return profile, hints
+    return profile
 
 
 def run_to_payload(run: SchemeRun) -> dict:
@@ -116,7 +115,7 @@ def run_to_payload(run: SchemeRun) -> dict:
             "added_instructions": run.report.added_instructions,
         }
     if run.hints is not None:
-        payload["hints"] = json.loads(run.hints.to_json())
+        payload["hints"] = run.hints.to_dict()
     return payload
 
 
@@ -131,7 +130,7 @@ def run_from_payload(payload: dict) -> SchemeRun:
         )
     hints = None
     if payload.get("hints") is not None:
-        hints = HintSet.from_json(json.dumps(payload["hints"]))
+        hints = HintSet.from_dict(payload["hints"])
     return SchemeRun(
         scheme=payload["scheme"],
         result=RunResult(
@@ -225,7 +224,8 @@ def _suite_job(
     """Compute one workload's missing suite pieces.
 
     Returns the pieces plus, under ``"sim"``, the simulation entries its
-    runs produced (the parent stores them).  A run whose program an
+    runs produced and, under ``"lbr"`` when it profiled, the sample
+    entry (the parent stores them).  A run whose program an
     earlier run of this job already simulated is answered from it.
     The baseline runs before the profile, so a job that needs both
     simulates both: see ROADMAP.md ("a suite job's profile answers its
@@ -244,8 +244,9 @@ def _suite_job(
             make_workload(name, scale), config=config, sims=sims
         )
         out["profile"] = profile_to_payload(profile, hints)
+        out["lbr"] = profile.to_dict()
     elif hints_payload is not None:
-        hints = HintSet.from_json(json.dumps(hints_payload))
+        hints = HintSet.from_dict(hints_payload)
     if "aj" in needs:
         out["aj"] = run_to_payload(
             run_ainsworth_jones(
@@ -360,6 +361,47 @@ def sweep_cell_grid(
     return cells
 
 
+def sweep_key(
+    workload: str,
+    scale: str,
+    config: MachineConfig,
+    schemes: Sequence[str],
+    distances: Sequence[int],
+    cache_scales: Sequence[int],
+) -> CacheKey:
+    """The key of a sweep grid (kind ``sweep``), from its canonical axes:
+    the v1 request key, and the key its cells' runs are stored under."""
+    schemes = tuple(sorted(set(schemes)))
+    distances = (
+        tuple(sorted({int(d) for d in distances})) if "aj" in schemes else ()
+    )
+    return artifact_key(
+        "sweep", workload, scale, config,
+        schemes="+".join(schemes),
+        distances=distances,
+        cache_scales=tuple(sorted({int(s) for s in cache_scales})),
+    )
+
+
+class _LazyProfileRun(SchemeRun):
+    """An ``apt-get`` run whose ``profile`` is loaded on its first read
+    (by ``load``, from the sample entry): most readers never look."""
+
+    def __init__(self, run: SchemeRun, load) -> None:
+        super().__init__(run.scheme, run.result, run.report, run.hints)
+        self._load = load
+
+    @property
+    def profile(self) -> Optional[ExecutionProfile]:
+        if self._load is not None:
+            self._profile, self._load = self._load(), None
+        return self._profile
+
+    @profile.setter
+    def profile(self, value: Optional[ExecutionProfile]) -> None:
+        self._profile, self._load = value, None
+
+
 class _SharedBuild(Workload):
     """One build of a workload, shared by a sweep request's cells.
 
@@ -467,21 +509,19 @@ class TuningService:
 
     def _get(self, key: CacheKey) -> Optional[dict]:
         payload = self.store.get(key)
-        if payload is None:
-            self.metrics.inc("cache.misses")
-            self.metrics.event(
-                "cache.miss", kind=key.kind, workload=key.workload
-            )
-        else:
-            self.metrics.inc("cache.hits")
-            self.metrics.event(
-                "cache.hit", kind=key.kind, workload=key.workload
-            )
-        telemetry.annotate(
-            "artifact-cache", kind=key.kind, workload=key.workload,
-            hit=payload is not None,
-        )
+        self._count_lookup(key, payload is not None)
         return payload
+
+    def _count_lookup(self, key: CacheKey, hit: bool) -> None:
+        """Count one request-artifact lookup as a ``cache.*`` hit or miss."""
+        outcome = "hit" if hit else "miss"
+        self.metrics.inc("cache.hits" if hit else "cache.misses")
+        self.metrics.event(
+            f"cache.{outcome}", kind=key.kind, workload=key.workload
+        )
+        telemetry.annotate(
+            "artifact-cache", kind=key.kind, workload=key.workload, hit=hit,
+        )
 
     def _sim_get(self, key: CacheKey) -> Optional[dict]:
         """Look up a simulation entry.  Counted apart from ``cache.*``
@@ -542,11 +582,9 @@ class TuningService:
                 **params,
             )
         if isinstance(request, api_v1.SweepRequest):
-            return self._key(
-                "sweep", request.workload, request.scale, config=config,
-                schemes="+".join(request.schemes),
-                distances=request.distances,
-                cache_scales=request.cache_scales,
+            return sweep_key(
+                request.workload, request.scale, config, request.schemes,
+                request.distances, request.cache_scales,
             )
         if isinstance(request, api_v1.SuiteRequest):
             names = (
@@ -604,31 +642,71 @@ class TuningService:
         engine: Optional[str] = None,
         name: Optional[str] = None,
     ) -> tuple[ExecutionProfile, HintSet]:
-        """Cached profiling run + hint analysis (APT-GET steps 1-5)."""
-        workload = self._shim_workload(workload, name)
-        return self._profile(workload, scale, self._config_for(engine))
+        """Cached profiling run + hint analysis (APT-GET steps 1-5).
 
-    def _profile(
+        This reads the LBR samples; :meth:`analyze` reads the hints
+        alone.
+        """
+        workload = self._shim_workload(workload, name)
+        payload, samples = self.profile_payloads(
+            workload, scale, self._config_for(engine)
+        )
+        return (
+            profile_from_payload(payload, samples),
+            HintSet.from_dict(payload["hints"]),
+        )
+
+    def profile_payloads(
+        self, workload: str, scale: str, config: MachineConfig
+    ) -> tuple[dict, dict]:
+        """The ``profile`` entry and its ``lbr`` sample entry under
+        ``config``.  When the sample entry is missing (the profile was
+        never taken, or its entry predates the split and still carries
+        its samples inline), the workload is profiled again and both
+        entries are rewritten.  Only the ``profile`` lookup counts as a
+        ``cache.*`` lookup."""
+        payload = self._get(self._key("profile", workload, scale, config))
+        samples = None
+        if payload is not None:
+            samples = self.store.get(self._key("lbr", workload, scale, config))
+        if samples is None:
+            payload, samples = self._record_profile(workload, scale, config)
+        return payload, samples
+
+    def _hints(
         self,
         workload: str,
         scale: str,
         config: MachineConfig,
         source: Optional[Workload] = None,
-    ) -> tuple[ExecutionProfile, HintSet]:
-        """The profile artifact under ``config``; on a miss, profiles
-        ``source`` (a fresh registry build by default) and records the
-        profiling run as the unmodified program's simulation entry."""
-        key = self._key("profile", workload, scale, config=config)
-        payload = self._get(key)
+    ) -> HintSet:
+        """The hints of the ``profile`` entry under ``config``, read
+        without the samples; profiles ``source`` on a miss."""
+        payload = self._get(self._key("profile", workload, scale, config))
         if payload is None:
-            profile, hints = profile_workload(
-                source or make_workload(workload, scale),
-                config=config,
-                sims=self._sims(workload, scale, config),
-            )
-            payload = profile_to_payload(profile, hints)
-            self._put(key, payload)
-        return profile_from_payload(payload)
+            payload, _ = self._record_profile(workload, scale, config, source)
+        return HintSet.from_dict(payload["hints"])
+
+    def _record_profile(
+        self,
+        workload: str,
+        scale: str,
+        config: MachineConfig,
+        source: Optional[Workload] = None,
+    ) -> tuple[dict, dict]:
+        """Profile ``source`` (a fresh registry build by default), store
+        the ``profile`` and ``lbr`` entries and record the profiling run
+        as the unmodified program's simulation entry."""
+        profile, hints = profile_workload(
+            source or make_workload(workload, scale),
+            config=config,
+            sims=self._sims(workload, scale, config),
+        )
+        payload = profile_to_payload(profile, hints)
+        samples = profile.to_dict()
+        self._put(self._key("profile", workload, scale, config), payload)
+        self._put(self._key("lbr", workload, scale, config), samples)
+        return payload, samples
 
     def analyze(
         self,
@@ -640,7 +718,7 @@ class TuningService:
     ) -> HintSet:
         """The hint set APT-GET derives for a workload (cached)."""
         workload = self._shim_workload(workload, name)
-        return self.profile(workload, scale, engine=engine)[1]
+        return self._hints(workload, scale, self._config_for(engine))
 
     def baseline(
         self,
@@ -728,7 +806,7 @@ class TuningService:
             return run_ainsworth_jones(
                 instance, distance=distance, config=config, sims=sims
             )
-        _, hints = self._profile(workload, scale, config)
+        hints = self._hints(workload, scale, config)
         if overrides:
             hints = _override_hints(hints, overrides)
         return run_with_hints(instance, hints, config=config, sims=sims)
@@ -793,6 +871,12 @@ class TuningService:
         per-cell sequential replay when they do not (the ``execution``
         metadata records which happened and why).
 
+        A grid swept before is answered by one lookup: a finished sweep
+        stores its cells' runs, in grid order, under its ``sweep`` key
+        (:func:`sweep_key`, also the v1 request key), and a hit returns
+        every cell as ``cached`` with no other store access.  Otherwise
+        the cells are looked up one by one.
+
         The profiles the ``apt-get`` cells need are taken first.  Each
         missing cell is then built and transformed and looked up among
         the simulation entries: a cell whose program was already
@@ -806,7 +890,29 @@ class TuningService:
         """
         config = self._config_for(engine)
         grid = sweep_cell_grid(schemes, distances, cache_scales)
-        cells: list[dict] = []
+        grid_key = sweep_key(
+            workload, scale, config, schemes, distances, cache_scales
+        )
+        stored = self.store.get(grid_key)
+        if stored is not None:
+            self._count_lookup(grid_key, True)
+            cells = [
+                {
+                    "scheme": scheme,
+                    "distance": distance,
+                    "cache_scale": cache_scale,
+                    "cached": True,
+                    "batched": None,
+                    "run": run,
+                }
+                for (scheme, distance, cache_scale), run in zip(
+                    grid, stored["runs"]
+                )
+            ]
+            return self._sweep_payload(
+                workload, scale, config, cells, [], []
+            )
+        cells = []
         misses: list[int] = []
         keys = []
         for scheme, distance, cache_scale in grid:
@@ -839,10 +945,10 @@ class TuningService:
         hints_at: dict[int, HintSet] = {}
         for index in by_scheme.get("apt-get", ()):
             cache_scale = cells[index]["cache_scale"]
-            hints_at[cache_scale] = self._profile(
+            hints_at[cache_scale] = self._hints(
                 workload, scale, self._cell_config(engine, cache_scale),
                 source,
-            )[1]
+            )
         for scheme, indices in by_scheme.items():
             group_meta = self._run_sweep_group(
                 source, workload, scale, scheme, indices, cells, keys,
@@ -850,19 +956,33 @@ class TuningService:
             )
             if group_meta is not None:
                 groups.append(group_meta)
+        self._put(grid_key, {"runs": [cell["run"] for cell in cells]})
+        return self._sweep_payload(
+            workload, scale, config, cells, misses, groups
+        )
 
-        self.metrics.inc("sweep.cells", len(grid))
-        self.metrics.inc("sweep.cached_cells", len(grid) - len(misses))
+    def _sweep_payload(
+        self,
+        workload: str,
+        scale: str,
+        config: MachineConfig,
+        cells: list[dict],
+        misses: list[int],
+        groups: list[dict],
+    ) -> dict:
+        """A finished sweep's payload, counted into ``sweep.cells`` and
+        ``sweep.cached_cells``."""
+        self.metrics.inc("sweep.cells", len(cells))
+        self.metrics.inc("sweep.cached_cells", len(cells) - len(misses))
         self.flush_metrics()
         execution = {
-            "cached_cells": len(grid) - len(misses),
+            "cached_cells": len(cells) - len(misses),
             "computed_cells": len(misses),
             "groups": groups,
         }
-        if misses:
-            reused = sum(1 for index in misses if cells[index].get("reused"))
-            if reused:
-                execution["reused_cells"] = reused
+        reused = sum(1 for index in misses if cells[index].get("reused"))
+        if reused:
+            execution["reused_cells"] = reused
         return {
             "workload": workload,
             "scale": scale,
@@ -1018,7 +1138,7 @@ class TuningService:
         key = self._key("sites", workload, scale, config=config, **params)
         payload = self._get(key)
         if payload is None:
-            _, hints = self.profile(workload, scale, engine=engine)
+            hints = self._hints(workload, scale, config)
             if fixed_distance is not None:
                 hints = hints_with_distance(
                     hints_with_site(hints, InjectionSite.INNER),
@@ -1140,6 +1260,11 @@ class TuningService:
                 pieces = dict(outcome.value)
                 for key, payload in pieces.pop("sim").items():
                     self._put(key, payload)
+                samples = pieces.pop("lbr", None)
+                if samples is not None:
+                    self._put(
+                        self._key("lbr", outcome.key, scale, config), samples
+                    )
                 for piece, payload in pieces.items():
                     key = self._piece_key(
                         piece, outcome.key, scale, aj_distance, config
@@ -1154,7 +1279,9 @@ class TuningService:
                     workload=name, error=errors[name]
                 )
                 continue
-            comparisons[name] = self._build_comparison(name, state[name])
+            comparisons[name] = self._build_comparison(
+                name, state[name], scale, config
+            )
         self.flush_metrics()
         return comparisons
 
@@ -1184,17 +1311,26 @@ class TuningService:
         raise ValueError(f"unknown suite piece {piece!r}")
 
     def _build_comparison(
-        self, name: str, payloads: dict[str, dict]
+        self,
+        name: str,
+        payloads: dict[str, dict],
+        scale: str,
+        config: MachineConfig,
     ) -> WorkloadComparison:
+        """One workload's comparison; the ``apt-get`` run's ``profile``
+        is loaded from the sample entry on its first read."""
         comparison = WorkloadComparison(workload=name)
         comparison.runs["baseline"] = run_from_payload(payloads["baseline"])
         comparison.runs["aj"] = run_from_payload(payloads["aj"])
         apt = run_from_payload(payloads["apt"])
-        profile, hints = profile_from_payload(payloads["profile"])
-        apt.profile = profile
         if apt.hints is None:
-            apt.hints = hints
-        comparison.runs["apt-get"] = apt
+            apt.hints = HintSet.from_dict(payloads["profile"]["hints"])
+        comparison.runs["apt-get"] = _LazyProfileRun(
+            apt,
+            lambda: profile_from_payload(
+                *self.profile_payloads(name, scale, config)
+            ),
+        )
         return comparison
 
     # ------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Content-addressed artifact store for the tuning service.
 
-Artifacts (execution profiles, hint sets, scheme-run summaries, and
-per-injection-site timeliness rollups under the ``sites`` kind) are
+Artifacts (profiles under ``profile`` with their LBR samples under
+``lbr``, scheme-run summaries under ``run``, finished sweep grids under
+``sweep``, and per-injection-site timeliness rollups under ``sites``) are
 keyed by a stable SHA-256 digest of the :class:`CacheKey` — (artifact
 kind, workload name, scale, machine-config fingerprint, extra params,
 schema version) — and stored as schema-versioned JSON files:
@@ -97,7 +98,7 @@ def _digest_config(config) -> str:
 class CacheKey:
     """Identity of one cached artifact."""
 
-    kind: str  # "profile", "run", "sites", ...
+    kind: str  # "profile", "lbr", "run", "sweep", "sites", ...
     workload: str
     scale: str
     config: str  # machine-config fingerprint

@@ -208,6 +208,34 @@ class TestExecute:
         assert len(result.hint_set()) >= 1
         assert result.execution_profile().counters.cycles > 0
 
+    def test_profile_result_bytes_match_a_fresh_profile(self, tmp_path):
+        """A v1 ``ProfileResult`` is built from the stored entries, cold
+        or warm, byte for byte as from the profile object itself."""
+        from repro.experiments.runner import profile_workload
+        from repro.workloads.registry import make_workload
+
+        cold = TuningService(cache_dir=tmp_path)
+        profile, hints = profile_workload(
+            make_workload("HJ8-tiny", "tiny"), config=cold.config
+        )
+        expected = api.ProfileResult(
+            workload="HJ8-tiny",
+            scale="tiny",
+            engine=cold.config.engine,
+            profile={
+                "profile": json.loads(profile.to_json()),
+                "counters": profile.counters.as_dict(),
+            },
+            hints=json.loads(hints.to_json()),
+        ).to_json()
+        request = api.ProfileRequest(workload="HJ8-tiny", scale="tiny")
+        for service in (cold, TuningService(cache_dir=tmp_path),
+                        TuningService()):
+            assert api.execute(request, service=service).to_json() == (
+                expected
+            )
+        assert profile.lbr_samples
+
     def test_site_report_result_round_trips(self):
         service = TuningService()
         result = api.site_report("micro-tiny", "tiny", service=service)
@@ -515,6 +543,74 @@ class TestSweep:
         )
         assert service.request_key(a) != service.request_key(different)
 
+    @staticmethod
+    def count_gets(monkeypatch, service) -> list:
+        """Every ``store.get`` key the service looks up from now on."""
+        keys = []
+        real_get = service.store.get
+        monkeypatch.setattr(
+            service.store, "get",
+            lambda key: keys.append(key) or real_get(key),
+        )
+        return keys
+
+    def test_cached_sweep_is_one_store_get(self, monkeypatch):
+        service = TuningService()
+        request = api.SweepRequest(
+            workload="micro-tiny", scale="tiny",
+            schemes=("baseline", "aj", "apt-get"), distances=(2, 4),
+            cache_scales=(1, 2),
+        )
+        first = api.execute(request, service=service)
+        gets = self.count_gets(monkeypatch, service)
+        counters = dict(service.metrics.counters())
+        again = api.execute(request, service=service)
+        assert gets == [service.request_key(request)]
+        assert [c["run"] for c in again.cells] == [
+            c["run"] for c in first.cells
+        ]
+        assert [
+            (c["scheme"], c["distance"], c["cache_scale"]) for c in again.cells
+        ] == request.cells()
+        assert all(
+            c["cached"] is True and c["batched"] is None for c in again.cells
+        )
+        assert again.execution == {
+            "cached_cells": 8, "computed_cells": 0, "groups": [],
+        }
+        after = service.metrics.counters()
+        grown = {
+            name: after[name] - counters.get(name, 0)
+            for name in after if after[name] != counters.get(name, 0)
+        }
+        assert grown == {
+            "cache.hits": 1, "sweep.cells": 8, "sweep.cached_cells": 8,
+        }
+
+    def test_partly_cached_grid_takes_the_per_cell_path(self, monkeypatch):
+        service = TuningService()
+        api.run(
+            "micro-tiny", "tiny", scheme="aj", distance=4, service=service
+        )
+        gets = self.count_gets(monkeypatch, service)
+        payload = service.sweep(
+            "micro-tiny", "tiny",
+            schemes=("aj",), distances=(4, 8), cache_scales=(1,),
+        )
+        assert [key.kind for key in gets[:3]] == ["sweep", "run", "run"]
+        by_distance = {cell["distance"]: cell for cell in payload["cells"]}
+        assert by_distance[4]["cached"] and not by_distance[8]["cached"]
+        assert payload["execution"]["computed_cells"] == 1
+        del gets[:]
+        again = service.sweep(
+            "micro-tiny", "tiny",
+            schemes=("aj",), distances=(8, 4), cache_scales=(1,),
+        )
+        assert [key.kind for key in gets] == ["sweep"]
+        assert [c["run"] for c in again["cells"]] == [
+            c["run"] for c in payload["cells"]
+        ]
+
     def test_second_sweep_is_fully_cached(self, tmp_path):
         first = TuningService(cache_dir=tmp_path)
         first.sweep("micro-tiny", "tiny", **self.GRID)
@@ -607,8 +703,9 @@ class TestEngineAwareCacheKeys:
 
 
 class TestRequestDigestsUnchanged:
-    """Simulation entries add an artifact kind; they change no request
-    key.  Digests recorded before the entries existed."""
+    """Simulation, sample and sweep entries add artifact kinds; they
+    change no request key.  Digests recorded before any of them
+    existed."""
 
     @pytest.mark.parametrize(
         "request_, digest",

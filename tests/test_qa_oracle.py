@@ -39,6 +39,26 @@ def test_generated_programs_pass_full_matrix():
         assert checked == len(config.schemes) * len(config.engines)
 
 
+def test_every_generated_program_takes_an_lbr_sample():
+    # The differential compares LBR sample streams; an empty stream on
+    # every engine would hide any sampling defect.
+    from repro.machine.machine import Machine
+    from repro.qa.generate import build_program
+
+    config = OracleConfig()
+    empty = []
+    for seed in range(50):
+        module, space = build_program(generate_spec(seed))
+        machine = Machine(
+            module, space, config=config.machine_config(), engine="reference"
+        )
+        machine.enable_profiling(period=config.sample_period)
+        machine.run(config.function)
+        if not machine.sampler.samples:
+            empty.append(seed)
+    assert empty == []
+
+
 def test_batch_axis_is_bit_identical():
     # Uniform cache-scale batch + divergent A&J-distance batch, each
     # cell identical to a fresh sequential Machine run.

@@ -394,6 +394,117 @@ class TestSimulationEntries:
         assert len(machine_runs) == 1  # micro-tiny's hint is inner already
 
 
+@pytest.fixture()
+def sample_decodes(monkeypatch):
+    """Every ``LBREntry`` built while decoding a stored profile's
+    samples (the name ``ExecutionProfile.from_dict`` builds them by)."""
+    import repro.profiling.profile as profile_module
+
+    made = []
+    real = profile_module.LBREntry
+
+    def counting(*fields):
+        made.append(fields)
+        return real(*fields)
+
+    monkeypatch.setattr(profile_module, "LBREntry", counting)
+    return made
+
+
+class TestHintReadersSkipSamples:
+    """Hint readers read the small ``profile`` entry alone; the LBR
+    samples live in their own ``lbr`` entry and are decoded only for a
+    caller that reads them."""
+
+    def test_fig8_hint_reads_decode_no_samples(
+        self, monkeypatch, sample_decodes
+    ):
+        from repro.experiments import fig8
+
+        monkeypatch.setattr(fig8, "scale_suite", lambda scale: ["HJ8-tiny"])
+        configure_service()
+        fig8.run("tiny")
+        fig8.run("tiny")
+        assert sample_decodes == []
+        # The positive control: the samples are there to decode.
+        profile, _ = get_service().profile("HJ8-tiny", "tiny")
+        assert profile.lbr_samples and len(sample_decodes) > 0
+
+    def test_measure_apt_get_decodes_no_samples(self, sample_decodes):
+        service = TuningService()
+        profile, hints = service.profile("micro-tiny", "tiny")
+        assert profile.lbr_samples and sample_decodes
+        del sample_decodes[:]
+        run = service.run("micro-tiny", "tiny", scheme="apt-get")
+        assert sample_decodes == []
+        assert run.hints.to_json() == hints.to_json()
+
+    def test_compare_suite_decodes_no_samples_until_profile_read(
+        self, sample_decodes
+    ):
+        names = ["micro-tiny", "BFS-tiny"]
+        service = TuningService()
+        service.compare_suite("tiny", names=names)
+        warm = service.compare_suite("tiny", names=names)
+        assert sample_decodes == []
+        for name in names:
+            profile = warm[name].runs["apt-get"].profile
+            assert profile.load_miss_counts == (
+                service.profile(name, "tiny")[0].load_miss_counts
+            )
+        assert sample_decodes
+
+    def test_profile_reads_samples_from_their_own_entry(self):
+        service = TuningService()
+        profile, hints = service.profile("micro-tiny", "tiny")
+        config = service.config
+        entry = service.store.get(
+            service._key("profile", "micro-tiny", "tiny", config)
+        )
+        assert set(entry) == {"counters", "hints"}
+        samples = service.store.get(
+            service._key("lbr", "micro-tiny", "tiny", config)
+        )
+        assert samples == json.loads(profile.to_json())
+        assert entry["hints"] == json.loads(hints.to_json())
+
+    def test_old_shape_profile_entry(self, tmp_path, machine_runs):
+        """A profile entry written before the split carries its samples
+        inline: it answers hint readers as it is, and a sample reader
+        re-profiles and rewrites both entries."""
+        from repro import api as api_v1
+
+        cold = TuningService(cache_dir=tmp_path)
+        fresh = api_v1.execute(
+            api_v1.ProfileRequest(workload="micro-tiny", scale="tiny"),
+            service=cold,
+        )
+        config = cold.config
+        profile_key = cold._key("profile", "micro-tiny", "tiny", config)
+        lbr_key = cold._key("lbr", "micro-tiny", "tiny", config)
+        cold.store.put(
+            profile_key,
+            {"profile": fresh.profile["profile"],
+             "counters": fresh.profile["counters"],
+             "hints": fresh.hints},
+        )
+        cold.store._entry_path(lbr_key).unlink()
+
+        service = TuningService(cache_dir=tmp_path)
+        del machine_runs[:]
+        hints = service.analyze("micro-tiny", "tiny")
+        assert hints.to_dict() == fresh.hints
+        assert machine_runs == []
+        again = api_v1.execute(
+            api_v1.ProfileRequest(workload="micro-tiny", scale="tiny"),
+            service=service,
+        )
+        assert len(machine_runs) == 1
+        assert again.to_json() == fresh.to_json()
+        assert set(service.store.get(profile_key)) == {"counters", "hints"}
+        assert service.store.get(lbr_key) == fresh.profile["profile"]
+
+
 class TestEnvironmentDefaults:
     def test_get_service_reads_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "envcache"))
