@@ -17,7 +17,10 @@ With ``--sweep <workload>`` it checks a batched sweep instead: one
 scales, cold and then warm against one cache directory.  The warm pass
 must record no miss, mark every cell ``cached``, return the cold
 pass's runs, and add exactly one cache hit: the sweep's own entry
-answers the whole grid.
+answers the whole grid.  A third pass asks for the grid under
+``--engine turbo``: the default ``fast`` engine runs turbo's compiled
+form, so that pass must add no ``sim.misses`` (every cell is answered
+from the default passes' simulation entries) and return the same runs.
 
 Usage:
     python scripts/ci_cache_check.py [--experiment fig6] [--scale tiny]
@@ -31,6 +34,7 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+from typing import Optional
 
 from repro.cli import main as cli_main
 from repro.service.store import ArtifactStore
@@ -60,14 +64,23 @@ def run_experiment(name: str, scale: str, cache_dir: str, out: Path) -> None:
         raise SystemExit(f"experiment {name} exited with {code}")
 
 
-def run_sweep(workload: str, scale: str, cache_dir: str, out: Path) -> list:
-    """One ``repro.cli sweep`` of :data:`SWEEP_AXES`; returns its cells."""
+def run_sweep(
+    workload: str,
+    scale: str,
+    cache_dir: str,
+    out: Path,
+    engine: Optional[str] = None,
+) -> list:
+    """One ``repro.cli sweep`` of :data:`SWEEP_AXES` under ``engine``
+    (the default engine when None); returns its cells."""
     argv = [
         "sweep", "--workload", workload,
         "--scale", scale,
         "--cache-dir", cache_dir,
         "--output", str(out),
     ]
+    if engine is not None:
+        argv += ["--engine", engine]
     for axis in SWEEP_AXES:
         argv += ["--sweep", axis]
     code = cli_main(argv)
@@ -84,6 +97,10 @@ def check_sweep(workload: str, scale: str) -> int:
         cold_metrics = store.read_metrics()
         warm = run_sweep(workload, scale, cache_dir, Path(tmp) / "warm.json")
         warm_metrics = store.read_metrics()
+        turbo = run_sweep(
+            workload, scale, cache_dir, Path(tmp) / "turbo.json", "turbo"
+        )
+        turbo_metrics = store.read_metrics()
 
         problems = []
         for counter in ("cache.misses", "sim.misses"):
@@ -98,13 +115,20 @@ def check_sweep(workload: str, scale: str) -> int:
             problems.append("a warm sweep cell was not cached")
         if [cell["run"] for cell in warm] != [cell["run"] for cell in cold]:
             problems.append("warm sweep runs differ from the cold sweep")
+        if turbo_metrics.get("sim.misses", 0) != warm_metrics.get(
+            "sim.misses", 0
+        ):
+            problems.append("turbo sweep recorded sim.misses")
+        if [cell["run"] for cell in turbo] != [cell["run"] for cell in cold]:
+            problems.append("turbo sweep runs differ from the cold sweep")
         for problem in problems:
             print(f"FAIL: {problem}", file=sys.stderr)
         if problems:
             return 1
         print(
             f"OK: {workload}@{scale} sweep of {len(warm)} cells answered "
-            "warm by one cache hit, runs identical"
+            "warm by one cache hit and under turbo by the default passes' "
+            "simulations, runs identical"
         )
         cli_main(["cache", "stats", "--cache-dir", cache_dir])
     return 0

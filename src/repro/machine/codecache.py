@@ -6,8 +6,8 @@ whole-function module, on every worker spawn — BENCH_engines.json puts
 the cold build at 0.1–0.4 s per workload.  This module makes both
 compiled forms first-class content-addressed artifacts.  The ``fast``
 engine name runs the turbo compiled form, so it is keyed as ``turbo``
-(see :func:`cache_identity`) and the two names share one entry per
-function:
+(see :func:`repro.machine.config.compiled_identity`) and the two names
+share one entry per function:
 
 * **What is stored.**  Per compiled function, the generated sources
   plus their compiled code objects as base64 ``marshal`` blobs — the
@@ -56,12 +56,11 @@ import hashlib
 import marshal
 import sys
 import types
-from dataclasses import replace
 from typing import Optional
 
 from repro.ir.printer import format_function
 from repro.machine.blockengine import compile_blocks
-from repro.machine.config import MachineConfig
+from repro.machine.config import MachineConfig, compiled_identity
 from repro.machine.interpreter import ExecutionLimitExceeded
 from repro.machine.sampler import NEVER
 from repro.machine.superblock import (
@@ -93,16 +92,6 @@ def ir_fingerprint(function) -> str:
 
 class CodeCacheInvalid(Exception):
     """A cached payload failed validation (stale, torn, or foreign)."""
-
-
-def cache_identity(config: MachineConfig, engine: str) -> tuple:
-    """The (config, engine) a compiled form is keyed and built under:
-    ``fast`` runs turbo's compiled form, so it is keyed as ``turbo`` with
-    ``config.engine`` set to match — a ``fast``- and a ``turbo``-named run
-    of one function share one entry, and turbo keys are unchanged."""
-    if engine == "fast":
-        return replace(config, engine="turbo"), "turbo"
-    return config, engine
 
 
 # ----------------------------------------------------------------------
@@ -302,7 +291,7 @@ class CodeCache:
     def key(self, function, config: MachineConfig, engine: str):
         from repro.service.store import CacheKey, config_fingerprint
 
-        config, engine = cache_identity(config, engine)
+        config, engine = compiled_identity(config, engine)
         return CacheKey.make(
             self.KIND,
             function.name,
@@ -319,7 +308,7 @@ class CodeCache:
     def load_or_compile(self, function, config: MachineConfig, engine: str):
         """The Machine-facing entry point: cached load when possible,
         fresh compile (recorded, re-put) otherwise."""
-        config, engine = cache_identity(config, engine)
+        config, engine = compiled_identity(config, engine)
         if engine == "turbo":
             build, pack, load = compile_turbo, _pack_turbo, _load_turbo
         else:

@@ -26,8 +26,10 @@ from repro.mem.config import CacheConfig, MemoryConfig
 #:   fused hot-loop superblocks with steady-state bulk stepping
 #:   (repro.machine.superblock).
 #: * ``fast`` — the default name; runs exactly turbo's compiled form.
-#:   It is not an alias: v1 results report it and run/dedup keys keep
-#:   it apart from ``turbo`` (only the code cache shares one entry).
+#:   It is not an alias: v1 results report it and request/dedup keys
+#:   keep it apart from ``turbo``; what a run computes (code-cache,
+#:   ``sim``, ``profile`` and ``lbr`` entries) is keyed by
+#:   :func:`compiled_identity` and shared with ``turbo``.
 #: * ``translate`` — source-codegen engine (repro.machine.translator).
 #: * ``reference`` — the obviously-correct interpreter the others are
 #:   differentially tested against (repro.machine.interpreter).
@@ -44,6 +46,31 @@ def normalize_engine(engine: str) -> str:
         known = ENGINES + tuple(ENGINE_ALIASES)
         raise ValueError(f"engine must be one of {known}, got {engine!r}")
     return canonical
+
+
+def compiled_identity(
+    config: "MachineConfig", engine: str
+) -> tuple["MachineConfig", str]:
+    """The (config, engine) whose compiled code a run of ``engine``
+    under ``config`` executes.  ``fast`` runs turbo's compiled form, so
+    it maps to ``turbo``, with ``config.engine`` set to match: keys built
+    from the result are shared by the two names, and turbo's own keys are
+    unchanged.  Every other engine maps to itself.  The mapped config is
+    built once per config object (so its fingerprint memo holds)."""
+    if engine != "fast":
+        return config, engine
+    entry = _compiled_memo.get(id(config))
+    if entry is None or entry[0] is not config:
+        if len(_compiled_memo) >= _COMPILED_MEMO_SIZE:
+            _compiled_memo.clear()
+        entry = (config, replace(config, engine="turbo"))
+        _compiled_memo[id(config)] = entry
+    return entry[1], "turbo"
+
+
+#: id(config) -> (config, its turbo-engine twin); emptied when full.
+_compiled_memo: dict[int, tuple["MachineConfig", "MachineConfig"]] = {}
+_COMPILED_MEMO_SIZE = 256
 
 
 def _default_engine() -> str:

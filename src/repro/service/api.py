@@ -40,7 +40,11 @@ from repro.experiments.runner import (
 )
 from repro.machine.batch import BatchCell, run_batch
 from repro.machine.codecache import resolve as code_cache_resolve
-from repro.machine.config import MachineConfig, normalize_engine
+from repro.machine.config import (
+    MachineConfig,
+    compiled_identity,
+    normalize_engine,
+)
 from repro.machine.machine import Machine, RunResult
 from repro.obs import telemetry
 from repro.obs.sites import SiteReport, site_reports
@@ -142,17 +146,35 @@ def run_from_payload(payload: dict) -> SchemeRun:
     )
 
 
+#: Kinds a simulation computes.  They are keyed by the compiled code
+#: that ran (:func:`~repro.machine.config.compiled_identity`), so the
+#: ``fast`` and ``turbo`` names share them.
+SIMULATED_KINDS = frozenset({"sim", "profile", "lbr"})
+
+
 def artifact_key(
     kind: str, workload: str, scale: str, config: MachineConfig, **params
 ) -> CacheKey:
     """The key of one artifact computed under ``config``.
 
-    Every key names the engine and the memory-hierarchy fingerprint
-    explicitly (on top of the whole-config fingerprint), so runs with
-    different engines or cache geometries can never collide in a shared
-    cache directory — and a human reading the store can tell which
-    engine produced an artifact.
+    Every key names an engine and the memory-hierarchy fingerprint
+    explicitly (on top of the whole-config fingerprint), so artifacts of
+    engines that run different code, or of different cache geometries,
+    never collide in a shared cache directory — and a human reading the
+    store can tell which engine produced an artifact.  A kind in
+    :data:`SIMULATED_KINDS` names the compiled engine that ran: a
+    ``fast`` entry is stored under ``turbo``'s key.  Every other kind
+    names the requested engine.
     """
+    if kind in SIMULATED_KINDS:
+        config, _ = compiled_identity(config, config.engine)
+    return _named_key(kind, workload, scale, config, **params)
+
+
+def _named_key(
+    kind: str, workload: str, scale: str, config: MachineConfig, **params
+) -> CacheKey:
+    """The key of ``kind`` naming ``config.engine`` as it is."""
     return CacheKey.make(
         kind,
         workload,
@@ -169,10 +191,12 @@ class SimEntries:
     machine config: one ``sim`` artifact per distinct simulated program.
 
     An entry is keyed by what the run simulates — workload, scale, the
-    engine-aware config fingerprint, a digest of the printed final
-    module and the entry function — and holds ``{value, counters}``.
-    Runs that simulate the same program (a profiling run and a baseline
-    run; an override that leaves the hints as they were) therefore
+    fingerprint of the config with its compiled engine (``fast`` is
+    keyed as ``turbo``, see :func:`artifact_key`), a digest of the
+    printed final module and the entry function — and holds ``{value,
+    counters}``.  Runs that simulate the same program (a profiling run
+    and a baseline run; an override that leaves the hints as they were;
+    one program asked for under ``fast`` and under ``turbo``) therefore
     share one simulation.  ``lookup``/``record`` are the storage: the
     service's store, or a job's own dict.
     """
@@ -546,24 +570,29 @@ class TuningService:
             self.store.put(key, payload)
 
     def request_key(self, request) -> CacheKey:
-        """The engine-aware artifact key identifying a v1 request.
+        """The artifact key identifying a v1 request; it names the
+        requested engine.
 
-        For profile/run/site-report requests this is *exactly* the key
-        the corresponding artifact is cached under, so the ``repro.serve``
+        For run/site-report requests this is *exactly* the key the
+        corresponding artifact is cached under, so the ``repro.serve``
         queue deduplicating on its digest is idempotent with the cache:
         two submissions of one request share one execution and one
-        stored artifact.  Suite requests get a composite key in the same
-        family (kind ``suite``) naming the resolved workload list; sweep
-        requests a composite key (kind ``sweep``) naming the canonical
-        axis grid, so two submissions of the same grid in any axis order
-        share one digest.
+        stored artifact.  A profile request's key names the requested
+        engine too, so its dedup digest is unchanged, but a ``fast``
+        profile's entry is stored under ``turbo``'s key
+        (:data:`SIMULATED_KINDS`): the two names' requests dedup apart
+        and share one profile.  Suite requests get a composite key in
+        the same family (kind ``suite``) naming the resolved workload
+        list; sweep requests a composite key (kind ``sweep``) naming the
+        canonical axis grid, so two submissions of the same grid in any
+        axis order share one digest.
         """
         from repro import api as api_v1
 
         config = self._config_for(getattr(request, "engine", None))
         if isinstance(request, api_v1.ProfileRequest):
-            return self._key(
-                "profile", request.workload, request.scale, config=config
+            return _named_key(
+                "profile", request.workload, request.scale, config
             )
         if isinstance(request, api_v1.RunRequest):
             params = {"scheme": request.scheme}

@@ -202,6 +202,22 @@ def build_nested_indirect(
 
 
 @pytest.fixture()
+def machine_runs(monkeypatch):
+    """Every ``Machine.run`` call made while the test runs."""
+    from repro.machine.machine import Machine
+
+    calls = []
+    original = Machine.run
+
+    def counting(machine, *args, **kwargs):
+        calls.append(machine)
+        return original(machine, *args, **kwargs)
+
+    monkeypatch.setattr(Machine, "run", counting)
+    return calls
+
+
+@pytest.fixture()
 def sum_loop():
     return build_sum_loop()
 

@@ -1,14 +1,16 @@
 """The default ``fast`` engine name runs turbo's superblock code.
 
 ``fast`` stays a canonical engine name — it is the ``MachineConfig``
-default, every v1 result reports it, and it is part of every artifact
+default, every v1 result reports it, and it is part of every request
 and dedup key — but it compiles to the same
 :class:`~repro.machine.superblock.TurboCompiledFunction` the ``turbo``
-name does, shares its code-cache entry, and produces the same
-observations bit for bit.
+name does, shares its code-cache and simulation entries, and produces
+the same observations bit for bit.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 
@@ -68,9 +70,10 @@ def test_fast_and_turbo_names_are_bit_identical(name, traced):
 
 def test_default_engine_keeps_its_name_and_key(tmp_path, monkeypatch):
     """Requests without an engine still resolve to ``fast`` and keep a
-    dedup key of their own, while the compiled code is turbo's: a
-    ``turbo`` request for the same workload loads the code-cache entry
-    the default request wrote."""
+    dedup key of their own, while the compiled code is turbo's: the
+    ``turbo`` twin is answered from the default request's simulation
+    (it compiles nothing), and a direct ``turbo`` Machine run loads the
+    code-cache entry the default request wrote."""
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
     service = TuningService(cache_dir=tmp_path)
     try:
@@ -87,6 +90,17 @@ def test_default_engine_keeps_its_name_and_key(tmp_path, monkeypatch):
         assert second.engine == "turbo"
         assert second.counters == first.counters
         assert service.code_cache.misses == misses
-        assert service.code_cache.hits >= misses
+
+        hits = service.code_cache.hits
+        workload = make_workload("micro-tiny", "tiny")
+        module, space = workload.build()
+        machine = Machine(
+            module, space, config=replace(service.config, engine="turbo")
+        )
+        assert machine.run(workload.entry).counters.as_dict() == (
+            first.counters
+        )
+        assert service.code_cache.misses == misses
+        assert service.code_cache.hits > hits
     finally:
         codecache.forget(tmp_path)

@@ -49,6 +49,38 @@ class TestRunOne:
         direct = api.execute(request, service=TuningService())
         assert direct.to_json() == json.dumps(served, sort_keys=True)
 
+    def test_turbo_twin_of_a_default_job_simulates_nothing(
+        self, queue_dir, monkeypatch, machine_runs
+    ):
+        """``fast`` (the default) and ``turbo`` run one compiled form:
+        the twins dedup apart, and the second is answered from the
+        first's simulation entries."""
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        worker = AgentWorker(queue_dir, poll_interval=0.01)
+        default = api.RunRequest(workload="micro-tiny", scale="tiny")
+        turbo = api.RunRequest(
+            workload="micro-tiny", scale="tiny", engine="turbo"
+        )
+        ids = []
+        for request in (default, turbo):
+            record, deduped = worker.queue.submit(
+                type(request).__name__, request.to_payload(),
+                dedup_key=worker.service.request_key(request).digest(),
+            )
+            assert not deduped
+            ids.append(record.id)
+        assert worker.run_one()
+        assert worker.queue.get(ids[0]).state == "done"
+        assert len(machine_runs) == 1
+        misses = worker.metrics.get("sim.misses")
+        assert worker.run_one()
+        final = worker.queue.get(ids[1])
+        assert final.state == "done"
+        assert len(machine_runs) == 1
+        assert worker.metrics.get("sim.misses") == misses
+        direct = api.execute(turbo, service=TuningService())
+        assert direct.to_json() == json.dumps(final.result, sort_keys=True)
+
     def test_empty_queue_is_a_noop(self, worker):
         assert not worker.run_one()
 

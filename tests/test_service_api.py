@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import repro.api as api
 import repro.service.api as service_api
 from repro.cli import main
 from repro.service.api import TuningService, configure_service, get_service
@@ -176,22 +177,6 @@ class TestSiteReport:
         assert timely(eq1) > timely(fixed)
 
 
-@pytest.fixture()
-def machine_runs(monkeypatch):
-    """Every ``Machine.run`` call made while the test runs."""
-    from repro.machine.machine import Machine
-
-    calls = []
-    original = Machine.run
-
-    def counting(machine, *args, **kwargs):
-        calls.append(machine)
-        return original(machine, *args, **kwargs)
-
-    monkeypatch.setattr(Machine, "run", counting)
-    return calls
-
-
 class TestHintOverrides:
     """``run(scheme="apt-get", hint_distance=..., site=...)``: the
     sensitivity studies' runs on the single-run cache."""
@@ -342,8 +327,10 @@ class TestSimulationEntries:
         )
 
     def test_entries_never_cross_engines(self, machine_runs):
+        # translate runs code of its own: turbo shares none of its
+        # entries (``fast`` does; see TestFastSharesTurboSimulations).
         service = TuningService()
-        service.profile("HJ8-tiny", "tiny", engine="fast")
+        service.profile("HJ8-tiny", "tiny", engine="translate")
         del machine_runs[:]
         turbo = service.run(
             "HJ8-tiny", "tiny", scheme="baseline", engine="turbo"
@@ -392,6 +379,73 @@ class TestSimulationEntries:
         assert len(machine_runs) == 1
         service.run("micro-tiny", "tiny", scheme="apt-get", site="inner")
         assert len(machine_runs) == 1  # micro-tiny's hint is inner already
+
+
+class TestFastSharesTurboSimulations:
+    """``fast`` runs turbo's compiled form, so the entries a simulation
+    computes (``sim``, ``profile``, ``lbr``) are shared by the two names,
+    in either order; request keys and results keep the requested name."""
+
+    REQUESTS = {
+        "profile": lambda engine: api.ProfileRequest(
+            workload="micro-tiny", scale="tiny", engine=engine
+        ),
+        "baseline": lambda engine: api.RunRequest(
+            workload="micro-tiny", scale="tiny", engine=engine
+        ),
+        "apt-get": lambda engine: api.RunRequest(
+            workload="micro-tiny", scale="tiny", scheme="apt-get",
+            engine=engine,
+        ),
+        "aj": lambda engine: api.RunRequest(
+            workload="micro-tiny", scale="tiny", scheme="aj", distance=8,
+            engine=engine,
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(REQUESTS))
+    @pytest.mark.parametrize(
+        "first, second", [("fast", "turbo"), ("turbo", "fast")]
+    )
+    def test_second_name_simulates_nothing(
+        self, kind, first, second, machine_runs
+    ):
+        service = TuningService()
+        make = self.REQUESTS[kind]
+        request = make(second)
+        assert service.request_key(make(first)).digest() != (
+            service.request_key(request).digest()
+        )
+        service.execute(make(first))
+        del machine_runs[:]
+        sim_hits = service.metrics.get("sim.hits") or 0
+        cache_hits = service.metrics.get("cache.hits") or 0
+        sim_misses = service.metrics.get("sim.misses") or 0
+        result = service.execute(request)
+        assert machine_runs == []
+        assert result.engine == second
+        assert (service.metrics.get("sim.misses") or 0) == sim_misses
+        if kind == "profile":
+            # The shared profile entry answers it: no simulation lookup.
+            assert service.metrics.get("cache.hits") == cache_hits + 1
+        else:
+            assert service.metrics.get("sim.hits") == sim_hits + 1
+        fresh = api.execute(request, service=TuningService())
+        assert result.to_json() == fresh.to_json()
+
+    @pytest.mark.parametrize("other", ["translate", "reference"])
+    @pytest.mark.parametrize("kind", sorted(service_api.SIMULATED_KINDS))
+    def test_only_fast_shares_turbo_keys(self, kind, other):
+        from repro.machine.config import MachineConfig
+
+        def key(engine):
+            return service_api.artifact_key(
+                kind, "micro-tiny", "tiny", MachineConfig(engine=engine)
+            )
+
+        assert key("fast") == key("turbo")
+        assert key(other) != key("turbo")
+        assert dict(key("fast").params)["engine"] == "turbo"
 
 
 @pytest.fixture()
