@@ -16,9 +16,10 @@ Six gates, all with fixed seeds so the job is deterministic:
    the same oracle (they are shrunk former failures or seeded
    construct-coverage programs).
 4. **Mutation self-test** — a scratch engine copy with a seeded
-   off-by-one in its cycle accounting, and one whose sample point
+   off-by-one in its cycle accounting, one with an off-by-one in the
+   fused stepper's back-edge retired count, and one whose sample point
    charges a cycle, must each be *caught* by the oracle (the engine
-   differential and the profiling axis respectively) and *shrunk* to
+   differential, twice, and the profiling axis) and *shrunk* to
    at most ``--max-mutant-blocks`` basic blocks, proving the finder
    and the minimizer both work.
 5. **Batch axis** — every corpus case plus ``--batch-budget`` generated
@@ -56,6 +57,7 @@ from repro.qa.generate import GeneratorConfig, generate_spec
 from repro.qa.mutants import (
     mutant_oracle_setup,
     profiling_mutant_oracle_setup,
+    turbo_mutant_oracle_setup,
 )
 from repro.qa.oracle import (
     OracleFailure,
@@ -77,7 +79,6 @@ SANITY_MODULES = (
     "repro.machine.fusion",
     "repro.machine.interpreter",
     "repro.machine.machine",
-    "repro.machine.superblock",
     "repro.machine.translator",
     "repro.mem.batch",
     "repro.mem.fastpath",
@@ -145,6 +146,7 @@ def check_corpus_replay() -> bool:
 #: Mutation self-tests: (name, oracle setup, the check that must fire).
 MUTANTS = (
     ("off-by-one engine", mutant_oracle_setup, "differential"),
+    ("off-by-one fused stepper", turbo_mutant_oracle_setup, "differential"),
     ("sample-leak engine", profiling_mutant_oracle_setup, "profiling"),
 )
 

@@ -7,6 +7,7 @@ from repro.machine.batch import (
     BatchOutcome,
     run_batch,
 )
+from repro.machine.batchturbo import compile_fused
 from repro.machine.blockengine import BlockCompiledFunction, compile_blocks
 from repro.machine.config import (
     DEFAULT_CONFIG,
@@ -22,7 +23,6 @@ from repro.machine.lbr import LastBranchRecord, LBREntry, NullLBR
 from repro.machine.machine import Machine, RunResult
 from repro.machine.pmu import Counters, PerfStat
 from repro.machine.sampler import ProfileSampler
-from repro.machine.superblock import TurboCompiledFunction, compile_turbo
 from repro.machine.translator import CompiledFunction, compile_function
 
 __all__ = [
@@ -46,10 +46,9 @@ __all__ = [
     "PerfStat",
     "ProfileSampler",
     "RunResult",
-    "TurboCompiledFunction",
     "compile_blocks",
     "compile_function",
-    "compile_turbo",
+    "compile_fused",
     "normalize_engine",
     "paper_like_memory",
     "run_batch",

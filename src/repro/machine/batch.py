@@ -65,7 +65,6 @@ from repro.machine.blockengine import (
     _select_op,
 )
 from repro.machine.config import MachineConfig
-from repro.machine.machine import Machine, RunResult
 from repro.mem.address import AddressSpace
 from repro.mem.batch import CellState, shared_space
 
@@ -1140,6 +1139,10 @@ class BatchMachine:
     ) -> list:
         """Execute ``function`` across all cells; one
         :class:`~repro.machine.machine.RunResult` per cell."""
+        # Imported here: the sequential engine compiles through
+        # batchturbo, which builds on this module.
+        from repro.machine.machine import RunResult
+
         if function not in self.plans:
             raise IRError(f"module has no function {function!r}")
         self._ran = True
@@ -1267,6 +1270,8 @@ def run_batch(
         outcome.shadowed += len(machine.shadows)
         outcome.shadow_aborts += machine.shadow_aborts
     outcome.replayed = tuple(sorted(replayed))
+    from repro.machine.machine import Machine
+
     for position in outcome.replayed:
         cell = cells[position]
         outcome.results[position] = Machine(

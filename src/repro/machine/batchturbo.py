@@ -1,72 +1,109 @@
-"""Batched superblock tier: turbo-style loop fusion across sweep cells.
+"""The one fused-nest generator: loop fusion for one run or N sweep cells.
 
-The per-block batch chains (:mod:`repro.machine.batch`) share one
-front-end across N sweep cells, but they still pay, per loop
+The per-block closure chains (:mod:`repro.machine.blockengine` for one
+run, :mod:`repro.machine.batch` for N sweep cells) pay, per loop
 iteration, one closure call per op plus a dispatch round trip per
-block — and every memory op's closure re-binds its per-cell state.
-This module fuses the same loop nests the sequential turbo tier fuses
-(the analysis is shared, :mod:`repro.machine.fusion`) into one
-generated function per nest that steps **all cells per iteration**:
+block.  For the loop-dominated workloads the paper targets that
+dispatch overhead *is* the simulator's hot path.  This module compiles
+every *linear single-latch* loop nest (the analysis is shared,
+:mod:`repro.machine.fusion`) into one generated function that runs
+whole iterations straight-line, innermost loops inlined as nested
+``while`` loops: a 60k-trip outer loop around an 8-trip inner loop
+costs one Python call, not 60k.  Registers live in Python locals, PHI
+edge copies become fixed local assignments, and per-iteration
+retired/load/store/taken counts fold into compile-time constants
+applied once per back edge.
 
-* uniform registers live in Python locals; divergent registers stay in
-  the per-cell overlays (``st.D``);
-* each straight-line segment of a block is emitted in two steps: first
-  its uniform work — addresses, functional loads and stores through the
-  per-site segment caches, uniform ALU — then **one** cell loop
-  (``for _i, <views> in CELLS:``, unpacking each cell's views once)
-  that does all per-cell work in program order: divergent ALU plus the
-  timing arm of every load, store and prefetch.  The loop closes early before a uniform register it
-  reads is rewritten, and before a uniform functional access that
-  follows a divergent functional load (an A&J slice load's clamped
-  address can alias a later store, and must fault first); it always
-  closes before the terminator and its edge copies.  Hoisted values use
-  per-site temporaries (``_a<k>``, ``_l<k>``, ``_v<k>``); a divergent
-  register the loop defines and alone reads lives in a loop-local
-  (``_x<N>``), not in its overlay slot;
-* when some cells share a config (shadow cells, see
-  :mod:`repro.machine.batch`), the cell loop runs over the live cells
-  only and records, at each divergent-address load or prefetch, the
-  line key ``_g<k>[_i]`` the cell's timing depends on; a second loop
-  from the same segment body, ``for _j, _i in SHADOWS:``, then runs
-  each shadow's functional lines and compares its own key with its
-  leader's ``_g<k>[_j]``, raising
-  :class:`~repro.machine.batch.ShadowMismatch` on the first
-  difference.  A segment with no memory op has no timing, so its one
-  loop runs over every cell;
-* timing arms advance each cell's private L1/L2/LLC + MSHR state with
-  the L1-hit arm inlined exactly as the sequential turbo tier inlines
-  it (:mod:`repro.mem.fastpath` views, pop/re-insert LRU refresh,
-  prefetch-usefulness consumption), and so is the software-prefetch
-  arm: a mapped prefetch whose line is in the cell's L1 with no MSHR
-  drain due is counted issued and redundant in place
-  (:func:`repro.mem.fastpath.prefetch_arm`, the emitter turbo uses
-  too).  Everything else calls the cell's port;
-* per-iteration retired/load/store/taken counts fold into compile-time
-  constants applied once per back edge — uniform across cells by
-  construction (divergent WORK amounts reject the batch up front);
-* constant cycle costs are *deferred*, not materialized per op: the
-  compile-time pending constant rides in the codegen, one runtime local
-  ``_pc`` carries pending cycles across back edges, and a cell loop
-  keeps the cell's clock in a local ``_y`` (started from ``cy[_i]``
-  plus everything deferred, stored back once).  Nothing observes a
-  cell's clock between materialization points (batched runs never
-  sample or trace), so deferral is invisible — the ``now`` handed to
-  every port call is bit-identical to the per-block chains'.  A hoisted
-  functional access may fault before the timing of earlier ops in its
-  block; nothing reads timing once a run raises, and the error is the
-  sequential engines' own.
+One generator serves both tiers, specialized by cell count (a fact of
+the call, not a knob):
 
-**Guards.**  Batched runs have exactly one observation point: the
-instruction-budget check at block dispatch.  The generated function
-hoists ``_gm = st.max_instructions - st.retired`` once (the budget is
-run-constant) and guards ``_rt + bound_retired > _gm`` per back edge,
-where ``bound_retired`` is the whole nest's worst-case per-iteration
-retire count — the min-of-cells bound is the single shared bound, since
-cost fields are verified uniform across cells at batch construction.
-When the guard trips the stepper flushes and returns at an exact block
-header; the entry guard declines with ``-1`` instead, and per-block
-dispatch replays to the exact boundary — the budget raise fires at the
-identical block the sequential engines fire it at.
+* **One cell** — :func:`compile_fused`, the compiled form of the
+  ``turbo`` and ``fast`` engine names.  The steppers plug into
+  :class:`~repro.machine.blockengine.BlockCompiledFunction`'s
+  superblock slots.  The cell's views and ports are bound once at
+  entry, the cell-loop bodies below are emitted inline (no cell loop,
+  no shadow code), and the clock lives in the local ``_y`` with
+  constant costs folded straight into it.  Two variants are generated
+  per nest: a *plain* one, and a *profiled* one that adds the
+  sample guard (``_gc = st.next_sample - bound_cycles``), a PEBS
+  ``record_load`` for every load at or above the threshold, and an
+  ``lbr_push((pc, target_pc, _y))`` at every taken branch, with the
+  clock materialized there — so sampled runs stay fused and exact.
+  Inner loops keep standalone steppers at their own headers: that is
+  where a run resumed after a mid-nest sample re-enters bulk stepping.
+* **N cells** — :func:`compile_batch_turbo`, the batched sweep tier,
+  stepping **all cells per iteration**:
+
+  * uniform registers live in Python locals; divergent registers stay in
+    the per-cell overlays (``st.D``);
+  * each straight-line segment of a block is emitted in two steps: first
+    its uniform work — addresses, functional loads and stores through the
+    per-site segment caches, uniform ALU — then **one** cell loop
+    (``for _i, <views> in CELLS:``, unpacking each cell's views once)
+    that does all per-cell work in program order: divergent ALU plus the
+    timing arm of every load, store and prefetch.  The loop closes
+    early before a uniform register it reads is rewritten, and before
+    a uniform functional access that follows a divergent functional
+    load (an A&J slice load's clamped address can alias a later store,
+    and must fault first); it always closes before the terminator and
+    its edge copies.  Hoisted values use
+    per-site temporaries (``_a<k>``, ``_l<k>``, ``_v<k>``); a divergent
+    register the loop defines and alone reads lives in a loop-local
+    (``_x<N>``), not in its overlay slot;
+  * when some cells share a config (shadow cells, see
+    :mod:`repro.machine.batch`), the cell loop runs over the live cells
+    only and records, at each divergent-address load or prefetch, the
+    line key ``_g<k>[_i]`` the cell's timing depends on; a second loop
+    from the same segment body, ``for _j, _i in SHADOWS:``, then runs
+    each shadow's functional lines and compares its own key with its
+    leader's ``_g<k>[_j]``, raising
+    :class:`~repro.machine.batch.ShadowMismatch` on the first
+    difference.  A segment with no memory op has no timing, so its one
+    loop runs over every cell;
+  * timing arms advance each cell's private L1/L2/LLC + MSHR state with
+    the L1-hit arm inlined (:mod:`repro.mem.fastpath` views,
+    pop/re-insert LRU refresh, prefetch-usefulness consumption), and so
+    is the software-prefetch arm: a mapped prefetch whose line is in the
+    cell's L1 with no MSHR drain due is counted issued and redundant in
+    place (:func:`repro.mem.fastpath.prefetch_arm`).  Everything else
+    calls the cell's port;
+  * per-iteration retired/load/store/taken counts fold into compile-time
+    constants applied once per back edge — uniform across cells by
+    construction (divergent WORK amounts reject the batch up front);
+  * constant cycle costs are *deferred*, not materialized per op: the
+    compile-time pending constant rides in the codegen, one runtime local
+    ``_pc`` carries pending cycles across back edges, and a cell loop
+    keeps the cell's clock in a local ``_y`` (started from ``cy[_i]``
+    plus everything deferred, stored back once).  Nothing observes a
+    cell's clock between materialization points (batched runs never
+    sample or trace; one profiled cell materializes at every branch),
+    so deferral is invisible — the ``now`` handed to
+    every port call is bit-identical to the per-block chains'.  A hoisted
+    functional access may fault before the timing of earlier ops in its
+    block; nothing reads timing once a run raises, and the error is the
+    sequential engines' own.
+
+**Guards.**  A stepper must never step over an observation point the
+reference interpreter honours at block boundaries: the instruction
+budget and, in a profiled run, the next sample (a traced run never
+enters a stepper; its dispatch loop bypasses them).  The generated
+function hoists ``_gm = st.max_instructions - st.retired`` (and, when
+profiled, ``_gc``) once — both are run-constant while the stepper holds
+the core — and guards ``_rt + bound_retired > _gm`` (``or _y >= _gc``)
+at entry and per back edge.  ``bound_retired`` is the whole nest's
+worst-case retire count between two guards; ``bound_cycles`` prices
+every load at ``mem_lat`` (LLC + DRAM latency, a provable upper bound
+on a demand load; stores retire in 1 cycle), so no block boundary
+before the next guard can cross the sample or the budget.  Cost fields
+are verified uniform across cells at batch construction, so one bound
+serves every cell.  When a guard trips the stepper flushes and returns
+at an exact block header; the entry guard declines with ``-1`` instead,
+and per-block dispatch replays to the exact boundary — the sample or
+the budget raise fires at the identical block the reference engine
+fires it at.  Side exits write locals back, apply the interrupted
+iteration's prefix constants and the exit edge's PHI copies, and
+return the exit block; inner-loop exits inside a nest ``break`` to the
+enclosing loop instead.
 """
 
 from __future__ import annotations
@@ -76,7 +113,7 @@ import re
 from collections import Counter
 from typing import Optional, Sequence
 
-from repro.ir.nodes import IRError
+from repro.ir.nodes import Function, IRError
 from repro.ir.opcodes import BINOP_EXPR, Opcode
 from repro.machine.batch import (
     ShadowMismatch,
@@ -91,6 +128,9 @@ from repro.machine.blockengine import (
     _ADAPT_WARMUP,
     _FELL_THROUGH,
     _RETURNED,
+    BlockCompiledFunction,
+    FusedDispatch,
+    compile_blocks,
 )
 from repro.machine.config import MachineConfig
 from repro.machine.fusion import (
@@ -161,26 +201,33 @@ class CellBindings:
 class _BatchSuperblockCodegen:
     """Generates the fused-nest stepper for one unit, all cells.
 
-    Signature of the generated function: ``(R, st, cd, PT)`` — shared
-    register file, batch frame, :class:`CellBindings`, and the
-    per-cell constant tables (one tuple per divergent-immediate
-    operand, indexed ``PT[k][_i]``).  Returns the dispatch index to
-    resume at, or ``-1`` without touching any state when the entry
-    guard finds the instruction budget too close to run one worst-case
-    iteration.
+    Signature of the generated function for N cells: ``(R, st, cd,
+    PT)`` — shared register file, batch frame, :class:`CellBindings`,
+    and the per-cell constant tables (one tuple per divergent-immediate
+    operand, indexed ``PT[k][_i]``).  For one cell: ``(R, st, fp)`` —
+    register file, the block engine's frame and the memory front path.
+    Returns the dispatch index to resume at, or ``-1`` without touching
+    any state when the entry guard finds an observation point too close
+    to run one worst-case iteration.
     """
 
     def __init__(
         self,
         plan: _FunctionPlan,
         config: MachineConfig,
-        compiler: _BatchBlockCompiler,
+        compiler,
         unit: _Unit,
         cell_configs: Sequence[MachineConfig],
     ) -> None:
+        # ``compiler`` supplies the register slots and dispatch indices:
+        # the batch block compiler, or one BlockCompiledFunction.
         self.plan = plan
         self.config = config
         self.ncells = len(cell_configs)
+        # One cell (a sequential run): no cell loop, views bound once.
+        self.single = self.ncells == 1
+        self.pebs_threshold = config.effective_pebs_threshold()
+        self.profiled = False
         # Cells sharing a config may run as shadows: emit the leaders'
         # line records and the shadow loops.
         self.shadowed = len(set(cell_configs)) < self.ncells
@@ -221,7 +268,7 @@ class _BatchSuperblockCodegen:
         # register defined in a cell loop and read only there, after the
         # definition, never needs its overlay slot.
         self.uses: Counter = Counter()
-        for block in self.function.blocks:
+        for block in self.function.blocks if self.divergent else ():
             for inst in block.instructions:
                 for value in inst.args + tuple(v for _, v in inst.incomings):
                     if type(value) is str:
@@ -239,13 +286,16 @@ class _BatchSuperblockCodegen:
         shadows, ``_shadow`` holds the shadow loop's body and ``_records``
         the sites whose leader line ``_g<k>`` the shadows compare."""
         self.lines: list = []
-        self._shadow: list = []
         self._records: list = []
         self.indent = 1
         self._site = 0
         self._carry = False
         self._pending = 0
+        self._clear_cells()
+
+    def _clear_cells(self) -> None:
         self._cell: list = []
+        self._shadow: list = []
         self._cell_reads: set = set()
         self._cell_defs: set = set()
         self._cell_uses: Counter = Counter()
@@ -448,15 +498,23 @@ class _BatchSuperblockCodegen:
     def emit(self, text: str) -> None:
         self.lines.append("    " * self.indent + text)
 
-    def _normalize(self) -> None:
-        """Fold compile-time pending into the runtime carry ``_pc`` so
-        every loop-top is entered with state (carry, pending=0)."""
-        if self._carry:
+    def _emit_fold(self) -> None:
+        """Emit the fold of compile-time pending into the runtime carry
+        ``_pc`` (one cell: into its clock ``_y``); state unchanged."""
+        if self.single:
+            if self._pending:
+                self.emit(f"_y += {self._pending}")
+        elif self._carry:
             if self._pending:
                 self.emit(f"_pc += {self._pending}")
         else:
             self.emit(f"_pc = {self._pending}")
-        self._carry = True
+
+    def _normalize(self) -> None:
+        """Fold pending so every loop-top is entered with state (carry,
+        pending=0); one cell has no carry, its clock is exact."""
+        self._emit_fold()
+        self._carry = not self.single
         self._pending = 0
 
     def _mask_expr(self) -> str:
@@ -525,7 +583,10 @@ class _BatchSuperblockCodegen:
         op of a loop starts it from ``cy[_i]`` plus everything deferred,
         later ones add the compile-time pending since the previous op."""
         k = self._pending
-        if not self._cell_clock:
+        if self.single:
+            if k:
+                self._cell.append(f"_y += {k}")
+        elif not self._cell_clock:
             start = "cy[_i] + _pc" if self._carry else "cy[_i]"
             self._cell.append(f"_y = {start} + {k}" if k else f"_y = {start}")
             self._cell_clock = True
@@ -535,7 +596,7 @@ class _BatchSuperblockCodegen:
 
     def _close_cells(self) -> None:
         """Emit the open cell loop: each used per-cell view bound once,
-        the body, the clock stored back."""
+        the body, the clock stored back (one cell: the body inline)."""
         if not self._cell:
             return
         local = _Overlay(
@@ -544,6 +605,16 @@ class _BatchSuperblockCodegen:
             if self.uses[slot] == self._cell_uses[slot]
         )
         body = [line.format_map(local) for line in self._cell]
+        if self.single:
+            for line in body:
+                self.emit(line)
+        else:
+            self._emit_cell_loops(body, local)
+        self._clear_cells()
+
+    def _emit_cell_loops(self, body: list, local: _Overlay) -> None:
+        """The cell loop over ``body`` (and the shadow loop): the clock
+        stored back, the carry absorbed."""
         if self._cell_clock:
             body.append("cy[_i] = _y")
         used = set(_VIEW_RE.findall("\n".join(body)))
@@ -568,27 +639,29 @@ class _BatchSuperblockCodegen:
         if self._cell_clock and self._carry:
             self.emit("_pc = 0")  # every cell clock absorbed the carry
             self._carry = False
-        self._cell = []
-        self._shadow = []
-        self._cell_reads = set()
-        self._cell_defs = set()
-        self._cell_uses = Counter()
-        self._cell_early = set()
-        self._cell_clock = False
-        self._cell_loads = False
 
-    def _cell_probe(self, line: str, port: str, load: bool) -> None:
+    def _cell_probe(self, line: str, port: str, load: bool, pc: int) -> None:
         """The inline L1 arm of a load or store at ``_y`` (mirrors the
         fastpath hit arms: LRU refresh, prefetch-usefulness consumption,
-        loads also count the hit); a miss adds the port call ``port``."""
+        loads also count the hit); a miss adds the port call ``port``.
+        A profiled load records its latency at or above the PEBS
+        threshold, on either arm."""
         body = [
             f"_set = _ks[{line} & {self._mask_expr()}]",
             f"_f = _set.pop({line}, None)",
             "if _f is None:",
-            f"    _y += {port}",
-            "else:",
-            f"    _set[{line}] = _f",
         ]
+        pebs = load and self.profiled
+        if pebs:
+            body += [
+                f"    _t = {port}",
+                "    if _t >= pebs_threshold:",
+                f"        record_load({pc}, _t)",
+                "    _y += _t",
+            ]
+        else:
+            body.append(f"    _y += {port}")
+        body += ["else:", f"    _set[{line}] = _f"]
         if load:
             body.append("    _kc.l1_hits += 1")
         body += [
@@ -601,7 +674,14 @@ class _BatchSuperblockCodegen:
             "                _kc.hw_prefetch_useful += 1",
             f"    _y += {self._lat_expr() if load else 1}",
         ]
+        if pebs and self.l1_lats[0] >= self.pebs_threshold:
+            body.append(f"    record_load({pc}, {self.l1_lats[0]})")
         self._cell.extend(body)
+
+    def _port(self, name: str) -> str:
+        """A per-cell binding: subscripted by the cell loop's ``_i``,
+        bound once when there is one cell."""
+        return name if self.single else f"{name}[_i]"
 
     def _uniform_site(self, aspec) -> int:
         """Open a memory site with a uniform address: hoist the address
@@ -617,7 +697,11 @@ class _BatchSuperblockCodegen:
         """Materialize the deferred cycles (snapshot; no state change —
         exit arms are emitted inside branches the main path skips)."""
         k = self._pending
-        if self._carry:
+        if self.single:
+            if k:
+                self.emit(f"_y += {k}")
+            self.emit("st.cycle = _y")
+        elif self._carry:
             if k:
                 self.emit(f"_adv = _pc + {k}")
                 self.emit("for _i in RNG:")
@@ -688,8 +772,8 @@ class _BatchSuperblockCodegen:
     def _emit_edge_copies(self, src: str, tgt: str) -> None:
         """PHI parallel copies for an in-nest edge: divergent dsts into
         the overlays (read-before-write across cells), uniform dsts as
-        local-to-local assignments with the sequential tier's
-        parallel-safety rules."""
+        local-to-local assignments: direct when no copy reads another's
+        destination, through ``_p<k>`` temporaries otherwise."""
         upairs: list = []
         dpairs: list = []
         for dst, spec in self._phi_specs(src, tgt):
@@ -762,11 +846,7 @@ class _BatchSuperblockCodegen:
                 self.emit(f"_tk += {tk_extra}")
             # Arm-local normalization: every break edge re-joins the
             # enclosing path with state (carry, pending=0).
-            if self._carry:
-                if self._pending:
-                    self.emit(f"_pc += {self._pending}")
-            else:
-                self.emit(f"_pc = {self._pending}")
+            self._emit_fold()
             self._emit_edge_copies(src, exit_name)
             self.emit("break")
 
@@ -786,17 +866,47 @@ class _BatchSuperblockCodegen:
         ("sp_find", "cd.sp_find"),
     )
 
-    def generate(self) -> str:
-        self._reset()
+    #: One cell: its views and ports, bound once at entry.
+    _SINGLE_BINDS = (
+        ("LD", "st.mem_load"),
+        ("SR", "st.mem_store"),
+        ("PF", "st.mem_prefetch"),
+        ("sp_load", "st.sp_load"),
+        ("sp_store", "st.sp_store"),
+        ("_ks", "fp._l1_sets"),
+        ("_kc", "fp._counters"),
+        ("_ku", "fp._unused"),
+        ("_kq", "fp._mshr"),
+        ("MEM", "fp.mem"),
+        ("sp_find", "fp.mem.space._find"),
+        ("lbr_push", "st.lbr_push"),
+        ("record_load", "st.record_load"),
+        ("pebs_threshold", "st.pebs_threshold"),
+    )
 
-        # Entry guard: the instruction budget is the batch tier's only
-        # observation point (no sampler, no trace), hoisted once — it
-        # is run-constant while the superblock holds the core.
+    def generate(self, profiled: bool = False) -> str:
+        """The stepper's source.  ``profiled`` (one cell only) adds the
+        sample guard, PEBS records and LBR pushes a sampled run needs."""
+        self._reset()
+        self.profiled = profiled
+
+        # Entry guard: the instruction budget — and, profiled, the next
+        # sample — are the only observation points (a traced run never
+        # enters a stepper), hoisted once: both are run-constant while
+        # the superblock holds the core (a sample can only fire in
+        # per-block dispatch, after the guard bails).
+        guard = f"{self.bound_retired} > _gm"
+        if self.single:
+            self.emit("_y = st.cycle")
+            if profiled:
+                self.emit(f"_gc = st.next_sample - {self.bound_cycles}")
+                guard = f"_y >= _gc or {guard}"
         self.emit("_gm = st.max_instructions - st.retired")
-        self.emit(f"if {self.bound_retired} > _gm:")
+        self.emit(f"if {guard}:")
         self.emit("    return -1")
-        self.emit("_pc = 0")
-        self._carry = True
+        if not self.single:
+            self.emit("_pc = 0")
+            self._carry = True
         for slot in self.preload:
             self.emit(f"r{slot} = R[{slot}]")
         self.emit("_rt = 0")
@@ -808,10 +918,14 @@ class _BatchSuperblockCodegen:
             self.emit("_tk = 0")
         self._emit_unit(self.unit, (0, 0, 0, 0))
 
-        names = "|".join(name for name, _ in self._BINDS)
+        binds = self._SINGLE_BINDS if self.single else self._BINDS
+        names = "|".join(name for name, _ in binds)
         used = set(re.findall(rf"\b(?:{names})\b", "\n".join(self.lines)))
-        header = ["def __batchsb(R, st, cd, PT):"]
-        for name, expr in self._BINDS:
+        if self.single:
+            header = [f"def {FUSED_ENTRY}(R, st, fp):"]
+        else:
+            header = ["def __batchsb(R, st, cd, PT):"]
+        for name, expr in binds:
             if name in used:
                 header.append(f"    {name} = {expr}")
         for site in range(self._site):
@@ -855,9 +969,10 @@ class _BatchSuperblockCodegen:
         if tk:
             self.emit(f"_tk += {tk}")
         self._normalize()
-        self.emit(
-            f"if _rt + {self.bound_retired + carried[0]} > _gm:"
-        )
+        guard = f"_rt + {self.bound_retired + carried[0]} > _gm"
+        if self.profiled:
+            guard = f"_y >= _gc or {guard}"
+        self.emit(f"if {guard}:")
         self.indent += 1
         self._emit_flush(carried)
         self.emit(f"return {self.block_index[unit.header]}")
@@ -865,10 +980,17 @@ class _BatchSuperblockCodegen:
         self.indent -= 1
         # Every way past this loop (break edges) normalized to the
         # loop-top invariant.
-        self._carry = True
+        self._carry = not self.single
         self._pending = 0
 
     # -- per-op emission ----------------------------------------------
+    def _emit_push(self, pc: int, target: str) -> None:
+        """A profiled run's taken branch to ``target``: its LBR record,
+        stamped with the clock the branch materialized."""
+        if self.profiled:
+            start = self.function.block(target).start_pc
+            self.emit(f"lbr_push(({pc}, {start}, _y))")
+
     def _alu(self, insts, dst_div: bool) -> tuple:
         """``(uniform, expr, specs)`` for one aligned ALU instruction."""
         op = insts[0].op
@@ -911,7 +1033,8 @@ class _BatchSuperblockCodegen:
                 self.emit(text)
             self._clock()
             self._cell_probe(
-                f"_l{site}", f"LD[_i]({addr}, _y, {inst.pc})", True
+                f"_l{site}", f"{self._port('LD')}({addr}, _y, {inst.pc})",
+                True, inst.pc,
             )
             if dst_divergent:
                 self._both(f"{self._cell_def(dst_slot)} = _v{site}")
@@ -924,7 +1047,9 @@ class _BatchSuperblockCodegen:
         self._cell.append("_line = _a >> 6")
         self._record(site, "_line", "_a >> 6", inst.pc)
         self._clock()
-        self._cell_probe("_line", f"LD[_i](_a, _y, {inst.pc})", True)
+        self._cell_probe(
+            "_line", f"LD[_i](_a, _y, {inst.pc})", True, inst.pc
+        )
         self._both(
             *functional_lines(
                 f"_s{site}", "_a", f"{self._cell_def(dst_slot)} = ",
@@ -943,8 +1068,9 @@ class _BatchSuperblockCodegen:
         ):
             self.emit(text)
         self._clock()
+        pc = insts[0].pc
         self._cell_probe(
-            f"_l{site}", f"SR[_i]({addr}, _y, {insts[0].pc})", False
+            f"_l{site}", f"{self._port('SR')}({addr}, _y, {pc})", False, pc
         )
 
     def _emit_prefetch(self, insts) -> None:
@@ -971,8 +1097,8 @@ class _BatchSuperblockCodegen:
         self._cell.extend(
             prefetch_arm(
                 f"_s{site}", addr, line, "_y",
-                f"_ks[{line} & {self._mask_expr()}]", "_kq", "MEM[_i]", "_kc",
-                "PF[_i]", insts[0].pc,
+                f"_ks[{line} & {self._mask_expr()}]", "_kq",
+                self._port("MEM"), "_kc", self._port("PF"), insts[0].pc,
             )
         )
         self._pending = self.config.prefetch_cost
@@ -1026,18 +1152,26 @@ class _BatchSuperblockCodegen:
                 self._pending += cfg.branch_cost
                 prefix[0] += 1
                 prefix[3] += 1
+                if self.profiled:
+                    self._normalize()
+                self._emit_push(inst.pc, inst.targets[0])
                 self._emit_edge_copies(name, inst.targets[0])
             elif op is Opcode.BR:
                 self._close_cells()
                 self._pending += cfg.branch_cost
                 prefix[0] += 1
+                if self.profiled:
+                    # Either arm may push the clock to the LBR.
+                    self._normalize()
                 cspec = self._arg(insts, 0)
                 cond = self.uexpr(cspec)
                 then_target, else_target = inst.targets
                 if guarded is not None:
-                    # Guarded inner unit (see the turbo tier): one arm
-                    # runs the whole fused inner loop, the other skips
-                    # it; both rejoin at ``guarded.skip``.  Normalize
+                    # Guarded inner unit: one arm runs the whole fused
+                    # inner loop, the other skips it; both rejoin at
+                    # ``guarded.skip``.  The static taken count follows
+                    # _scan_totals (counted iff the skip arm is the
+                    # taken arm), the other arm corrects _tk.  Normalize
                     # here so both arms see _pc absolute with nothing
                     # deferred and rejoin in that same state.
                     self._normalize()
@@ -1050,9 +1184,11 @@ class _BatchSuperblockCodegen:
                     )
                     self.emit(arm.format(cond))
                     self.indent += 1
-                    self.emit(
-                        "_tk += 1" if guarded.enter_on_true else "_tk -= 1"
-                    )
+                    if guarded.enter_on_true:
+                        self._emit_push(inst.pc, enter)
+                        self.emit("_tk += 1")
+                    else:
+                        self.emit("_tk -= 1")
                     self._emit_edge_copies(name, enter)
                     inner_carried = (
                         carried[0] + prefix[0],
@@ -1065,6 +1201,8 @@ class _BatchSuperblockCodegen:
                     self.emit("else:")
                     self.indent += 1
                     before = len(self.lines)
+                    if not guarded.enter_on_true:
+                        self._emit_push(inst.pc, skip)
                     self._emit_edge_copies(name, skip)
                     if len(self.lines) == before:
                         self.emit("pass")
@@ -1077,11 +1215,13 @@ class _BatchSuperblockCodegen:
                         name, else_target, prefix, False, unit, carried
                     )
                     self.indent -= 1
+                    self._emit_push(inst.pc, then_target)
                     prefix[3] += 1
                     continuation = then_target
                 else:
                     self.emit(f"if {cond}:")
                     self.indent += 1
+                    self._emit_push(inst.pc, then_target)
                     self._emit_unit_exit(
                         name, then_target, prefix, True, unit, carried
                     )
@@ -1095,16 +1235,20 @@ class _BatchSuperblockCodegen:
 # ----------------------------------------------------------------------
 # Containers + compile entry point
 # ----------------------------------------------------------------------
-class BatchSuperblock:
-    """One fused loop nest compiled for all cells."""
+class Superblock:
+    """One fused loop nest: its generated stepper(s) plus the
+    compile-time constants the dispatch loops need.  A one-cell nest
+    carries a profiled variant next to the plain one; an N-cell nest
+    carries its per-cell constant tables."""
 
     __slots__ = (
         "header",
-        "header_index",
         "path",
         "depth",
         "run",
         "source",
+        "run_profiled",
+        "source_profiled",
         "bound_cycles",
         "bound_retired",
         "ptables",
@@ -1113,54 +1257,105 @@ class BatchSuperblock:
     def __init__(
         self,
         header: str,
-        header_index: int,
         path: tuple,
         depth: int,
         run,
         source: str,
         bound_cycles: int,
         bound_retired: int,
-        ptables: tuple,
+        run_profiled=None,
+        source_profiled: Optional[str] = None,
+        ptables: tuple = (),
     ) -> None:
         self.header = header
-        self.header_index = header_index
-        self.path = path
-        self.depth = depth
+        self.path = path  # flattened block names, execution order
+        self.depth = depth  # nesting depth (1 = a plain linear loop)
         self.run = run
         self.source = source
+        self.run_profiled = run_profiled
+        self.source_profiled = source_profiled
         self.bound_cycles = bound_cycles
         self.bound_retired = bound_retired
         self.ptables = ptables
 
 
-def _build_batch_superblock(
+#: The generated one-cell stepper's name in its module.
+FUSED_ENTRY = "__fused"
+
+
+def _exec(source: str, filename: str, entry: str):
+    """Compile and run generated source; the function named ``entry``.
+    Popped, not read: a function left in its own globals is a reference
+    cycle only the cyclic GC frees, and the default engine builds these
+    for every short run."""
+    namespace: dict = {"ShadowMismatch": ShadowMismatch}
+    exec(compile(source, filename, "exec"), namespace)  # noqa: S102
+    return namespace.pop(entry)
+
+
+def _build_superblock(
     plan: _FunctionPlan,
     config: MachineConfig,
-    compiler: _BatchBlockCompiler,
+    compiler,
     unit: _Unit,
     cell_configs: Sequence[MachineConfig],
-) -> BatchSuperblock:
+) -> Superblock:
+    """Generate and compile one nest's stepper(s).  ``compiler`` is the
+    block compiler whose register slots and dispatch indices the
+    stepper shares: a :class:`BlockCompiledFunction` for one cell, the
+    batch block compiler for N."""
     codegen = _BatchSuperblockCodegen(
         plan, config, compiler, unit, cell_configs
     )
+    tag = f"{plan.name}:{unit.header}"
     source = codegen.generate()
-    filename = f"<batchsb:{plan.name}:{unit.header}:{next(_counter)}>"
-    namespace: dict = {"ShadowMismatch": ShadowMismatch}
-    exec(compile(source, filename, "exec"), namespace)  # noqa: S102
-    return BatchSuperblock(
+    run_profiled = source_profiled = None
+    if codegen.single:
+        run = _exec(source, f"<fused:{tag}:{next(_counter)}>", FUSED_ENTRY)
+        source_profiled = codegen.generate(profiled=True)
+        run_profiled = _exec(
+            source_profiled,
+            f"<fused:{tag}:profiled:{next(_counter)}>",
+            FUSED_ENTRY,
+        )
+    else:
+        run = _exec(source, f"<batchsb:{tag}:{next(_counter)}>", "__batchsb")
+    return Superblock(
         header=unit.header,
-        header_index=compiler.block_index[unit.header],
         path=tuple(_flatten(unit)),
         depth=_depth(unit),
-        run=namespace["__batchsb"],
+        run=run,
         source=source,
         bound_cycles=codegen.bound_cycles,
         bound_retired=codegen.bound_retired,
+        run_profiled=run_profiled,
+        source_profiled=source_profiled,
         ptables=tuple(codegen.ptables),
     )
 
 
-class BatchTurboCompiledFunction:
+def compile_fused(
+    function: Function, config: Optional[MachineConfig] = None
+) -> BlockCompiledFunction:
+    """Compile one finalized IR function for the ``turbo`` and ``fast``
+    engine names: the block engine's closure chains plus a one-cell
+    superblock per fusable loop nest, built innermost-first so outer
+    loops absorb fused inner loops.  Inner loops keep their standalone
+    superblocks registered at their own headers — that is where a run
+    resumed after a mid-nest sample re-enters bulk stepping."""
+    config = config or MachineConfig()
+    base = compile_blocks(function, config)
+    plan = _FunctionPlan(function.name, [function])
+    superblocks: list = [None] * len(base._blocks)
+    for unit in discover_units(function).values():
+        superblocks[base.block_index[unit.header]] = _build_superblock(
+            plan, config, base, unit, (config,)
+        )
+    base.fuse(tuple(superblocks))
+    return base
+
+
+class BatchTurboCompiledFunction(FusedDispatch):
     """One aligned function compiled for all cells: the per-block batch
     chains plus a batch superblock per fusable loop nest.
 
@@ -1181,35 +1376,16 @@ class BatchTurboCompiledFunction:
         needs_overlay: bool,
         superblocks: tuple,
     ) -> None:
+        super().__init__(
+            blocks, block_names, entry_index, register_count, superblocks
+        )
         self.plan = plan
-        self._blocks = blocks
-        self._block_names = block_names
-        self._entry = entry_index
-        self._register_count = register_count
         self._needs_overlay = needs_overlay
-        self._superblocks = superblocks
-        self.bulk_calls = 0
-        self.bulk_iters = 0
-        self.guard_declines = 0
-        self.adaptive_cleared = 0
-
-    def superblocks(self) -> list:
-        return [sb for sb in self._superblocks if sb is not None]
 
     def stats(self) -> dict:
-        fused = self.superblocks()
         return {
-            "blocks": len(self._blocks),
-            "ops": sum(len(ops) for ops in self._blocks),
-            "registers": self._register_count,
+            **super().stats(),
             "divergent_registers": len(self.plan.divergent),
-            "superblocks": len(fused),
-            "fused_blocks": sum(len(sb.path) for sb in fused),
-            "max_fusion_depth": max((sb.depth for sb in fused), default=0),
-            "bulk_calls": self.bulk_calls,
-            "bulk_iters": self.bulk_iters,
-            "guard_declines": self.guard_declines,
-            "adaptive_cleared": self.adaptive_cleared,
         }
 
     def __call__(self, bm, args: Sequence[int] = ()):
@@ -1294,14 +1470,7 @@ class BatchTurboCompiledFunction:
                     )
                 bi = nxt
         finally:
-            self.bulk_calls += sum(sb_calls)
-            self.bulk_iters += sum(sb_iters)
-            self.guard_declines += declined
-            self.adaptive_cleared += sum(
-                1
-                for original, current in zip(self._superblocks, superblocks)
-                if original is not None and current is None
-            )
+            self._tally(superblocks, sb_calls, sb_iters, declined)
 
 
 def compile_batch_turbo(
@@ -1325,10 +1494,8 @@ def compile_batch_turbo(
     function0 = plan.functions[0]
     superblocks: list = [None] * len(blocks)
     for unit in discover_units(function0).values():
-        superblocks[compiler.block_index[unit.header]] = (
-            _build_batch_superblock(
-                plan, config, compiler, unit, cell_configs
-            )
+        superblocks[compiler.block_index[unit.header]] = _build_superblock(
+            plan, config, compiler, unit, cell_configs
         )
     return BatchTurboCompiledFunction(
         plan,

@@ -14,9 +14,10 @@ applied to our own hot loop.
 
 Relationship to the other engines:
 
-* ``turbo`` (``repro.machine.superblock``; the default ``fast`` name
-  runs it too) compiles these chains first, then fuses hot loops into
-  generated superblock steppers that plug into
+* ``turbo`` (the default ``fast`` name runs it too) compiles these
+  chains first, then fuses hot loop nests into generated superblock
+  steppers (:func:`repro.machine.batchturbo.compile_fused`, the one
+  fused-nest generator at one cell) that plug into
   :class:`BlockCompiledFunction`'s dispatch loop.  Blocks outside a
   fused loop, and every block of a traced run, take the per-block
   path.
@@ -660,11 +661,77 @@ class _BlockCompiler:
         return tuple(ops)
 
 
-class BlockCompiledFunction:
+class FusedDispatch:
+    """What a compiled function's dispatch loop keeps besides its
+    per-block chains: one fused superblock slot per block (None when
+    unfused) and the run-profiling tallies of bulk stepping.  Shared by
+    the sequential form below and the batched one
+    (:class:`repro.machine.batchturbo.BatchTurboCompiledFunction`).
+
+    Telemetry's engine.run span reads the tallies; they live on the
+    compiled function, never in the PMU counters, so traced==untraced
+    bit-identity is untouched.
+    """
+
+    def __init__(
+        self,
+        blocks: tuple,
+        block_names: tuple,
+        entry_index: int,
+        register_count: int,
+        superblocks: Optional[tuple] = None,
+    ) -> None:
+        self._blocks = blocks
+        self._block_names = block_names
+        self._entry = entry_index
+        self._register_count = register_count
+        self._superblocks = superblocks or (None,) * len(blocks)
+        self.bulk_calls = 0
+        self.bulk_iters = 0
+        self.guard_declines = 0
+        self.adaptive_cleared = 0
+
+    def superblocks(self) -> list:
+        """The fused loops (debug/test aid)."""
+        return [sb for sb in self._superblocks if sb is not None]
+
+    def stats(self) -> dict:
+        """Compile-shape summary plus the bulk-stepping tallies (for
+        tests and debugging)."""
+        fused = self.superblocks()
+        return {
+            "blocks": len(self._blocks),
+            "ops": sum(len(ops) for ops in self._blocks),
+            "registers": self._register_count,
+            "superblocks": len(fused),
+            "fused_blocks": sum(len(sb.path) for sb in fused),
+            "max_fusion_depth": max((sb.depth for sb in fused), default=0),
+            "bulk_calls": self.bulk_calls,
+            "bulk_iters": self.bulk_iters,
+            "guard_declines": self.guard_declines,
+            "adaptive_cleared": self.adaptive_cleared,
+        }
+
+    def _tally(
+        self, superblocks: list, sb_calls: list, sb_iters: list, declined: int
+    ) -> None:
+        """Fold one run's bulk-stepping counts into the tallies;
+        ``superblocks`` is the run's copy of the slots, where the
+        adaptive bypass cleared the slots it gave up on."""
+        self.bulk_calls += sum(sb_calls)
+        self.bulk_iters += sum(sb_iters)
+        self.guard_declines += declined
+        self.adaptive_cleared += sum(
+            1
+            for original, current in zip(self._superblocks, superblocks)
+            if original is not None and current is None
+        )
+
+
+class BlockCompiledFunction(FusedDispatch):
     """An IR function compiled to per-block closure chains, plus an
-    optional fused superblock stepper per block (see
-    :mod:`repro.machine.superblock`; every slot is None when nothing is
-    fused)."""
+    optional fused superblock stepper per block (installed by
+    :func:`repro.machine.batchturbo.compile_fused`)."""
 
     def __init__(
         self,
@@ -673,44 +740,21 @@ class BlockCompiledFunction:
         block_names: tuple,
         entry_index: int,
         register_count: int,
-        slots: Optional[dict] = None,
-        block_index: Optional[dict] = None,
-        block_start_pc: Optional[dict] = None,
-        superblocks: Optional[tuple] = None,
+        slots: dict,
+        block_index: dict,
     ) -> None:
+        super().__init__(blocks, block_names, entry_index, register_count)
         self.function = function
-        self._blocks = blocks
-        self._block_names = block_names
-        self._entry = entry_index
-        self._register_count = register_count
-        # Compile-form metadata consumed by the superblock compiler: the
-        # register-file layout and the block-name -> dispatch-index /
-        # start-pc maps.
-        self.slots = slots if slots is not None else {}
-        self.block_index = (
-            block_index
-            if block_index is not None
-            else {name: i for i, name in enumerate(block_names)}
-        )
-        self.block_start_pc = block_start_pc if block_start_pc is not None else {}
-        # Per-block-index superblock, None when unfused.
-        self._superblocks = superblocks or (None,) * len(blocks)
-        self._fused = any(sb is not None for sb in self._superblocks)
-        # Cumulative run-profiling tallies (telemetry's engine.run span
-        # reads these; they live on the compiled function, never in the
-        # PMU counters, so traced==untraced bit-identity is untouched).
-        self.bulk_calls = 0
-        self.bulk_iters = 0
-        self.guard_declines = 0
-        self.adaptive_cleared = 0
+        # Compile-form metadata the fused steppers share: the
+        # register-file layout and the block-name -> dispatch-index map.
+        self.slots = slots
+        self.block_index = block_index
+        self._fused = False
 
-    def stats(self) -> dict:
-        """Compile-shape summary (for tests and debugging)."""
-        return {
-            "blocks": len(self._blocks),
-            "ops": sum(len(ops) for ops in self._blocks),
-            "registers": self._register_count,
-        }
+    def fuse(self, superblocks: tuple) -> None:
+        """Install the fused steppers, one slot per block."""
+        self._superblocks = superblocks
+        self._fused = any(sb is not None for sb in superblocks)
 
     def __call__(self, ctx: ExecutionContext, args: Sequence[int] = ()) -> int:
         """Run the function: blocks that are not fused headers dispatch
@@ -796,7 +840,7 @@ class BlockCompiledFunction:
                 if superblocks is not None:
                     sb = superblocks[bi]
                     if sb is not None:
-                        run = sb.run_profiled if profiled else sb.run_plain
+                        run = sb.run_profiled if profiled else sb.run
                         before = st.retired
                         nxt = run(R, st, front)
                         if nxt >= 0:
@@ -826,16 +870,7 @@ class BlockCompiledFunction:
                 bi = nxt
         finally:
             if superblocks is not None:
-                self.bulk_calls += sum(sb_calls)
-                self.bulk_iters += sum(sb_iters)
-                self.guard_declines += declined
-                self.adaptive_cleared += sum(
-                    1
-                    for original, current in zip(
-                        self._superblocks, superblocks
-                    )
-                    if original is not None and current is None
-                )
+                self._tally(superblocks, sb_calls, sb_iters, declined)
 
 
 def compile_blocks(
@@ -858,7 +893,6 @@ def compile_blocks(
         tuple(block.name for block in function.blocks),
         compiler.block_index[function.entry.name],
         len(compiler.slots),
-        slots=compiler.slots,
-        block_index=compiler.block_index,
-        block_start_pc=compiler.start_pc,
+        compiler.slots,
+        compiler.block_index,
     )

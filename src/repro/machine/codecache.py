@@ -1,7 +1,8 @@
 """Persistent ahead-of-time code cache for the compiled engines.
 
-Compilation is redone in every process: the superblock tier
-regenerates and ``compile()``s its steppers, the translating engine its
+Compilation is redone in every process: the ``turbo`` tier regenerates
+and ``compile()``s its fused steppers (plain and profiled, one cell,
+from :mod:`repro.machine.batchturbo`), the translating engine its
 whole-function module, on every worker spawn — BENCH_engines.json puts
 the cold build at 0.1–0.4 s per workload.  This module makes both
 compiled forms first-class content-addressed artifacts.  The ``fast``
@@ -59,22 +60,18 @@ import types
 from typing import Optional
 
 from repro.ir.printer import format_function
-from repro.machine.blockengine import compile_blocks
+from repro.machine.batchturbo import FUSED_ENTRY, Superblock, compile_fused
+from repro.machine.blockengine import BlockCompiledFunction, compile_blocks
 from repro.machine.config import MachineConfig, compiled_identity
 from repro.machine.interpreter import ExecutionLimitExceeded
 from repro.machine.sampler import NEVER
-from repro.machine.superblock import (
-    Superblock,
-    TurboCompiledFunction,
-    compile_turbo,
-)
 from repro.machine.translator import CompiledFunction, compile_function
 from repro.obs import telemetry as obs_telemetry
 
 #: Bump when the generated stepper code changes (or the payload
 #: layout does): it is the only codegen version in the key, so old
 #: entries then miss and are rewritten instead of being served.
-CODECACHE_SCHEMA = 3
+CODECACHE_SCHEMA = 4
 
 #: Engines whose compiled form is cacheable; ``reference`` interprets.
 CACHEABLE_ENGINES = ("turbo", "fast", "translate")
@@ -125,59 +122,47 @@ def _exec_blob(blob, namespace: dict, entry: str):
 # ----------------------------------------------------------------------
 # Per-engine pack/load
 # ----------------------------------------------------------------------
-def _pack_turbo(compiled: TurboCompiledFunction) -> dict:
+def _pack_turbo(compiled: BlockCompiledFunction) -> dict:
+    name = compiled.function.name
     superblocks = []
     for sb in compiled._superblocks:
         if sb is None:
             superblocks.append(None)
             continue
-        name = compiled.function.name
+        tag = f"{name}:{sb.header}"
         superblocks.append(
             {
                 "header": sb.header,
-                "header_index": sb.header_index,
                 "path": list(sb.path),
                 "depth": sb.depth,
                 "bound_cycles": sb.bound_cycles,
                 "bound_retired": sb.bound_retired,
-                "source_plain": sb.source_plain,
+                "source": sb.source,
                 "source_profiled": sb.source_profiled,
-                "code_plain": _encode_code(
-                    sb.source_plain,
-                    f"<superblock:{name}:{sb.header}:plain:cached>",
-                ),
+                "code": _encode_code(sb.source, f"<fused:{tag}:cached>"),
                 "code_profiled": _encode_code(
-                    sb.source_profiled,
-                    f"<superblock:{name}:{sb.header}:profiled:cached>",
+                    sb.source_profiled, f"<fused:{tag}:profiled:cached>"
                 ),
             }
         )
-    return {"blocks": len(compiled._blocks), "superblocks": superblocks}
+    return {"superblocks": superblocks}
 
 
 def _load_turbo(
     payload: dict, function, config: MachineConfig
-) -> TurboCompiledFunction:
+) -> BlockCompiledFunction:
     base = compile_blocks(function, config)
     entries = payload.get("superblocks")
-    if not isinstance(entries, list) or payload.get("blocks") != len(
-        base._blocks
-    ):
+    if not isinstance(entries, list) or len(entries) != len(base._blocks):
         raise CodeCacheInvalid("superblock table shape drifted")
-    if len(entries) != len(base._blocks):
-        raise CodeCacheInvalid("superblock table length drifted")
-    superblocks: list = [None] * len(base._blocks)
+    superblocks: list = [None] * len(entries)
     for index, entry in enumerate(entries):
         if entry is None:
             continue
         if not isinstance(entry, dict):
             raise CodeCacheInvalid("superblock entry is not a mapping")
         header = entry.get("header")
-        if (
-            header not in base.block_index
-            or base.block_index[header] != entry.get("header_index")
-            or entry.get("header_index") != index
-        ):
+        if base.block_index.get(header) != index:
             raise CodeCacheInvalid(f"header {header!r} drifted")
         bound_retired = entry.get("bound_retired")
         bound_cycles = entry.get("bound_cycles")
@@ -190,27 +175,25 @@ def _load_turbo(
             or bound_cycles < 1
         ):
             raise CodeCacheInvalid("implausible superblock bounds")
-        source_plain = entry.get("source_plain")
+        source = entry.get("source")
         source_profiled = entry.get("source_profiled")
-        if not isinstance(source_plain, str) or not isinstance(
-            source_profiled, str
-        ):
+        if not isinstance(source, str) or not isinstance(source_profiled, str):
             raise CodeCacheInvalid("superblock sources missing")
-        run_plain = _exec_blob(entry["code_plain"], {}, "__superblock")
-        run_profiled = _exec_blob(entry["code_profiled"], {}, "__superblock")
         superblocks[index] = Superblock(
             header=header,
-            header_index=index,
             path=tuple(entry.get("path", ())),
             depth=int(entry.get("depth", 1)),
-            run_plain=run_plain,
-            run_profiled=run_profiled,
-            source_plain=source_plain,
+            run=_exec_blob(entry.get("code"), {}, FUSED_ENTRY),
+            source=source,
+            run_profiled=_exec_blob(
+                entry.get("code_profiled"), {}, FUSED_ENTRY
+            ),
             source_profiled=source_profiled,
             bound_cycles=bound_cycles,
             bound_retired=bound_retired,
         )
-    return TurboCompiledFunction(base, tuple(superblocks))
+    base.fuse(tuple(superblocks))
+    return base
 
 
 def _pack_translate(compiled: CompiledFunction) -> dict:
@@ -310,7 +293,7 @@ class CodeCache:
         fresh compile (recorded, re-put) otherwise."""
         config, engine = compiled_identity(config, engine)
         if engine == "turbo":
-            build, pack, load = compile_turbo, _pack_turbo, _load_turbo
+            build, pack, load = compile_fused, _pack_turbo, _load_turbo
         else:
             build, pack, load = compile_function, _pack_translate, _load_translate
 

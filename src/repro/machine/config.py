@@ -23,8 +23,8 @@ from repro.mem.config import CacheConfig, MemoryConfig
 #: Canonical engine names, fastest first.
 #:
 #: * ``turbo`` — closure-chain blocks (repro.machine.blockengine) plus
-#:   fused hot-loop superblocks with steady-state bulk stepping
-#:   (repro.machine.superblock).
+#:   fused hot-loop superblocks with steady-state bulk stepping, from
+#:   the one fused-nest generator (repro.machine.batchturbo).
 #: * ``fast`` — the default name; runs exactly turbo's compiled form.
 #:   It is not an alias: v1 results report it and request/dedup keys
 #:   keep it apart from ``turbo``; what a run computes (code-cache,
@@ -53,12 +53,16 @@ def compiled_identity(
 ) -> tuple["MachineConfig", str]:
     """The (config, engine) whose compiled code a run of ``engine``
     under ``config`` executes.  ``fast`` runs turbo's compiled form, so
-    it maps to ``turbo``, with ``config.engine`` set to match: keys built
-    from the result are shared by the two names, and turbo's own keys are
-    unchanged.  Every other engine maps to itself.  The mapped config is
-    built once per config object (so its fingerprint memo holds)."""
-    if engine != "fast":
+    it maps to ``turbo``; whenever the engine is one of the two, the
+    config maps to one whose ``engine`` is ``turbo`` too: keys built
+    from the result are shared by the two names whichever the config
+    names, and a turbo config's own keys are unchanged.  Every other
+    engine maps to itself.  The mapped config is built once per config
+    object (so its fingerprint memo holds)."""
+    if engine not in ("turbo", "fast"):
         return config, engine
+    if config.engine == "turbo":
+        return config, "turbo"
     entry = _compiled_memo.get(id(config))
     if entry is None or entry[0] is not config:
         if len(_compiled_memo) >= _COMPILED_MEMO_SIZE:

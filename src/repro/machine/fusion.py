@@ -1,17 +1,14 @@
 """Shared loop-nest discovery and fusability analysis for the fused
 engine tiers.
 
-Both superblock compilers — the sequential turbo tier
-(:mod:`repro.machine.superblock`) and the batched superblock tier
-(:mod:`repro.machine.batchturbo`) — fuse the same shape of loop: a
-*linear single-latch* natural loop whose body walks header -> ... ->
-latch with exactly one in-loop successor per node, built innermost-first
-so outer loops absorb already-fused inner loops as nested units.  This
-module holds that analysis in one place so the two tiers can never
-disagree about *what* is fusable; only the code they generate for a
-fusable nest differs (per-run locals vs per-cell overlays).  The source
-fragments both generators emit identically — the per-site segment-cache
-probe and the functional access built on it — live here too
+The one fused-nest generator (:mod:`repro.machine.batchturbo`, for the
+sequential ``turbo``/``fast`` path at one cell and for the batched
+sweep tier at N) fuses one shape of loop: a *linear single-latch*
+natural loop whose body walks header -> ... -> latch with exactly one
+in-loop successor per node, built innermost-first so outer loops absorb
+already-fused inner loops as nested units.  This module holds that
+analysis, plus the source fragments the generator emits per memory
+site — the segment-cache probe and the functional access built on it
 (:func:`site_probe`, :func:`functional_lines`).
 
 The eligibility rules (see :func:`build_unit`):

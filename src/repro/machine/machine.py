@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 
 from repro.ir.nodes import IRError, Module
 from repro.machine import codecache
+from repro.machine.batchturbo import compile_fused
 from repro.machine.config import (
     ENGINE_ALIASES,
     ENGINES,
@@ -35,7 +36,6 @@ from repro.machine.interpreter import run_function
 from repro.machine.lbr import LastBranchRecord, NullLBR
 from repro.machine.pmu import Counters, PerfStat
 from repro.machine.sampler import ProfileSampler
-from repro.machine.superblock import compile_turbo
 from repro.machine.translator import compile_function
 from repro.mem.address import AddressSpace
 from repro.mem.hierarchy import MemorySystem
@@ -188,7 +188,7 @@ class Machine:
             elif engine == "translate":
                 compiled = compile_function(function, self.config)
             else:  # turbo, and fast: the name the v1 contract keeps for it
-                compiled = compile_turbo(function, self.config)
+                compiled = compile_fused(function, self.config)
             self._compiled[key] = compiled
             self._compile_seconds += time.perf_counter() - started
         return compiled

@@ -43,17 +43,17 @@ Design notes (why these are *views*, not shadow tables):
   depend on this module.  Every ``self.trace is not None`` arm of the
   slow path is therefore statically dead here and elided.
 
-The block engine's closures, the translating engine, and the turbo
-tier's fused superblocks all bind their demand entry points through
+The block engine's closures, the translating engine, and the fused
+superblock steppers all bind their demand entry points through
 :meth:`MemorySystem.load_port` / :meth:`MemorySystem.store_port`; the
 reference interpreter keeps calling the plain methods so it stays the
 obviously-correct baseline the differential tests compare against.
 
-Both generated steppers (the turbo superblocks and the batched sweep
-tier) inline two arms of this module instead of calling it: the L1-hit
-arm of ``load``/``store``, and the redundant-in-L1 arm of ``prefetch``
-(:func:`prefetch_arm`, the one emitter both use).  In a distance sweep
-most software prefetches end there (in the HJ8-NPO A&J cells at small
+The fused steppers (one generator, :mod:`repro.machine.batchturbo`,
+for sequential runs and batched sweeps alike) inline two arms of this
+module instead of calling it: the L1-hit arm of ``load``/``store``, and
+the redundant-in-L1 arm of ``prefetch`` (:func:`prefetch_arm`).  In a
+distance sweep most software prefetches end there (in the HJ8-NPO A&J cells at small
 scale, 425,964 of each cell's 480,000 are redundant), so the port is
 called only for prefetches that are unmapped, find a drain due, or
 miss the L1.
@@ -529,10 +529,9 @@ def prefetch_arm(
     port: str,
     pc: int,
 ) -> list:
-    """Source lines of the inline software-prefetch arm both generated
-    steppers emit (:mod:`repro.machine.superblock`,
-    :mod:`repro.machine.batchturbo`); every argument but ``pc`` is a
-    source expression.
+    """Source lines of the inline software-prefetch arm the fused
+    steppers emit (:mod:`repro.machine.batchturbo`); every argument but
+    ``pc`` is a source expression.
 
     It answers :meth:`MemoryFastPath.prefetch`'s dominant outcome
     without the call: the address is mapped (``seg``, the site's

@@ -23,7 +23,7 @@ from __future__ import annotations
 import inspect
 import types
 
-from repro.machine import blockengine, superblock
+from repro.machine import batchturbo, blockengine
 from repro.machine.machine import Machine
 from repro.qa.oracle import OracleConfig
 
@@ -94,9 +94,9 @@ def offbyone_runner(config: OracleConfig):
     return _block_runner(offbyone_blockengine(), config)
 
 
-#: Off-by-one target for the turbo tier: the steady-state stepper's
-#: iteration-count math.  The superblock codegen folds one completed
-#: fused iteration's retired count into the running accumulator at
+#: Off-by-one target for the turbo tier: the fused stepper's
+#: iteration-count math.  The one fused-nest generator folds one
+#: completed iteration's retired count into the running accumulator at
 #: every back edge; adding one there makes every bulk-stepped loop
 #: over-report ``instructions`` by its trip count — invisible to the
 #: values/cycles checks, caught only by a counter-exact differential.
@@ -107,11 +107,11 @@ _TURBO_MUTATION = '        self.emit(f"_rt += {rt} + 1")\n'
 TURBO_MUTANT_ENGINE = "turbo-offbyone"
 
 
-def offbyone_superblock() -> types.ModuleType:
-    """A scratch copy of :mod:`repro.machine.superblock` with a seeded
+def offbyone_batchturbo() -> types.ModuleType:
+    """A scratch copy of :mod:`repro.machine.batchturbo` with a seeded
     off-by-one in the back-edge retired-count accumulation."""
     return _scratch_copy(
-        superblock, _TURBO_NEEDLE, _TURBO_MUTATION, "offbyone_superblock",
+        batchturbo, _TURBO_NEEDLE, _TURBO_MUTATION, "offbyone_batchturbo",
         "the back-edge accumulation",
     )
 
@@ -119,14 +119,14 @@ def offbyone_superblock() -> types.ModuleType:
 def turbo_offbyone_runner(config: OracleConfig):
     """Machine factory for the turbo off-by-one mutant (pass to the
     oracle as ``runners={TURBO_MUTANT_ENGINE: turbo_offbyone_runner(config)}``)."""
-    mutant = offbyone_superblock()
+    mutant = offbyone_batchturbo()
 
     def make(module, space) -> Machine:
         machine = Machine(
             module, space, config=config.machine_config(), engine="turbo"
         )
         for name, function in module.functions.items():
-            machine._compiled[("turbo", name)] = mutant.compile_turbo(
+            machine._compiled[("turbo", name)] = mutant.compile_fused(
                 function, machine.config
             )
         return machine

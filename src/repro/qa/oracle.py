@@ -896,13 +896,11 @@ def _booby_trap(payload: dict) -> None:
         "raise RuntimeError('stale cached module executed')",
         "<codecache-selftest-trap>",
     )
-    for field in ("code", "code_plain", "code_profiled"):
-        if field in payload:
-            payload[field] = trap
-    for entry in payload.get("superblocks", ()) or ():
+    for entry in [payload, *(payload.get("superblocks", ()) or ())]:
         if isinstance(entry, dict):
-            for field in ("code_plain", "code_profiled"):
-                entry[field] = trap
+            for field in ("code", "code_profiled"):
+                if field in entry:
+                    entry[field] = trap
 
 
 def codecache_failure(

@@ -1,5 +1,5 @@
-"""The batched superblock tier every batched sweep runs: shared fusion
-verdicts with the turbo engine, guarded-nest discovery and execution,
+"""The batched superblock tier every batched sweep runs: guarded-nest
+discovery and execution,
 budget-boundary replay exactness, segment ordering and fault identity
 of the one-cell-loop-per-segment codegen, the inline software-prefetch
 arm, the ``run_batch`` contract and its fallback plumbing, and the
@@ -30,7 +30,6 @@ from repro.machine.fusion import (
 )
 from repro.machine.interpreter import ExecutionLimitExceeded
 from repro.machine.machine import Machine
-from repro.machine.superblock import compile_turbo
 from repro.mem.address import AddressSpace, MemoryError_
 from repro.mem.fastpath import MemoryFastPath
 from repro.passes.ainsworth_jones import (
@@ -40,7 +39,7 @@ from repro.passes.ainsworth_jones import (
 from repro.qa.corpus import default_corpus_dir, load_case
 from repro.qa.generate import build_program
 from repro.qa.oracle import OracleConfig, check_batch
-from repro.workloads.registry import TINY_SUITE, make_workload
+from repro.workloads.registry import make_workload
 from tests.conftest import tiny_memory
 from tests.test_machine_batch import build_kernel, fast_config
 
@@ -182,40 +181,6 @@ class TestGuardedNestFusion:
         outcome = run_batch(cells)
         assert outcome.batched
         assert_cells_match_sequential(outcome, rebuilds, configs)
-
-
-# ----------------------------------------------------------------------
-# Fusion-verdict agreement: turbo and batchturbo accept the same nests
-# ----------------------------------------------------------------------
-class TestVerdictAgreement:
-    @pytest.mark.parametrize("name", sorted(TINY_SUITE))
-    def test_turbo_and_batchturbo_fuse_the_same_nests(self, name):
-        instance = make_workload(name, "tiny")
-        module, _ = instance.build()
-        entry = instance.entry
-        tcf = compile_turbo(module.functions[entry])
-        turbo_headers = {sb.header for sb in tcf.superblocks()}
-
-        cells = []
-        for _ in range(2):
-            cell_instance = make_workload(name, "tiny")
-            cell_module, cell_space = cell_instance.build()
-            cells.append(
-                BatchCell(cell_module, cell_space, fast_config(tiny_memory()))
-            )
-        bm = BatchMachine(cells)
-        btf = bm._compile(entry)
-        batch_headers = {sb.header for sb in btf.superblocks()}
-
-        # Same fusability verdict on every loop nest of the entry
-        # function — neither codegen declines a nest the other takes.
-        assert batch_headers == turbo_headers
-        # And both agree with the shared discovery module, including
-        # nesting depth.
-        units = discover_units(module.functions[entry])
-        assert turbo_headers == set(units)
-        for sb in btf.superblocks():
-            assert sb.depth == unit_depth(units[sb.header])
 
 
 # ----------------------------------------------------------------------

@@ -67,13 +67,11 @@ def test_turbo_warm_load_rebuilds_superblocks(cache_dir):
     fused_warm = warm._compiled[("turbo", "main")].superblocks()
     assert len(fused_warm) == len(fused_cold) > 0
     for a, b in zip(fused_cold, fused_warm):
-        assert (a.header, a.header_index, a.path, a.depth) == (
-            b.header, b.header_index, b.path, b.depth
-        )
+        assert (a.header, a.path, a.depth) == (b.header, b.path, b.depth)
         assert (a.bound_cycles, a.bound_retired) == (
             b.bound_cycles, b.bound_retired
         )
-        assert a.source_plain == b.source_plain
+        assert a.source == b.source
         assert a.source_profiled == b.source_profiled
 
 
@@ -86,6 +84,23 @@ def test_fast_engine_shares_the_turbo_entry(cache_dir):
     module, space, expected = build_indirect_loop()
     fast = Machine(module, space, config=replace(config, engine="fast"))
     assert fast.run("main").value == expected
+    cache = codecache.resolve(cache_dir)
+    assert (cache.misses, cache.hits, cache.invalidated) == (1, 1, 0)
+    assert cache.store.stats()["entries"] == 1
+
+
+def test_turbo_engine_under_a_fast_config_shares_the_turbo_entry(cache_dir):
+    """An explicit ``engine="turbo"`` over a config whose engine is
+    ``fast`` runs the code a turbo-config run compiled: a hit on its
+    entry, not a duplicate entry."""
+    config = _config(cache_dir)
+    module, space, expected = build_indirect_loop()
+    Machine(module, space, config=replace(config, engine="turbo")).run("main")
+    module, space, expected = build_indirect_loop()
+    turbo = Machine(
+        module, space, config=replace(config, engine="fast"), engine="turbo"
+    )
+    assert turbo.run("main").value == expected
     cache = codecache.resolve(cache_dir)
     assert (cache.misses, cache.hits, cache.invalidated) == (1, 1, 0)
     assert cache.store.stats()["entries"] == 1
@@ -154,16 +169,16 @@ def test_schema_one_entries_are_not_served(cache_dir, monkeypatch):
     """Entries written before the inline software-prefetch arm (schema
     1, whose steppers call the prefetch port for every prefetch) must
     not be served: the schema is the only codegen version in the key."""
-    from repro.machine import superblock
+    from repro.machine import batchturbo
     from tests.test_machine_batch import build_kernel
 
-    assert codecache.CODECACHE_SCHEMA == 3
+    assert codecache.CODECACHE_SCHEMA == 4
     config = _config(cache_dir)
     cache = codecache.resolve(cache_dir)
     with monkeypatch.context() as old:
         old.setattr(codecache, "CODECACHE_SCHEMA", 1)
         old.setattr(
-            superblock,
+            batchturbo,
             "prefetch_arm",
             lambda seg, addr, line, now, l1, mshr, mem, c, port, pc: [
                 f"{port}({addr}, {now}, {pc})"
@@ -173,7 +188,7 @@ def test_schema_one_entries_are_not_served(cache_dir, monkeypatch):
         machine = Machine(module, space, config=config, engine="turbo")
         expected = machine.run("main")
         (stale,) = machine._compiled[("turbo", "main")].superblocks()
-        assert "sw_prefetch_redundant" not in stale.source_plain
+        assert "sw_prefetch_redundant" not in stale.source
         old_key = cache.key(module.function("main"), config, "turbo")
     assert (cache.misses, cache.hits) == (1, 0)
 
@@ -184,7 +199,7 @@ def test_schema_one_entries_are_not_served(cache_dir, monkeypatch):
     result = machine.run("main")
     assert (cache.misses, cache.hits) == (2, 0)
     (fresh,) = machine._compiled[("turbo", "main")].superblocks()
-    assert "sw_prefetch_redundant" in fresh.source_plain
+    assert "sw_prefetch_redundant" in fresh.source
     assert result.value == expected.value
     assert result.counters.as_dict() == expected.counters.as_dict()
 
@@ -195,7 +210,7 @@ def test_schema_one_entries_are_not_served(cache_dir, monkeypatch):
     machine.run("main")
     assert cache.invalidated == 1
     (fresh,) = machine._compiled[("turbo", "main")].superblocks()
-    assert "sw_prefetch_redundant" in fresh.source_plain
+    assert "sw_prefetch_redundant" in fresh.source
 
 
 #: A call of the ``min``/``max`` builtins in generated code.
@@ -209,7 +224,7 @@ def test_schema_two_entries_are_not_served(cache_dir, monkeypatch):
     from repro.ir.opcodes import BINOP_EXPR, Opcode
     from tests.test_machine_batch import build_kernel
 
-    assert codecache.CODECACHE_SCHEMA == 3
+    assert codecache.CODECACHE_SCHEMA == 4
     config = _config(cache_dir)
     cache = codecache.resolve(cache_dir)
     with monkeypatch.context() as old:
@@ -219,7 +234,7 @@ def test_schema_two_entries_are_not_served(cache_dir, monkeypatch):
         machine = Machine(module, space, config=config, engine="turbo")
         expected = machine.run("main")
         (stale,) = machine._compiled[("turbo", "main")].superblocks()
-        assert _MINMAX_CALL.search(stale.source_plain)
+        assert _MINMAX_CALL.search(stale.source)
         old_key = cache.key(module.function("main"), config, "turbo")
     assert (cache.misses, cache.hits) == (1, 0)
 
@@ -230,7 +245,7 @@ def test_schema_two_entries_are_not_served(cache_dir, monkeypatch):
     result = machine.run("main")
     assert (cache.misses, cache.hits) == (2, 0)
     (fresh,) = machine._compiled[("turbo", "main")].superblocks()
-    assert not _MINMAX_CALL.search(fresh.source_plain)
+    assert not _MINMAX_CALL.search(fresh.source)
     assert result.value == expected.value
     assert result.counters.as_dict() == expected.counters.as_dict()
 
@@ -241,14 +256,14 @@ def test_schema_two_entries_are_not_served(cache_dir, monkeypatch):
     machine.run("main")
     assert cache.invalidated == 1
     (fresh,) = machine._compiled[("turbo", "main")].superblocks()
-    assert not _MINMAX_CALL.search(fresh.source_plain)
+    assert not _MINMAX_CALL.search(fresh.source)
 
 
 def test_hj8_aj_turbo_steppers_call_no_min_max():
     """The A&J index clamp (a MIN per prefetch) compiles to a
     conditional expression in HJ8-tiny's turbo steppers, not a call."""
     from repro.ir.opcodes import Opcode
-    from repro.machine.superblock import compile_turbo
+    from repro.machine.batchturbo import compile_fused
     from repro.passes.ainsworth_jones import (
         AinsworthJonesConfig,
         AinsworthJonesPass,
@@ -264,10 +279,10 @@ def test_hj8_aj_turbo_steppers_call_no_min_max():
         for block in function.blocks
         for inst in block.instructions
     )
-    steppers = compile_turbo(function, MachineConfig()).superblocks()
+    steppers = compile_fused(function, MachineConfig()).superblocks()
     assert steppers
     for stepper in steppers:
-        for source in (stepper.source_plain, stepper.source_profiled):
+        for source in (stepper.source, stepper.source_profiled):
             assert not _MINMAX_CALL.search(source), source
 
 
@@ -277,7 +292,7 @@ def test_hj8_aj_turbo_steppers_call_no_min_max():
         lambda p: p.update(cache_tag="cpython-00"),
         lambda p: p.update(schema=-1),
         lambda p: p.update(engine="translate"),
-        lambda p: p["superblocks"][1].update(code_plain="!!not-base64!!"),
+        lambda p: p["superblocks"][1].update(code="!!not-base64!!"),
         lambda p: p["superblocks"][1].update(bound_retired=0),
         lambda p: p["superblocks"][1].update(header="no_such_block"),
         lambda p: p.update(superblocks=[]),

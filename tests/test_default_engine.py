@@ -2,10 +2,11 @@
 
 ``fast`` stays a canonical engine name — it is the ``MachineConfig``
 default, every v1 result reports it, and it is part of every request
-and dedup key — but it compiles to the same
-:class:`~repro.machine.superblock.TurboCompiledFunction` the ``turbo``
-name does, shares its code-cache and simulation entries, and produces
-the same observations bit for bit.
+and dedup key — but it compiles to the same fused
+:class:`~repro.machine.blockengine.BlockCompiledFunction` the ``turbo``
+name does (:func:`~repro.machine.batchturbo.compile_fused`), shares
+its code-cache and simulation entries, and produces the same
+observations bit for bit.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import pytest
 
 import repro.api as api
 from repro.machine import codecache
+from repro.machine.blockengine import BlockCompiledFunction
 from repro.machine.config import MachineConfig
 from repro.machine.machine import Machine
-from repro.machine.superblock import TurboCompiledFunction
 from repro.service.api import TuningService
 from repro.workloads.registry import TINY_SUITE, make_workload
 
@@ -30,7 +31,7 @@ def test_fast_engine_compiles_the_turbo_form():
     machine = Machine(module, space, engine="fast")
     assert machine.run("main").value == expected
     compiled = machine._compiled[("fast", "main")]
-    assert isinstance(compiled, TurboCompiledFunction)
+    assert isinstance(compiled, BlockCompiledFunction)
     assert compiled.superblocks()
 
 

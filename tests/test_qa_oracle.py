@@ -14,7 +14,7 @@ from repro.qa.mutants import (
     TURBO_MUTANT_ENGINE,
     mutant_oracle_setup,
     offbyone_blockengine,
-    offbyone_superblock,
+    offbyone_batchturbo,
     profiling_mutant_oracle_setup,
     turbo_mutant_oracle_setup,
 )
@@ -116,11 +116,11 @@ def test_turbo_mutant_engine_is_caught():
 
 
 def test_turbo_mutant_module_is_scratch_copy():
-    import repro.machine.superblock as real
+    import repro.machine.batchturbo as real
 
-    mutant = offbyone_superblock()
+    mutant = offbyone_batchturbo()
     assert mutant is not real
-    assert mutant.compile_turbo is not real.compile_turbo
+    assert mutant.compile_fused is not real.compile_fused
     assert "offbyone" not in (real.__file__ or "")
 
 

@@ -9,6 +9,7 @@ from repro.qa.generate import build_program, generate_spec
 from repro.qa.mutants import (
     mutant_oracle_setup,
     profiling_mutant_oracle_setup,
+    turbo_mutant_oracle_setup,
 )
 from repro.qa.oracle import oracle_failure
 from repro.qa.shrink import count_blocks, shrink_spec
@@ -44,6 +45,24 @@ def test_profiling_mutant_failure_shrinks():
     def still_fails(candidate):
         failure = oracle_failure(candidate, config, runners)
         return failure is not None and failure.check == "profiling"
+
+    assert still_fails(spec)
+    shrunk = shrink_spec(spec, still_fails)
+    assert still_fails(shrunk)
+    assert count_blocks(shrunk) <= 3
+    assert count_blocks(shrunk) < count_blocks(spec)
+
+
+def test_turbo_mutant_failure_shrinks():
+    """An off-by-one in the fused stepper's back-edge retired count
+    minimizes to <= 3 basic blocks (a fused loop needs no more) and the
+    minimized spec still fails the differential."""
+    config, runners = turbo_mutant_oracle_setup()
+    spec = generate_spec(0)
+
+    def still_fails(candidate):
+        failure = oracle_failure(candidate, config, runners)
+        return failure is not None and failure.check == "differential"
 
     assert still_fails(spec)
     shrunk = shrink_spec(spec, still_fails)

@@ -238,7 +238,7 @@ class CodeCacheMachine(RuleBasedStateMachine):
         if engine == "turbo":
             for block in payload["superblocks"]:
                 if block is not None:
-                    block["code_plain"] = "AAAA"
+                    block["code"] = "AAAA"
                     block["code_profiled"] = "AAAA"
             if not any(payload["superblocks"]):
                 payload["ir"] = "0" * 16  # no blobs to trap: stale it

@@ -1,29 +1,42 @@
-"""Turbo-tier tests: nest-fusion shape, steady-state bulk stepping,
-observation-point guards, the tracing bypass, and the adaptive
-short-trip fallback.
+"""The fused superblock steppers of the sequential ``turbo``/``fast``
+path: nest-fusion shape, steady-state bulk stepping, observation-point
+guards (instruction budget, profiling samples), the tracing bypass, and
+the adaptive short-trip fallback.
 
-Cross-engine bit-identicality over random programs lives in the
-``repro.qa`` oracle and ``tests/test_machine_engines.py``; this file
-pins down the *structural* behaviour of the superblock compiler and the
-dispatch-loop contract around it.
+The steppers come from the one fused-nest generator
+(:mod:`repro.machine.batchturbo`) specialized for one cell, plain and
+profiled.  Cross-engine bit-identicality over random programs lives in
+the ``repro.qa`` oracle and ``tests/test_machine_engines.py``; this file
+pins down the *structural* behaviour of the steppers and the
+dispatch-loop contract around them, on small builders and on the tiny
+suite with and without the A&J pass.
 """
 
 from __future__ import annotations
+
+import functools
 
 import pytest
 
 from repro.ir.builder import IRBuilder
 from repro.ir.nodes import Module
-from repro.machine.blockengine import _ADAPT_WARMUP
+from repro.machine.batchturbo import compile_fused
+from repro.machine.blockengine import _ADAPT_WARMUP, BlockCompiledFunction
 from repro.machine.config import MachineConfig
 from repro.machine.interpreter import ExecutionLimitExceeded
 from repro.machine.machine import Machine
-from repro.machine.superblock import TurboCompiledFunction, compile_turbo
 from repro.mem.address import AddressSpace
+from repro.mem.config import CacheConfig
+from repro.passes.ainsworth_jones import (
+    AinsworthJonesConfig,
+    AinsworthJonesPass,
+)
+from repro.workloads.registry import TINY_SUITE, make_workload
 from tests.conftest import (
     build_indirect_loop,
     build_nested_indirect,
     build_sum_loop,
+    tiny_memory,
 )
 
 
@@ -104,8 +117,8 @@ def build_diamond_outer_short_inner(
 class TestFusionShape:
     def test_plain_loop_fuses_to_depth_one(self):
         module, _, _ = build_sum_loop()
-        tcf = compile_turbo(module.functions["main"])
-        assert isinstance(tcf, TurboCompiledFunction)
+        tcf = compile_fused(module.functions["main"])
+        assert isinstance(tcf, BlockCompiledFunction)
         fused = tcf.superblocks()
         assert [sb.header for sb in fused] == ["loop"]
         assert fused[0].depth == 1
@@ -114,7 +127,7 @@ class TestFusionShape:
 
     def test_nest_fuses_to_depth_two_and_keeps_inner(self):
         module, _, _ = build_nested_indirect()
-        tcf = compile_turbo(module.functions["main"])
+        tcf = compile_fused(module.functions["main"])
         by_header = {sb.header: sb for sb in tcf.superblocks()}
         # The outer unit absorbs the fused inner loop; the inner loop
         # also keeps a standalone superblock at its own header, where
@@ -130,21 +143,26 @@ class TestFusionShape:
 
     def test_diamond_body_is_rejected_but_inner_fuses(self):
         module, _, _ = build_diamond_outer_short_inner()
-        tcf = compile_turbo(module.functions["main"])
+        tcf = compile_fused(module.functions["main"])
         assert [sb.header for sb in tcf.superblocks()] == ["inner_h"]
 
     def test_generated_source_shape(self):
         module, _, _ = build_sum_loop()
-        tcf = compile_turbo(module.functions["main"])
+        tcf = compile_fused(module.functions["main"])
         sb = tcf.superblocks()[0]
-        assert "def __superblock(R, st, fp):" in sb.source_plain
-        # The entry guard and the hoisted observation-point limits.
-        assert "_gc = st.next_sample" in sb.source_plain
-        assert "_gm = st.max_instructions" in sb.source_plain
-        assert "return -1" in sb.source_plain
-        # The profiled variant records branches; the plain one must not.
-        assert "lbr_push" in sb.source_profiled
-        assert "lbr_push" not in sb.source_plain
+        for source in (sb.source, sb.source_profiled):
+            assert "def __fused(R, st, fp):" in source
+            # The entry guard and the hoisted budget limit.
+            assert "_gm = st.max_instructions" in source
+            assert "return -1" in source
+            # One cell: no cell loop, no shadow code.
+            assert " in CELLS:" not in source
+            assert "SHADOWS" not in source
+        # Only the profiled variant guards the next sample, records
+        # taken branches and long-latency loads.
+        for token in ("_gc = st.next_sample", "lbr_push", "record_load"):
+            assert token in sb.source_profiled
+            assert token not in sb.source
 
 
 @pytest.mark.parametrize(
@@ -206,18 +224,18 @@ class TestDispatchContract:
         tcf = machine._compile("main")
         calls = 0
         sb = tcf.superblocks()[0]
-        original = sb.run_plain
+        original = sb.run
 
         def counting(R, st, fp):
             nonlocal calls
             calls += 1
             return original(R, st, fp)
 
-        sb.run_plain = counting
+        sb.run = counting
         try:
             result = machine.run("main")
         finally:
-            sb.run_plain = original
+            sb.run = original
         assert result.value == expected
         assert calls == 0, "bulk stepping must be disabled while tracing"
 
@@ -227,18 +245,18 @@ class TestDispatchContract:
         tcf = machine._compile("main")
         calls = 0
         sb = tcf.superblocks()[0]
-        original = sb.run_plain
+        original = sb.run
 
         def counting(R, st, fp):
             nonlocal calls
             calls += 1
             return original(R, st, fp)
 
-        sb.run_plain = counting
+        sb.run = counting
         try:
             result = machine.run("main")
         finally:
-            sb.run_plain = original
+            sb.run = original
         assert result.value == expected
         assert calls > 0
 
@@ -253,18 +271,18 @@ class TestDispatchContract:
         tcf = machine._compile("main")
         calls = 0
         sb = tcf.superblocks()[0]
-        original = sb.run_plain
+        original = sb.run
 
         def counting(R, st, fp):
             nonlocal calls
             calls += 1
             return original(R, st, fp)
 
-        sb.run_plain = counting
+        sb.run = counting
         try:
             result = machine.run("main")
         finally:
-            sb.run_plain = original
+            sb.run = original
         assert result.value == expected
         assert calls == _ADAPT_WARMUP
 
@@ -278,3 +296,130 @@ class TestDispatchContract:
         first = machine.run("main")
         second = machine.run("main")
         assert first.value == second.value == expected
+
+
+def _fast_memory():
+    """Latencies so short that a sum-loop iteration's worst case (13
+    cycles) fits between two samples 17 cycles apart."""
+    return tiny_memory(
+        l1=CacheConfig("L1D", 1024, 4, 1),
+        l2=CacheConfig("L2", 4096, 4, 2),
+        llc=CacheConfig("LLC", 16 * 1024, 8, 3),
+        dram_latency=4,
+    )
+
+
+class TestProfiledStepper:
+    def test_samples_inside_a_fused_nest_match_reference(self):
+        # At sample period 17 the profiled stepper runs an iteration or
+        # two between samples, so LBR snapshots hold branches it pushed
+        # and its PEBS records land between samples too.
+        machines = {}
+        for engine in ("turbo", "reference"):
+            module, space, expected = build_sum_loop(n=300)
+            machine = Machine(
+                module, space, config=MachineConfig(memory=_fast_memory()),
+                engine=engine,
+            )
+            machine.enable_profiling(period=17)
+            assert machine.run("main").value == expected
+            machines[engine] = machine
+        turbo, reference = machines["turbo"], machines["reference"]
+        assert turbo.counters.as_dict() == reference.counters.as_dict()
+        assert turbo.sampler.samples == reference.sampler.samples
+        assert len(turbo.sampler.samples) > 100
+        for attr in ("load_miss_counts", "load_miss_latency"):
+            assert getattr(turbo.sampler, attr)
+            assert getattr(turbo.sampler, attr) == getattr(
+                reference.sampler, attr
+            )
+        (sb,) = turbo._compiled[("turbo", "main")].superblocks()
+        assert sb.bound_cycles < 17
+        stats = turbo.engine_run_stats()
+        assert stats["bulk_iters"] > 0
+        assert stats["guard_declines"] > 0
+
+
+# ----------------------------------------------------------------------
+# The tiny suite, plain and after the A&J pass
+# ----------------------------------------------------------------------
+SUITE = [
+    (name, scheme) for name in sorted(TINY_SUITE) for scheme in ("plain", "aj")
+]
+
+#: A sample period that lands samples inside every hot fused nest.
+PERIOD = 20011
+
+
+def _build(name: str, scheme: str):
+    workload = make_workload(name, "tiny")
+    module, space = workload.build()
+    if scheme == "aj":
+        AinsworthJonesPass(AinsworthJonesConfig(distance=8)).run(module)
+    return module, space, workload.entry
+
+
+def _observe(name, scheme, engine, period=None, traced=False, runs=1):
+    """(observation, engine stats) of ``runs`` runs on one machine."""
+    module, space, entry = _build(name, scheme)
+    machine = Machine(module, space, config=MachineConfig(), engine=engine)
+    if period is not None:
+        machine.enable_profiling(period=period)
+    if traced:
+        machine.enable_tracing()
+    observation = [
+        (result.value, result.counters.as_dict())
+        for result in (machine.run(entry) for _ in range(runs))
+    ]
+    if period is not None:
+        sampler = machine.sampler
+        observation += [
+            [tuple(snapshot) for snapshot in sampler.samples],
+            dict(sampler.load_miss_counts),
+            dict(sampler.load_miss_latency),
+        ]
+    return observation, machine.engine_run_stats()
+
+
+@functools.lru_cache(maxsize=None)
+def _reference(name, scheme, period=None):
+    return _observe(name, scheme, "reference", period)[0]
+
+
+@pytest.mark.parametrize("name,scheme", SUITE)
+class TestTinySuite:
+    def test_matches_reference(self, name, scheme):
+        observation, stats = _observe(name, scheme, "turbo")
+        assert observation == _reference(name, scheme)
+        assert stats["bulk_calls"] > 0  # bulk stepping engaged
+
+    def test_profiled_matches_reference(self, name, scheme):
+        observation, stats = _observe(name, scheme, "turbo", PERIOD)
+        assert observation == _reference(name, scheme, PERIOD)
+        assert observation[1] and observation[2]  # LBR and PEBS samples
+        # The profiled steppers ran, and bailed before samples.
+        assert stats["bulk_calls"] > 0
+        assert stats["guard_declines"] > 0
+
+    def test_tracing_bypasses_bulk_stepping(self, name, scheme):
+        traced, stats = _observe(name, scheme, "turbo", traced=True)
+        assert stats["bulk_calls"] == 0
+        assert traced == _observe(name, scheme, "turbo")[0]
+
+    def test_execution_limit_raises_like_reference(self, name, scheme):
+        budget = _reference(name, scheme)[0][1]["instructions"] // 2
+        config = MachineConfig(max_instructions=budget)
+        errors = []
+        for engine in ("turbo", "reference"):
+            module, space, entry = _build(name, scheme)
+            machine = Machine(module, space, config=config, engine=engine)
+            with pytest.raises(ExecutionLimitExceeded) as raised:
+                machine.run(entry)
+            errors.append(str(raised.value))
+        assert errors[0] == errors[1]
+
+    def test_adaptive_bypass_is_per_run(self, name, scheme):
+        # Two runs on one machine: the second re-warms every cleared
+        # slot and both stay bit-identical to a non-fused engine.
+        turbo, _ = _observe(name, scheme, "turbo", runs=2)
+        assert turbo == _observe(name, scheme, "translate", runs=2)[0]
