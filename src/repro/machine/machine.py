@@ -69,6 +69,9 @@ class Machine:
     ) -> None:
         if not module.finalized:
             module.finalize()
+        # A workload's inputs are generated here, never inside run(): a
+        # run's time is the simulation's alone.
+        space.materialize()
         self.module = module
         self.space = space
         self.config = config or MachineConfig()

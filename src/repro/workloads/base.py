@@ -23,7 +23,13 @@ GUARD_ELEMS = 1024
 
 class Workload:
     """Base class; subclasses configure themselves in ``__init__`` and
-    implement :meth:`_build`."""
+    implement :meth:`_build`.
+
+    The suite's workloads build their space as
+    ``AddressSpace(fill=self._inputs)`` and allocate segments by length,
+    so a build generates no input value; ``_inputs`` draws them all, in
+    one fixed RNG order, when the space is first observed.
+    """
 
     #: Registry/reporting name (e.g. "BFS").
     name: str = "workload"

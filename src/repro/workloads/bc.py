@@ -19,6 +19,9 @@ from repro.workloads.csr_common import (
     allocate_csr,
     allocate_vertex_state,
     allocate_worklist,
+    csr_values,
+    vertex_values,
+    worklist_values,
 )
 from repro.workloads.graphs import CSRGraph, Dataset
 
@@ -34,16 +37,23 @@ class BCWorkload(Workload):
         self.source = source
         self.name = f"BC/{dataset.name}"
 
-    def _build(self) -> tuple[Module, AddressSpace]:
+    def _inputs(self) -> dict[str, list]:
         graph: CSRGraph = self.dataset.build()
-        space = AddressSpace()
-        row, col = allocate_csr(space, graph)
-        dist = allocate_vertex_state(space, "dist", graph.n, init=-1)
-        sigma = allocate_vertex_state(space, "sigma", graph.n, init=0)
-        queue = allocate_worklist(space, "queue", graph.n)
-        dist.values[self.source] = 0
-        sigma.values[self.source] = 1
-        queue.values[0] = self.source
+        values = csr_values(graph)
+        values["dist"] = vertex_values(graph.n, -1)
+        values["dist"][self.source] = 0
+        values["sigma"] = vertex_values(graph.n, 0)
+        values["sigma"][self.source] = 1
+        values["queue"] = worklist_values(graph.n, self.source)
+        return values
+
+    def _build(self) -> tuple[Module, AddressSpace]:
+        n, m = self.dataset.shape()
+        space = AddressSpace(fill=self._inputs)
+        row, col = allocate_csr(space, n, m)
+        dist = allocate_vertex_state(space, "dist", n)
+        sigma = allocate_vertex_state(space, "sigma", n)
+        queue = allocate_worklist(space, "queue", n)
 
         module = Module(self.name)
         b = IRBuilder(module)

@@ -18,6 +18,9 @@ from repro.workloads.csr_common import (
     allocate_csr,
     allocate_vertex_state,
     allocate_worklist,
+    csr_values,
+    vertex_values,
+    worklist_values,
 )
 from repro.workloads.graphs import CSRGraph, Dataset
 
@@ -33,14 +36,20 @@ class BFSWorkload(Workload):
         self.source = source
         self.name = f"BFS/{dataset.name}"
 
-    def _build(self) -> tuple[Module, AddressSpace]:
+    def _inputs(self) -> dict[str, list]:
         graph: CSRGraph = self.dataset.build()
-        space = AddressSpace()
-        row, col = allocate_csr(space, graph)
-        dist = allocate_vertex_state(space, "dist", graph.n, init=-1)
-        queue = allocate_worklist(space, "queue", graph.n)
-        dist.values[self.source] = 0
-        queue.values[0] = self.source
+        values = csr_values(graph)
+        values["dist"] = vertex_values(graph.n, -1)
+        values["dist"][self.source] = 0
+        values["queue"] = worklist_values(graph.n, self.source)
+        return values
+
+    def _build(self) -> tuple[Module, AddressSpace]:
+        n, m = self.dataset.shape()
+        space = AddressSpace(fill=self._inputs)
+        row, col = allocate_csr(space, n, m)
+        dist = allocate_vertex_state(space, "dist", n)
+        queue = allocate_worklist(space, "queue", n)
 
         module = Module(self.name)
         b = IRBuilder(module)

@@ -15,6 +15,9 @@ from repro.workloads.csr_common import (
     allocate_csr,
     allocate_vertex_state,
     allocate_worklist,
+    csr_values,
+    vertex_values,
+    worklist_values,
 )
 from repro.workloads.graphs import CSRGraph, Dataset
 
@@ -30,14 +33,20 @@ class DFSWorkload(Workload):
         self.source = source
         self.name = f"DFS/{dataset.name}"
 
-    def _build(self) -> tuple[Module, AddressSpace]:
+    def _inputs(self) -> dict[str, list]:
         graph: CSRGraph = self.dataset.build()
-        space = AddressSpace()
-        row, col = allocate_csr(space, graph)
-        visited = allocate_vertex_state(space, "visited", graph.n, init=0)
-        stack = allocate_worklist(space, "stack", graph.n)
-        visited.values[self.source] = 1
-        stack.values[0] = self.source
+        values = csr_values(graph)
+        values["visited"] = vertex_values(graph.n, 0)
+        values["visited"][self.source] = 1
+        values["stack"] = worklist_values(graph.n, self.source)
+        return values
+
+    def _build(self) -> tuple[Module, AddressSpace]:
+        n, m = self.dataset.shape()
+        space = AddressSpace(fill=self._inputs)
+        row, col = allocate_csr(space, n, m)
+        visited = allocate_vertex_state(space, "visited", n)
+        stack = allocate_worklist(space, "stack", n)
 
         module = Module(self.name)
         b = IRBuilder(module)

@@ -12,7 +12,7 @@ from repro.ir.nodes import Module
 from repro.mem.address import AddressSpace
 from repro.workloads.base import Workload
 from repro.workloads.bfs import BFSWorkload
-from repro.workloads.graphs import CSRGraph, Dataset, rmat_graph
+from repro.workloads.graphs import CSRGraph, Dataset, rmat_graph, rmat_shape
 
 
 class _RMATDataset(Dataset):
@@ -37,6 +37,9 @@ class _RMATDataset(Dataset):
         params["rmat_scale"] = self.scale  # type: ignore[attr-defined]
         params["edgefactor"] = self.edgefactor  # type: ignore[attr-defined]
         return params
+
+    def shape(self) -> tuple[int, int]:
+        return rmat_shape(self.scale, self.edgefactor)  # type: ignore[attr-defined]
 
     def _generate(self) -> CSRGraph:
         return rmat_graph(

@@ -42,31 +42,34 @@ class CSRGraph:
 # ----------------------------------------------------------------------
 # Generators
 # ----------------------------------------------------------------------
-def uniform_graph(n: int, avg_degree: float, seed: int, name: str = "uniform") -> CSRGraph:
-    """Each vertex gets ~avg_degree uniformly random out-neighbours."""
-    rng = random.Random(seed)
-    row = [0]
-    col: list[int] = []
+# The uniform and power-law generators run in two phases on one RNG: the
+# degree phase fixes the shape (n, m), then the destination phase draws
+# ``col``.  Dataset.shape() runs only the first.
+def uniform_degrees(n: int, avg_degree: float) -> list[int]:
+    """Out-degrees spreading ``int(n * avg_degree)`` edges evenly (no RNG)."""
     target_m = int(n * avg_degree)
+    degrees = []
+    placed = 0
     for u in range(n):
-        remaining_vertices = n - u
-        remaining_edges = target_m - len(col)
-        degree = max(0, round(remaining_edges / remaining_vertices))
-        for _ in range(degree):
-            col.append(rng.randrange(n))
-        row.append(len(col))
-    return CSRGraph(name=name, n=n, row=row, col=col)
+        degree = max(0, round((target_m - placed) / (n - u)))
+        degrees.append(degree)
+        placed += degree
+    return degrees
 
 
-def power_law_graph(
-    n: int, avg_degree: float, seed: int, name: str = "power", alpha: float = 2.2
-) -> CSRGraph:
-    """Power-law out-degrees (web/social shape), random destinations."""
-    rng = random.Random(seed)
-    # Sample degrees ~ pareto, then rescale to hit the average.
+def power_law_degrees(
+    n: int, avg_degree: float, rng: random.Random, alpha: float = 2.2
+) -> list[int]:
+    """Pareto out-degrees rescaled to the average (``n`` RNG draws)."""
     raw = [rng.paretovariate(alpha - 1.0) for _ in range(n)]
     scale = avg_degree * n / sum(raw)
-    degrees = [max(1, min(n - 1, round(d * scale))) for d in raw]
+    return [max(1, min(n - 1, round(d * scale))) for d in raw]
+
+
+def random_destinations(
+    name: str, n: int, degrees: list[int], rng: random.Random
+) -> CSRGraph:
+    """The destination phase: uniformly random neighbours, vertex by vertex."""
     row = [0]
     col: list[int] = []
     for degree in degrees:
@@ -74,6 +77,21 @@ def power_law_graph(
             col.append(rng.randrange(n))
         row.append(len(col))
     return CSRGraph(name=name, n=n, row=row, col=col)
+
+
+def uniform_graph(n: int, avg_degree: float, seed: int, name: str = "uniform") -> CSRGraph:
+    """Each vertex gets ~avg_degree uniformly random out-neighbours."""
+    degrees = uniform_degrees(n, avg_degree)
+    return random_destinations(name, n, degrees, random.Random(seed))
+
+
+def power_law_graph(
+    n: int, avg_degree: float, seed: int, name: str = "power", alpha: float = 2.2
+) -> CSRGraph:
+    """Power-law out-degrees (web/social shape), random destinations."""
+    rng = random.Random(seed)
+    degrees = power_law_degrees(n, avg_degree, rng, alpha)
+    return random_destinations(name, n, degrees, rng)
 
 
 def road_graph(
@@ -107,6 +125,12 @@ def road_graph(
     return CSRGraph(name=name, n=n, row=row, col=col)
 
 
+def rmat_shape(scale: int, edgefactor: int) -> tuple[int, int]:
+    """(n, m) of an R-MAT graph: every one of the m draws makes an edge."""
+    n = 1 << scale
+    return n, n * edgefactor
+
+
 def rmat_graph(
     scale: int,
     edgefactor: int,
@@ -116,8 +140,7 @@ def rmat_graph(
 ) -> CSRGraph:
     """Graph500-style Kronecker/R-MAT generator."""
     rng = random.Random(seed)
-    n = 1 << scale
-    m = n * edgefactor
+    n, m = rmat_shape(scale, edgefactor)
     a, b, c, _ = probabilities
     buckets: list[list[int]] = [[] for _ in range(n)]
     for _ in range(m):
@@ -194,6 +217,22 @@ class Dataset:
             "seed": self.seed,
             "avg_degree": f"{self.avg_degree:g}",
         }
+
+    def shape(self) -> tuple[int, int]:
+        """``(n, m)`` of the graph :meth:`build` returns, drawing no
+        destinations: uniform degrees take no RNG draws, power-law
+        degrees ``n`` draws; a road graph's shape is its full
+        (memoized) generation."""
+        if self.kind == "uniform":
+            degrees = uniform_degrees(self.vertices, self.avg_degree)
+        elif self.kind == "power":
+            degrees = power_law_degrees(
+                self.vertices, self.avg_degree, random.Random(self.seed)
+            )
+        else:
+            graph = self.build()
+            return graph.n, graph.m
+        return self.vertices, sum(degrees)
 
     def _generate(self) -> CSRGraph:
         """Run the actual generator (subclass hook; no caching)."""

@@ -58,10 +58,8 @@ class HashJoinWorkload(Workload):
         product = (key * FIB_MULTIPLIER) & 0xFFFFFFFF
         return (product >> 16) & (self.buckets - 1)
 
-    def _build(self) -> tuple[Module, AddressSpace]:
+    def _inputs(self) -> dict[str, list]:
         rng = random.Random(self.seed)
-        space = AddressSpace()
-
         # Build side: fill each bucket with keys that hash to it.
         table_values = [0] * (self.table_entries + GUARD_ELEMS)
         fill = rng.randrange(1, 1 << 30)
@@ -72,8 +70,14 @@ class HashJoinWorkload(Workload):
         probe_values = [
             rng.randrange(1, 1 << 30) for _ in range(self.probes + GUARD_ELEMS)
         ]
-        table = space.allocate("hash_table", table_values, elem_size=8)
-        probe = space.allocate("probe_keys", probe_values, elem_size=8)
+        return {"hash_table": table_values, "probe_keys": probe_values}
+
+    def _build(self) -> tuple[Module, AddressSpace]:
+        space = AddressSpace(fill=self._inputs)
+        table = space.allocate(
+            "hash_table", self.table_entries + GUARD_ELEMS, elem_size=8
+        )
+        probe = space.allocate("probe_keys", self.probes + GUARD_ELEMS, elem_size=8)
 
         module = Module(self.name)
         b = IRBuilder(module)

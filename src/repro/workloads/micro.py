@@ -60,25 +60,22 @@ class IndirectMicrobenchmark(Workload):
         self.name = f"micro-{complexity}-i{self.inner}"
 
     # ------------------------------------------------------------------
-    def _build(self) -> tuple[Module, AddressSpace]:
+    def _inputs(self) -> dict[str, list]:
         rng = random.Random(self.seed)
         half = self.target_elems // 2
-        space = AddressSpace()
-        bo = space.allocate(
-            "BO",
-            [rng.randrange(half) for _ in range(self.outer + GUARD_ELEMS)],
-            elem_size=8,
-        )
-        bi = space.allocate(
-            "BI",
-            [rng.randrange(half) for _ in range(self.inner + GUARD_ELEMS)],
-            elem_size=8,
-        )
-        target = space.allocate("T", self.target_elems, elem_size=8)
+        bo = [rng.randrange(half) for _ in range(self.outer + GUARD_ELEMS)]
+        bi = [rng.randrange(half) for _ in range(self.inner + GUARD_ELEMS)]
         # Give T nonzero contents so checksums are meaningful.
-        values = target.values
-        for index in range(0, len(values), 97):
-            values[index] = index & 0xFFFF
+        target = [0] * self.target_elems
+        for index in range(0, len(target), 97):
+            target[index] = index & 0xFFFF
+        return {"BO": bo, "BI": bi, "T": target}
+
+    def _build(self) -> tuple[Module, AddressSpace]:
+        space = AddressSpace(fill=self._inputs)
+        bo = space.allocate("BO", self.outer + GUARD_ELEMS, elem_size=8)
+        bi = space.allocate("BI", self.inner + GUARD_ELEMS, elem_size=8)
+        target = space.allocate("T", self.target_elems, elem_size=8)
 
         module = Module(self.name)
         b = IRBuilder(module)

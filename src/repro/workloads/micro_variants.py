@@ -38,20 +38,22 @@ class NonCanonicalMicrobenchmark(Workload):
         self.target_elems = target_elems
         self.seed = seed
 
-    def _build(self) -> tuple[Module, AddressSpace]:
+    def _inputs(self) -> dict[str, list]:
         rng = random.Random(self.seed)
-        space = AddressSpace()
+        bits = self.span.bit_length() - 1
+        return {
+            "B": [
+                rng.randrange(self.target_elems)
+                for _ in range((self.outer + GUARD_ELEMS) * bits)
+            ]
+        }
+
+    def _build(self) -> tuple[Module, AddressSpace]:
+        space = AddressSpace(fill=self._inputs)
         # Sparse index plane: only the power-of-two offsets are read, so
         # keep B small: one slot per (outer, bit) pair.
         bits = self.span.bit_length() - 1
-        b_seg = space.allocate(
-            "B",
-            [
-                rng.randrange(self.target_elems)
-                for _ in range((self.outer + GUARD_ELEMS) * bits)
-            ],
-            elem_size=8,
-        )
+        b_seg = space.allocate("B", (self.outer + GUARD_ELEMS) * bits, elem_size=8)
         t_seg = space.allocate("T", self.target_elems, elem_size=8)
 
         module = Module(self.name)
@@ -121,25 +123,22 @@ class BreakConditionMicrobenchmark(Workload):
         self.sentinel_period = sentinel_period
         self.seed = seed
 
-    def _build(self) -> tuple[Module, AddressSpace]:
+    def _inputs(self) -> dict[str, list]:
         rng = random.Random(self.seed)
         half = self.target_elems // 2
-        space = AddressSpace()
-        bo = space.allocate(
-            "BO",
-            [rng.randrange(half) for _ in range(self.outer + GUARD_ELEMS)],
-            elem_size=8,
-        )
-        bi = space.allocate(
-            "BI",
-            [rng.randrange(half) for _ in range(self.inner + GUARD_ELEMS)],
-            elem_size=8,
-        )
-        target_values = [rng.randrange(1, 1 << 16) for _ in range(self.target_elems)]
+        bo = [rng.randrange(half) for _ in range(self.outer + GUARD_ELEMS)]
+        bi = [rng.randrange(half) for _ in range(self.inner + GUARD_ELEMS)]
+        target = [rng.randrange(1, 1 << 16) for _ in range(self.target_elems)]
         # Scatter sentinels so some inner loops break early.
         for index in range(0, self.target_elems, self.sentinel_period):
-            target_values[index] = 0
-        t_seg = space.allocate("T", target_values, elem_size=8)
+            target[index] = 0
+        return {"BO": bo, "BI": bi, "T": target}
+
+    def _build(self) -> tuple[Module, AddressSpace]:
+        space = AddressSpace(fill=self._inputs)
+        bo = space.allocate("BO", self.outer + GUARD_ELEMS, elem_size=8)
+        bi = space.allocate("BI", self.inner + GUARD_ELEMS, elem_size=8)
+        t_seg = space.allocate("T", self.target_elems, elem_size=8)
 
         module = Module(self.name)
         b = IRBuilder(module)
@@ -216,25 +215,19 @@ class CallWorkMicrobenchmark(Workload):
         self.target_elems = target_elems
         self.seed = seed
 
-    def _build(self) -> tuple[Module, AddressSpace]:
+    def _inputs(self) -> dict[str, list]:
         rng = random.Random(self.seed)
         half = self.target_elems // 2
-        space = AddressSpace()
-        bo = space.allocate(
-            "BO",
-            [rng.randrange(half) for _ in range(self.outer + GUARD_ELEMS)],
-            elem_size=8,
-        )
-        bi = space.allocate(
-            "BI",
-            [rng.randrange(half) for _ in range(self.inner + GUARD_ELEMS)],
-            elem_size=8,
-        )
-        t_seg = space.allocate(
-            "T",
-            [rng.randrange(1 << 10) for _ in range(self.target_elems)],
-            elem_size=8,
-        )
+        bo = [rng.randrange(half) for _ in range(self.outer + GUARD_ELEMS)]
+        bi = [rng.randrange(half) for _ in range(self.inner + GUARD_ELEMS)]
+        target = [rng.randrange(1 << 10) for _ in range(self.target_elems)]
+        return {"BO": bo, "BI": bi, "T": target}
+
+    def _build(self) -> tuple[Module, AddressSpace]:
+        space = AddressSpace(fill=self._inputs)
+        bo = space.allocate("BO", self.outer + GUARD_ELEMS, elem_size=8)
+        bi = space.allocate("BI", self.inner + GUARD_ELEMS, elem_size=8)
+        t_seg = space.allocate("T", self.target_elems, elem_size=8)
 
         module = Module(self.name)
         b = IRBuilder(module)

@@ -16,7 +16,11 @@ from repro.ir.builder import IRBuilder
 from repro.ir.nodes import Module
 from repro.mem.address import AddressSpace
 from repro.workloads.base import GUARD_ELEMS, Workload
-from repro.workloads.csr_common import VERTEX_ELEM, allocate_vertex_state
+from repro.workloads.csr_common import (
+    VERTEX_ELEM,
+    allocate_vertex_state,
+    vertex_values,
+)
 
 
 class ConjugateGradientWorkload(Workload):
@@ -38,10 +42,9 @@ class ConjugateGradientWorkload(Workload):
         self.seed = seed
         self.name = f"CG-n{rows}"
 
-    def _build(self) -> tuple[Module, AddressSpace]:
+    def _inputs(self) -> dict[str, list]:
         rng = random.Random(self.seed)
         n = self.rows
-        space = AddressSpace()
         row_values = [0]
         col_values: list[int] = []
         for _ in range(n):
@@ -51,16 +54,20 @@ class ConjugateGradientWorkload(Workload):
         row_values.extend([len(col_values)] * GUARD_ELEMS)
         nnz = len(col_values)
         col_values.extend([0] * GUARD_ELEMS)
-        row = space.allocate("row", row_values, elem_size=8)
-        col = space.allocate("col", col_values, elem_size=8)
-        a = space.allocate(
-            "a",
-            [rng.randrange(1, 1 << 12) for _ in range(nnz + GUARD_ELEMS)],
-            elem_size=8,
-        )
-        x = allocate_vertex_state(space, "x", n)
+        a_values = [rng.randrange(1, 1 << 12) for _ in range(nnz + GUARD_ELEMS)]
+        x_values = vertex_values(n, 0)
         for index in range(n):
-            x.values[index] = rng.randrange(1 << 12)
+            x_values[index] = rng.randrange(1 << 12)
+        return {"row": row_values, "col": col_values, "a": a_values, "x": x_values}
+
+    def _build(self) -> tuple[Module, AddressSpace]:
+        n = self.rows
+        nnz = n * self.nnz_per_row
+        space = AddressSpace(fill=self._inputs)
+        row = space.allocate("row", n + 1 + GUARD_ELEMS, elem_size=8)
+        col = space.allocate("col", nnz + GUARD_ELEMS, elem_size=8)
+        a = space.allocate("a", nnz + GUARD_ELEMS, elem_size=8)
+        x = allocate_vertex_state(space, "x", n)
         y = space.allocate("y", n + 1, elem_size=8)
 
         module = Module(self.name)

@@ -38,15 +38,19 @@ class IntegerSortWorkload(Workload):
         self.seed = seed
         self.name = f"IS-{klass}"
 
-    def _build(self) -> tuple[Module, AddressSpace]:
+    def _inputs(self) -> dict[str, list]:
         rng = random.Random(self.seed)
         buckets = 1 << self.bucket_bits
-        space = AddressSpace()
-        keys = space.allocate(
-            "keys",
-            [rng.randrange(buckets) for _ in range(self.keys + GUARD_ELEMS)],
-            elem_size=8,
-        )
+        return {
+            "keys": [
+                rng.randrange(buckets) for _ in range(self.keys + GUARD_ELEMS)
+            ]
+        }
+
+    def _build(self) -> tuple[Module, AddressSpace]:
+        buckets = 1 << self.bucket_bits
+        space = AddressSpace(fill=self._inputs)
+        keys = space.allocate("keys", self.keys + GUARD_ELEMS, elem_size=8)
         count = space.allocate("count", buckets + GUARD_ELEMS, elem_size=8)
 
         module = Module(self.name)

@@ -18,6 +18,8 @@ from repro.workloads.csr_common import (
     VERTEX_ELEM,
     allocate_csr,
     allocate_vertex_state,
+    csr_values,
+    vertex_values,
 )
 from repro.workloads.graphs import CSRGraph, Dataset
 
@@ -35,15 +37,21 @@ class PageRankWorkload(Workload):
         self.iterations = max(1, int(iterations))
         self.name = f"PR/{dataset.name}"
 
-    def _build(self) -> tuple[Module, AddressSpace]:
+    def _inputs(self) -> dict[str, list]:
         graph: CSRGraph = self.dataset.build()
         rng = random.Random(self.dataset.seed + 7)
-        space = AddressSpace()
-        row, col = allocate_csr(space, graph)
-        contrib = allocate_vertex_state(space, "contrib", graph.n)
+        values = csr_values(graph)
+        contrib = values["contrib"] = vertex_values(graph.n, 0)
         for index in range(graph.n):
-            contrib.values[index] = rng.randrange(FIXED_ONE)
-        new_rank = space.allocate("new_rank", graph.n + 1, elem_size=8)
+            contrib[index] = rng.randrange(FIXED_ONE)
+        return values
+
+    def _build(self) -> tuple[Module, AddressSpace]:
+        n, m = self.dataset.shape()
+        space = AddressSpace(fill=self._inputs)
+        row, col = allocate_csr(space, n, m)
+        contrib = allocate_vertex_state(space, "contrib", n)
+        new_rank = space.allocate("new_rank", n + 1, elem_size=8)
 
         module = Module(self.name)
         b = IRBuilder(module)
@@ -93,7 +101,7 @@ class PageRankWorkload(Workload):
         b.store(na, base_rank)
         u2 = b.add(u, 1, name="u2")
         b.add_incoming(u, u_latch, u2)
-        more_u = b.lt(u2, graph.n, name="more.u")
+        more_u = b.lt(u2, n, name="more.u")
         b.br(more_u, u_h, it_latch)
 
         b.at(it_latch)

@@ -36,16 +36,19 @@ class RandomAccessWorkload(Workload):
         self.seed = seed
         self.name = "randAccess"
 
-    def _build(self) -> tuple[Module, AddressSpace]:
+    def _inputs(self) -> dict[str, list]:
         rng = random.Random(self.seed)
-        space = AddressSpace()
-        indices = space.allocate(
-            "indices",
-            [
+        return {
+            "indices": [
                 rng.randrange(self.table_elems)
                 for _ in range(self.updates + GUARD_ELEMS)
-            ],
-            elem_size=8,
+            ]
+        }
+
+    def _build(self) -> tuple[Module, AddressSpace]:
+        space = AddressSpace(fill=self._inputs)
+        indices = space.allocate(
+            "indices", self.updates + GUARD_ELEMS, elem_size=8
         )
         table = space.allocate("table", self.table_elems, elem_size=8)
 

@@ -18,6 +18,8 @@ from repro.workloads.csr_common import (
     VERTEX_ELEM,
     allocate_csr,
     allocate_vertex_state,
+    csr_values,
+    vertex_values,
 )
 from repro.workloads.graphs import CSRGraph, Dataset
 
@@ -36,18 +38,23 @@ class SSSPWorkload(Workload):
         self.source = source
         self.name = f"SSSP/{dataset.name}"
 
-    def _build(self) -> tuple[Module, AddressSpace]:
+    def _inputs(self) -> dict[str, list]:
         graph: CSRGraph = self.dataset.build()
         rng = random.Random(self.dataset.seed + 13)
-        space = AddressSpace()
-        row, col = allocate_csr(space, graph)
-        weights = space.allocate(
-            "weights",
-            [rng.randrange(1, 64) for _ in range(graph.m + GUARD_ELEMS)],
-            elem_size=8,
-        )
-        dist = allocate_vertex_state(space, "dist", graph.n, init=INFINITY)
-        dist.values[self.source] = 0
+        values = csr_values(graph)
+        values["weights"] = [
+            rng.randrange(1, 64) for _ in range(graph.m + GUARD_ELEMS)
+        ]
+        values["dist"] = vertex_values(graph.n, INFINITY)
+        values["dist"][self.source] = 0
+        return values
+
+    def _build(self) -> tuple[Module, AddressSpace]:
+        n, m = self.dataset.shape()
+        space = AddressSpace(fill=self._inputs)
+        row, col = allocate_csr(space, n, m)
+        weights = space.allocate("weights", m + GUARD_ELEMS, elem_size=8)
+        dist = allocate_vertex_state(space, "dist", n)
 
         module = Module(self.name)
         b = IRBuilder(module)
@@ -94,7 +101,7 @@ class SSSPWorkload(Workload):
         b.at(u_latch)
         u2 = b.add(u, 1, name="u2")
         b.add_incoming(u, u_latch, u2)
-        more_u = b.lt(u2, graph.n, name="more.u")
+        more_u = b.lt(u2, n, name="more.u")
         b.br(more_u, u_h, r_latch)
 
         b.at(r_latch)

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.workloads.graph500 import _RMATDataset
 from repro.workloads.graphs import (
     CATALOG,
+    Dataset,
     dataset,
     power_law_graph,
     rmat_graph,
@@ -99,3 +101,18 @@ class TestCatalog:
         check_csr(graph)
         assert graph.n == 1000
         assert "synth" in entry.name
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            synthetic_dataset(1000, 8, seed=5),
+            Dataset("power-small", 1500, 5.5, "power", 11),
+            Dataset("road-small", 900, 1.4, "road", 12),
+            _RMATDataset(8, 4, seed=13),
+        ],
+        ids=["uniform", "power", "road", "rmat"],
+    )
+    def test_shape_matches_the_generated_graph(self, entry):
+        # The shape comes from the degree phase alone (road: the full
+        # generation); the graph continues that phase's RNG.
+        assert entry.shape() == (entry.build().n, entry.build().m)

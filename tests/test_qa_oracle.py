@@ -59,6 +59,46 @@ def test_every_generated_program_takes_an_lbr_sample():
     assert empty == []
 
 
+#: Generated programs whose every fused loop nest holds a load.
+LOAD_NEST_SEEDS = (8, 9, 13)
+#: Above every such nest's ``bound_cycles`` (a load costs up to 400
+#: cycles under qa_memory; these nests' bounds reach 2026), so the
+#: profiled steppers run between samples instead of declining at entry.
+LOAD_NEST_PERIOD = 4001
+
+
+def test_profiled_load_steppers_run_and_match_reference():
+    # OracleConfig's period (17) lies below every load-holding nest's
+    # bound, so the profiled steppers' PEBS arms never run there.
+    from repro.machine.machine import Machine
+
+    config = OracleConfig(sample_period=LOAD_NEST_PERIOD)
+    machines = []
+
+    def turbo(module, space):
+        machine = Machine(
+            module, space, config=config.machine_config("turbo"),
+            engine="turbo",
+        )
+        machines.append(machine)
+        return machine
+
+    stepped = 0
+    for seed in LOAD_NEST_SEEDS:
+        del machines[:]
+        # Results, LBR samples and PEBS records equal reference's.
+        check_program(generate_spec(seed), config, runners={"turbo": turbo})
+        for machine in machines:
+            compiled = list(machine._compiled.values())
+            nests = [sb for fn in compiled for sb in fn.superblocks()]
+            assert nests and all(
+                "record_load" in sb.source_profiled for sb in nests
+            )
+            if machine.sampler is not None:
+                stepped += machine.engine_run_stats()["bulk_calls"]
+    assert stepped > 0
+
+
 def test_batch_axis_is_bit_identical():
     # Uniform cache-scale batch + divergent A&J-distance batch, each
     # cell identical to a fresh sequential Machine run.
