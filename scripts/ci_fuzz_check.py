@@ -26,7 +26,10 @@ Six gates, all with fixed seeds so the job is deterministic:
    programs must be bit-identical between the batched multi-config
    runner (:func:`repro.machine.batch.run_batch`) and fresh sequential
    ``Machine`` runs of the same cells, over both a uniform cache-scale
-   batch and a divergent A&J-distance batch.
+   batch and a divergent A&J-distance batch.  The axis has its own
+   mutation self-test: a scratch copy of ``repro.machine.batch`` whose
+   N-cell JMP terminator charges one cycle too many must be *caught*
+   as a batch differential.
 6. **Code-cache axis** — every corpus case plus ``--codecache-budget``
    generated programs must be bit-identical between a fresh compile and
    a persistent-code-cache load (every cacheable engine x scheme x
@@ -55,12 +58,14 @@ from repro.qa.corpus import default_corpus_dir, iter_cases
 from repro.qa.fuzz import run_fuzz
 from repro.qa.generate import GeneratorConfig, generate_spec
 from repro.qa.mutants import (
+    batch_offbyone_runner,
     mutant_oracle_setup,
     profiling_mutant_oracle_setup,
     turbo_mutant_oracle_setup,
 )
 from repro.qa.oracle import (
     OracleFailure,
+    batch_failure,
     check_batch,
     check_codecache_selftest,
     codecache_failure,
@@ -245,6 +250,33 @@ def check_batch_axis(budget: int, seed: int) -> bool:
     return True
 
 
+def check_batch_mutant(seed: int, budget: int = 3) -> bool:
+    """The batch axis's mutation self-test: the off-by-one N-cell
+    mutant must fail ``check_batch`` as a batch differential on one of
+    ``budget`` generated programs."""
+    runner = batch_offbyone_runner()
+    gen_config = GeneratorConfig()
+    for i in range(budget):
+        failure = batch_failure(
+            generate_spec(seed + i, gen_config), runner=runner
+        )
+        if failure is None:
+            continue
+        if failure.check != "batch-differential":
+            print(
+                f"FAIL: the off-by-one N-cell mutant was caught by "
+                f"{failure.check!r}, not 'batch-differential'"
+            )
+            return False
+        print(f"OK: off-by-one N-cell mutant caught ({failure.summary()})")
+        return True
+    print(
+        f"FAIL: the off-by-one N-cell mutant passed the batch axis on "
+        f"{budget} program(s) (the batch check is blind)"
+    )
+    return False
+
+
 def check_codecache_axis(budget: int, seed: int) -> bool:
     """Fresh-vs-cached-load differential plus the cache's own mutation
     self-test: corpus + generated programs."""
@@ -355,6 +387,7 @@ def main() -> int:
     ok = check_corpus_replay() and ok
     ok = check_mutation_selftest(args.seed, args.max_mutant_blocks) and ok
     ok = check_batch_axis(args.batch_budget, args.seed) and ok
+    ok = check_batch_mutant(args.seed) and ok
     ok = check_codecache_axis(args.codecache_budget, args.seed) and ok
     if args.stateful:
         ok = check_stateful_machines(args.stateful_examples, args.seed) and ok

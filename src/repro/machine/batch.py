@@ -5,12 +5,16 @@ workload, many configs" — distance sweeps, scheme ablations, cache-size
 ablations.  Run sequentially, each cell re-decodes and re-dispatches
 the same instruction stream.  This engine runs all cells in one pass:
 
-* **shared front-end** — the module is compiled once: every hot loop
-  nest becomes one fused stepper that runs all cells per iteration
-  (:mod:`repro.machine.batchturbo`), and the remaining blocks execute
-  uniform instructions (identical operands across cells) exactly once
-  through the *same* closure factories the sequential block engine uses
-  (:mod:`repro.machine.blockengine`), on a single shared register file;
+* **shared front-end** — the module is compiled once, by the same
+  compilers a sequential run uses, at N cells: every hot loop nest
+  becomes one fused stepper that runs all cells per iteration
+  (:mod:`repro.machine.batchturbo`), and the remaining blocks go
+  through the one per-block compiler and dispatch loop
+  (:mod:`repro.machine.blockengine`).  Uniform instructions (identical
+  operands across cells) execute exactly once, on a single shared
+  register file; this module supplies the alignment and divergence
+  analysis that compiler needs and its N-cell op factories
+  (:data:`N_CELLS`);
 * **per-cell back-end** — every memory operation visits each live
   cell's private L1/L2/LLC+MSHR state (:class:`repro.mem.batch.CellState`)
   at that cell's own clock, so per-cell cycles and cache counters are
@@ -40,10 +44,11 @@ the same instruction stream.  This engine runs all cells in one pass:
   guards apply per block.
 
 Bit-identity argument: control flow, retired/load/store/taken counts
-and all loaded values are uniform by construction; cost folding
-mirrors the block engine exactly (all costs are integers, materialized
-at the same observers), and each cell's clock advances through its own
-memory system in program order.  Profiling and tracing are not
+and all loaded values are uniform by construction; cost folding is the
+sequential engine's own — one compiler folds costs at every cell count
+(all costs are integers, materialized at the same observers) — and
+each cell's clock advances through its own memory system in program
+order.  Profiling and tracing are not
 supported in batched mode — :func:`run_batch` is for measurement
 sweeps; the qa oracle compares it against unprofiled sequential runs.
 """
@@ -56,13 +61,14 @@ from typing import Callable, Optional, Sequence
 from repro.ir.nodes import IRError, Module
 from repro.ir.opcodes import BINOP_EXPR, Opcode
 from repro.machine.blockengine import (
-    _BINOP_FACTORIES,
     _RETURNED,
-    _const_op,
+    _UNIFORM_KINDS,
+    CellOps,
+    _aligned_phis,
+    _aligned_rest,
     _edge_copies,
-    _gep_op,
-    _mov_op,
-    _select_op,
+    _FunctionPlan,
+    _uniform_spec,
 )
 from repro.machine.config import MachineConfig
 from repro.mem.address import AddressSpace
@@ -123,8 +129,13 @@ class BatchCell:
 # uniform path reuses blockengine's specialized factories; these generic
 # per-cell forms only run on the (rare) divergent instructions.
 # ----------------------------------------------------------------------
-def _build_binop_funcs() -> dict:
-    funcs: dict = {}
+def _build_alu_funcs() -> dict:
+    funcs: dict = {
+        Opcode.GEP: lambda b, i, s: b + i * s,
+        Opcode.CONST: lambda a: a,
+        Opcode.MOV: lambda a: a,
+        Opcode.SELECT: lambda c, a, b: a if c else b,
+    }
     for opcode, expr in BINOP_EXPR.items():
         body = expr.format(a="a", b="b")
         source = f"def _f(a, b):\n    return {body}\n"
@@ -134,11 +145,7 @@ def _build_binop_funcs() -> dict:
     return funcs
 
 
-_BINOP_FUNCS = _build_binop_funcs()
-
-# Operand spec kinds: uniform register ("R"), divergent register ("D"),
-# uniform constant ("C"), per-cell constants ("P").
-_UNIFORM_KINDS = ("R", "C")
+_ALU_FUNCS = _build_alu_funcs()
 
 
 def _getter(spec) -> Callable:
@@ -167,27 +174,9 @@ def _getter(spec) -> Callable:
     return g
 
 
-def _uniform_spec(spec):
-    """Uniform spec -> blockengine's ``(is_register, slot_or_const)``."""
-    kind, value = spec
-    return (kind == "R", value)
-
-
 # ----------------------------------------------------------------------
 # Alignment + divergence analysis.
 # ----------------------------------------------------------------------
-class _FunctionPlan:
-    """Aligned per-cell copies of one function + its divergence facts."""
-
-    __slots__ = ("name", "functions", "divergent", "ret_divergent")
-
-    def __init__(self, name: str, functions: list) -> None:
-        self.name = name
-        self.functions = functions
-        self.divergent: set = set()
-        self.ret_divergent = False
-
-
 def _operand_divergent(values, divergent: set) -> bool:
     first = values[0]
     if type(first) is str:
@@ -267,14 +256,6 @@ def _check_alignment(plan: _FunctionPlan) -> None:
                                     f"register incomings differ",
                                     "alignment",
                                 )
-
-
-def _aligned_phis(blocks):
-    return list(zip(*(b.phis() for b in blocks)))
-
-
-def _aligned_rest(blocks):
-    return list(zip(*(list(b.non_phi_instructions()) for b in blocks)))
 
 
 def _propagate(plan: _FunctionPlan, plans: dict) -> bool:
@@ -408,9 +389,10 @@ def analyze_modules(modules: Sequence[Module]) -> dict:
 
 
 # ----------------------------------------------------------------------
-# The batched frame + op factories.  Uniform ops come straight from
-# blockengine (they only touch R); everything below handles the
-# per-cell paths.
+# The batched frame + the N-cell op factories.  Uniform ops come
+# straight from blockengine (they only touch R); everything below
+# handles the per-cell paths, with the signatures of blockengine's
+# CellOps.
 # ----------------------------------------------------------------------
 class _BatchFrame:
     """Per-invocation state: uniform tallies + per-cell clocks/overlays."""
@@ -439,8 +421,10 @@ class _BatchFrame:
     )
 
 
-def _batch_alu_op(dst: int, fn: Callable, getters: tuple):
+def _batch_alu_op(dst: int, opcode: Opcode, specs: list):
     """Generic per-cell ALU/move evaluation into the divergent overlay."""
+    fn = _ALU_FUNCS[opcode]
+    getters = tuple(_getter(spec) for spec in specs)
     if len(getters) == 1:
         (g0,) = getters
 
@@ -520,8 +504,8 @@ def _batch_load_op(dst: int, aspec, dst_divergent: bool, pc: int, pending: int):
 
 
 def _batch_store_op(aspec, vspec, pc: int, pending: int):
-    am, av = _uniform_spec(aspec)
-    vm, vv = _uniform_spec(vspec)
+    am, av = aspec
+    vm, vv = vspec
 
     def op(R, st, am=am, av=av, vm=vm, vv=vv, pc=pc, k=pending):
         addr = R[av] if am else av
@@ -618,13 +602,14 @@ def _batch_call_op(
     return op
 
 
-def _batch_copies(ucopy, dpairs):
+def _batch_copies(upairs, dpairs):
     """Parallel-copy closure covering uniform and divergent PHI dsts.
 
     Divergent reads happen before the uniform copy mutates R (parallel
     semantics); divergent writes only touch the overlay, which no
     uniform source reads.
     """
+    ucopy = _edge_copies(upairs)
     if not dpairs:
         if ucopy is None:
             return None
@@ -633,7 +618,7 @@ def _batch_copies(ucopy, dpairs):
             ucopy(R)
 
         return copies
-    dpairs = tuple(dpairs)
+    dpairs = tuple((slot, _getter(spec)) for slot, spec in dpairs)
 
     def copies(R, st, ucopy=ucopy, dpairs=dpairs):
         for i, Di in enumerate(st.D):
@@ -646,7 +631,9 @@ def _batch_copies(ucopy, dpairs):
     return copies
 
 
-def _batch_jmp_op(target_index, copies, pending, retired, nloads, nstores):
+def _batch_jmp_op(
+    pc, target_pc, target_index, copies, pending, retired, nloads, nstores
+):
     def op(
         R, st, ti=target_index, copies=copies, k=pending, rt=retired,
         nl=nloads, ns=nstores,
@@ -668,10 +655,10 @@ def _batch_jmp_op(target_index, copies, pending, retired, nloads, nstores):
 
 
 def _batch_br_op(
-    cspec, then_index, then_copies, else_index, else_copies,
+    cspec, pc, then_pc, then_index, then_copies, else_index, else_copies,
     pending, retired, nloads, nstores,
 ):
-    cm, cv = _uniform_spec(cspec)
+    cm, cv = cspec
 
     def op(
         R, st, cm=cm, cv=cv, ti=then_index, tc=then_copies, ei=else_index,
@@ -734,295 +721,20 @@ def _batch_ret_op(spec, ret_divergent, pending, retired, nloads, nstores):
     return op
 
 
-# ----------------------------------------------------------------------
-# The batched block compiler: blockengine's structure, with every
-# instruction routed to the uniform (shared) or per-cell path.
-# ----------------------------------------------------------------------
-class _BatchBlockCompiler:
-    def __init__(self, plan: _FunctionPlan, plans: dict, config: MachineConfig):
-        self.plan = plan
-        self.plans = plans
-        self.config = config
-        first = plan.functions[0]
-        self.slots: dict = {}
-        for param in first.params:
-            self.slots[param] = len(self.slots)
-        for instruction in first.instructions():
-            if instruction.dst is not None and instruction.dst not in self.slots:
-                self.slots[instruction.dst] = len(self.slots)
-        self.block_index = {
-            block.name: index for index, block in enumerate(first.blocks)
-        }
-        self.has_divergence = bool(plan.divergent) or plan.ret_divergent
-
-    # ------------------------------------------------------------------
-    def ospec(self, values):
-        """Aligned operand values across cells -> a spec tuple."""
-        first = values[0]
-        if type(first) is str:
-            slot = self.slots[first]
-            if first in self.plan.divergent:
-                return ("D", slot)
-            return ("R", slot)
-        if all(value == first for value in values[1:]):
-            return ("C", first)
-        self.has_divergence = True
-        return ("P", tuple(values))
-
-    def arg_spec(self, insts, j):
-        return self.ospec([inst.args[j] for inst in insts])
-
-    def is_uniform(self, *specs) -> bool:
-        return all(spec[0] in _UNIFORM_KINDS for spec in specs)
-
-    def edge(self, target_name: str, source_name: str):
-        """Batched PHI parallel-copy closure for source -> target."""
-        targets = [f.block(target_name) for f in self.plan.functions]
-        upairs: list = []
-        dpairs: list = []
-        for phis in _aligned_phis(targets):
-            dst = phis[0].dst
-            values = []
-            for phi in phis:
-                incoming = dict(phi.incomings)
-                if source_name not in incoming:
-                    raise IRError(
-                        f"phi {dst} in {target_name} lacks incoming "
-                        f"from {source_name}"
-                    )
-                values.append(incoming[source_name])
-            spec = self.ospec(values)
-            if dst in self.plan.divergent:
-                dpairs.append((self.slots[dst], _getter(spec)))
-            else:
-                is_reg, value = _uniform_spec(spec)
-                upairs.append((self.slots[dst], is_reg, value))
-        return _batch_copies(_edge_copies(upairs), dpairs)
-
-    # ------------------------------------------------------------------
-    def compile_block(self, blocks) -> tuple:
-        cfg = self.config
-        alu = cfg.alu_cost
-        divergent = self.plan.divergent
-        block_name = blocks[0].name
-        ops: list = []
-        pending = 0
-        retired = 0
-        nloads = 0
-        nstores = 0
-
-        for insts in _aligned_rest(blocks):
-            inst = insts[0]
-            op = inst.op
-            dst = inst.dst
-            dst_divergent = dst is not None and dst in divergent
-            if op in _BINOP_FACTORIES:
-                a, b = self.arg_spec(insts, 0), self.arg_spec(insts, 1)
-                if not dst_divergent and self.is_uniform(a, b):
-                    (am, av), (bm, bv) = _uniform_spec(a), _uniform_spec(b)
-                    factory = _BINOP_FACTORIES[op][(am, bm)]
-                    ops.append(factory(self.slots[dst], av, bv))
-                else:
-                    ops.append(
-                        _batch_alu_op(
-                            self.slots[dst],
-                            _BINOP_FUNCS[op],
-                            (_getter(a), _getter(b)),
-                        )
-                    )
-                pending += alu
-                retired += 1
-            elif op is Opcode.GEP:
-                base = self.arg_spec(insts, 0)
-                index = self.arg_spec(insts, 1)
-                scale = self.ospec([i.args[2] for i in insts])
-                if not dst_divergent and self.is_uniform(base, index, scale):
-                    ops.append(
-                        _gep_op(
-                            self.slots[dst],
-                            _uniform_spec(base),
-                            _uniform_spec(index),
-                            scale[1],
-                        )
-                    )
-                else:
-                    ops.append(
-                        _batch_alu_op(
-                            self.slots[dst],
-                            lambda b, i, s: b + i * s,
-                            (_getter(base), _getter(index), _getter(scale)),
-                        )
-                    )
-                pending += alu
-                retired += 1
-            elif op is Opcode.CONST:
-                value = self.ospec([i.args[0] for i in insts])
-                if not dst_divergent and self.is_uniform(value):
-                    ops.append(_const_op(self.slots[dst], value[1]))
-                else:
-                    ops.append(
-                        _batch_alu_op(
-                            self.slots[dst], lambda a: a, (_getter(value),)
-                        )
-                    )
-                pending += alu
-                retired += 1
-            elif op is Opcode.MOV:
-                a = self.arg_spec(insts, 0)
-                if not dst_divergent and self.is_uniform(a):
-                    ops.append(_mov_op(self.slots[dst], _uniform_spec(a)))
-                else:
-                    ops.append(
-                        _batch_alu_op(
-                            self.slots[dst], lambda a: a, (_getter(a),)
-                        )
-                    )
-                pending += alu
-                retired += 1
-            elif op is Opcode.SELECT:
-                c = self.arg_spec(insts, 0)
-                a = self.arg_spec(insts, 1)
-                b = self.arg_spec(insts, 2)
-                if not dst_divergent and self.is_uniform(c, a, b):
-                    ops.append(
-                        _select_op(
-                            self.slots[dst],
-                            _uniform_spec(c),
-                            _uniform_spec(a),
-                            _uniform_spec(b),
-                        )
-                    )
-                else:
-                    ops.append(
-                        _batch_alu_op(
-                            self.slots[dst],
-                            lambda c, a, b: a if c else b,
-                            (_getter(c), _getter(a), _getter(b)),
-                        )
-                    )
-                pending += alu
-                retired += 1
-            elif op is Opcode.LOAD:
-                ops.append(
-                    _batch_load_op(
-                        self.slots[dst],
-                        self.arg_spec(insts, 0),
-                        dst_divergent,
-                        inst.pc,
-                        pending,
-                    )
-                )
-                pending = 0
-                retired += 1
-                nloads += 1
-            elif op is Opcode.STORE:
-                ops.append(
-                    _batch_store_op(
-                        self.arg_spec(insts, 0),
-                        self.arg_spec(insts, 1),
-                        inst.pc,
-                        pending,
-                    )
-                )
-                pending = 0
-                retired += 1
-                nstores += 1
-            elif op is Opcode.PREFETCH:
-                ops.append(
-                    _batch_prefetch_op(
-                        self.arg_spec(insts, 0), inst.pc, pending
-                    )
-                )
-                pending = cfg.prefetch_cost
-                retired += 1
-            elif op is Opcode.WORK:
-                amount = inst.args[0]
-                if type(amount) is int:
-                    pending += amount * cfg.work_cpi
-                    retired += amount
-                else:
-                    ops.append(
-                        _batch_work_op(
-                            self.slots[amount], pending, cfg.work_cpi
-                        )
-                    )
-                    pending = 0
-            elif op is Opcode.CALL:
-                pending += cfg.branch_cost
-                retired += 1
-                callee = inst.targets[0]
-                callee_plan = self.plans.get(callee)
-                ret_divergent = (
-                    callee_plan is not None and callee_plan.ret_divergent
-                )
-                argspec = tuple(
-                    _uniform_spec(self.arg_spec(insts, j))
-                    for j in range(len(inst.args))
-                )
-                ops.append(
-                    _batch_call_op(
-                        self.slots[dst],
-                        callee,
-                        argspec,
-                        inst.pc,
-                        pending,
-                        ret_divergent,
-                    )
-                )
-                pending = 0
-            elif op is Opcode.JMP:
-                pending += cfg.branch_cost
-                retired += 1
-                target = inst.targets[0]
-                ops.append(
-                    _batch_jmp_op(
-                        self.block_index[target],
-                        self.edge(target, block_name),
-                        pending,
-                        retired,
-                        nloads,
-                        nstores,
-                    )
-                )
-                pending = retired = nloads = nstores = 0
-            elif op is Opcode.BR:
-                pending += cfg.branch_cost
-                retired += 1
-                then_target, else_target = inst.targets
-                ops.append(
-                    _batch_br_op(
-                        self.arg_spec(insts, 0),
-                        self.block_index[then_target],
-                        self.edge(then_target, block_name),
-                        self.block_index[else_target],
-                        self.edge(else_target, block_name),
-                        pending,
-                        retired,
-                        nloads,
-                        nstores,
-                    )
-                )
-                pending = retired = nloads = nstores = 0
-            elif op is Opcode.RET:
-                pending += cfg.branch_cost
-                retired += 1
-                spec = (
-                    self.arg_spec(insts, 0) if inst.args else ("C", 0)
-                )
-                ops.append(
-                    _batch_ret_op(
-                        spec,
-                        self.plan.ret_divergent,
-                        pending,
-                        retired,
-                        nloads,
-                        nstores,
-                    )
-                )
-                pending = retired = nloads = nstores = 0
-            else:  # pragma: no cover - exhaustive dispatch
-                raise IRError(f"unhandled opcode {op!r}")
-        return tuple(ops)
+#: The N-cell factory set the block compiler
+#: (:class:`repro.machine.blockengine._BlockCompiler`) takes.
+N_CELLS = CellOps(
+    load=_batch_load_op,
+    store=_batch_store_op,
+    prefetch=_batch_prefetch_op,
+    work=_batch_work_op,
+    call=_batch_call_op,
+    jmp=_batch_jmp_op,
+    br=_batch_br_op,
+    ret=_batch_ret_op,
+    copies=_batch_copies,
+    alu=_batch_alu_op,
+)
 
 
 # ----------------------------------------------------------------------
@@ -1105,7 +817,7 @@ class BatchMachine:
         """Bind the timing ports of every cell that is not a shadow in
         ``shadows`` (``(leader, shadow)`` pairs)."""
         # Imported here: batchturbo builds on this module's analysis
-        # and per-block compiler, so a module-level import would cycle.
+        # and per-cell factories, so a module-level import would cycle.
         from repro.machine.batchturbo import CellBindings
 
         self.shadows = shadows
@@ -1120,7 +832,8 @@ class BatchMachine:
             from repro.machine.batchturbo import compile_batch_turbo
 
             compiled = compile_batch_turbo(
-                self.plans[name], self.plans, self.config, self.cell_configs
+                self.plans[name], self.plans, self.config, self.cell_configs,
+                N_CELLS,
             )
             self._compiled[name] = compiled
         return compiled

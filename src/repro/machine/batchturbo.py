@@ -1,11 +1,11 @@
 """The one fused-nest generator: loop fusion for one run or N sweep cells.
 
-The per-block closure chains (:mod:`repro.machine.blockengine` for one
-run, :mod:`repro.machine.batch` for N sweep cells) pay, per loop
-iteration, one closure call per op plus a dispatch round trip per
-block.  For the loop-dominated workloads the paper targets that
-dispatch overhead *is* the simulator's hot path.  This module compiles
-every *linear single-latch* loop nest (the analysis is shared,
+The per-block closure chains (:mod:`repro.machine.blockengine`'s one
+compiler, at one cell or at N sweep cells) pay, per loop iteration, one
+closure call per op plus a dispatch round trip per block.  For the
+loop-dominated workloads the paper targets that dispatch overhead *is*
+the simulator's hot path.  This module compiles every *linear
+single-latch* loop nest (the analysis is shared,
 :mod:`repro.machine.fusion`) into one generated function that runs
 whole iterations straight-line, innermost loops inlined as nested
 ``while`` loops: a 60k-trip outer loop around an 8-trip inner loop
@@ -15,24 +15,27 @@ retired/load/store/taken counts fold into compile-time constants
 applied once per back edge.
 
 One generator serves both tiers, specialized by cell count (a fact of
-the call, not a knob):
+the call, not a knob).  Either way the steppers take one signature,
+``(R, st, cd, PT)``, and plug into the superblock slots of the one
+dispatch loop (:class:`~repro.machine.blockengine.FusedDispatch`):
 
 * **One cell** — :func:`compile_fused`, the compiled form of the
-  ``turbo`` and ``fast`` engine names.  The steppers plug into
-  :class:`~repro.machine.blockengine.BlockCompiledFunction`'s
-  superblock slots.  The cell's views and ports are bound once at
-  entry, the cell-loop bodies below are emitted inline (no cell loop,
-  no shadow code), and the clock lives in the local ``_y`` with
-  constant costs folded straight into it.  Two variants are generated
-  per nest: a *plain* one, and a *profiled* one that adds the
-  sample guard (``_gc = st.next_sample - bound_cycles``), a PEBS
-  ``record_load`` for every load at or above the threshold, and an
-  ``lbr_push((pc, target_pc, _y))`` at every taken branch, with the
-  clock materialized there — so sampled runs stay fused and exact.
+  ``turbo`` and ``fast`` engine names, in a
+  :class:`~repro.machine.blockengine.BlockCompiledFunction`.  The
+  cell's views and ports are bound once at entry, the cell-loop bodies
+  below are emitted inline (no cell loop, no shadow code), and the
+  clock lives in the local ``_y`` with constant costs folded straight
+  into it.  Two variants are generated per nest: a *plain* one, and a
+  *profiled* one that adds the sample guard (``_gc = st.next_sample -
+  bound_cycles``), a PEBS ``record_load`` for every load at or above
+  the threshold, and an ``lbr_push((pc, target_pc, _y))`` at every
+  taken branch, with the clock materialized there — so sampled runs
+  stay fused and exact.
   Inner loops keep standalone steppers at their own headers: that is
   where a run resumed after a mid-nest sample re-enters bulk stepping.
-* **N cells** — :func:`compile_batch_turbo`, the batched sweep tier,
-  stepping **all cells per iteration**:
+* **N cells** — :func:`compile_batch_turbo`, the batched sweep tier, in
+  a :class:`BatchTurboCompiledFunction`, stepping **all cells per
+  iteration**:
 
   * uniform registers live in Python locals; divergent registers stay in
     the per-cell overlays (``st.D``);
@@ -115,21 +118,15 @@ from typing import Optional, Sequence
 
 from repro.ir.nodes import Function, IRError
 from repro.ir.opcodes import BINOP_EXPR, Opcode
-from repro.machine.batch import (
-    ShadowMismatch,
-    _BatchBlockCompiler,
-    _FunctionPlan,
+from repro.machine.batch import ShadowMismatch, _BatchFrame
+from repro.machine.blockengine import (
+    BlockCompiledFunction,
+    CellOps,
+    FusedDispatch,
     _aligned_phis,
     _aligned_rest,
-    _BatchFrame,
-)
-from repro.machine.blockengine import (
-    _ADAPT_MIN_ITERS,
-    _ADAPT_WARMUP,
-    _FELL_THROUGH,
-    _RETURNED,
-    BlockCompiledFunction,
-    FusedDispatch,
+    _BlockCompiler,
+    _FunctionPlan,
     compile_blocks,
 )
 from repro.machine.config import MachineConfig
@@ -144,7 +141,6 @@ from repro.machine.fusion import (
     unit_depth as _depth,
     unit_entry as _entry,
 )
-from repro.machine.interpreter import ExecutionLimitExceeded
 from repro.mem.fastpath import prefetch_arm
 
 _counter = itertools.count()
@@ -201,11 +197,12 @@ class CellBindings:
 class _BatchSuperblockCodegen:
     """Generates the fused-nest stepper for one unit, all cells.
 
-    Signature of the generated function for N cells: ``(R, st, cd,
-    PT)`` — shared register file, batch frame, :class:`CellBindings`,
-    and the per-cell constant tables (one tuple per divergent-immediate
-    operand, indexed ``PT[k][_i]``).  For one cell: ``(R, st, fp)`` —
-    register file, the block engine's frame and the memory front path.
+    Signature of the generated function, at any cell count: ``(R, st,
+    cd, PT)`` — the register file and the dispatch loop's frame, then,
+    for N cells, the :class:`CellBindings` and the per-cell constant
+    tables (one tuple per divergent-immediate operand, indexed
+    ``PT[k][_i]``); for one cell, the memory front path and an empty
+    tuple.
     Returns the dispatch index to resume at, or ``-1`` without touching
     any state when the entry guard finds an observation point too close
     to run one worst-case iteration.
@@ -213,14 +210,14 @@ class _BatchSuperblockCodegen:
 
     def __init__(
         self,
-        plan: _FunctionPlan,
+        compiled: FusedDispatch,
         config: MachineConfig,
-        compiler,
         unit: _Unit,
         cell_configs: Sequence[MachineConfig],
     ) -> None:
-        # ``compiler`` supplies the register slots and dispatch indices:
-        # the batch block compiler, or one BlockCompiledFunction.
+        # The stepper shares the compiled function's plan, register
+        # slots and dispatch indices.
+        plan = compiled.plan
         self.plan = plan
         self.config = config
         self.ncells = len(cell_configs)
@@ -231,8 +228,8 @@ class _BatchSuperblockCodegen:
         # Cells sharing a config may run as shadows: emit the leaders'
         # line records and the shadow loops.
         self.shadowed = len(set(cell_configs)) < self.ncells
-        self.slots = compiler.slots
-        self.block_index = compiler.block_index
+        self.slots = compiled.slots
+        self.block_index = compiled.block_index
         self.divergent = plan.divergent
         self.function = plan.functions[0]
         self.unit = unit
@@ -873,12 +870,12 @@ class _BatchSuperblockCodegen:
         ("PF", "st.mem_prefetch"),
         ("sp_load", "st.sp_load"),
         ("sp_store", "st.sp_store"),
-        ("_ks", "fp._l1_sets"),
-        ("_kc", "fp._counters"),
-        ("_ku", "fp._unused"),
-        ("_kq", "fp._mshr"),
-        ("MEM", "fp.mem"),
-        ("sp_find", "fp.mem.space._find"),
+        ("_ks", "cd._l1_sets"),
+        ("_kc", "cd._counters"),
+        ("_ku", "cd._unused"),
+        ("_kq", "cd._mshr"),
+        ("MEM", "cd.mem"),
+        ("sp_find", "cd.mem.space._find"),
         ("lbr_push", "st.lbr_push"),
         ("record_load", "st.record_load"),
         ("pebs_threshold", "st.pebs_threshold"),
@@ -921,10 +918,8 @@ class _BatchSuperblockCodegen:
         binds = self._SINGLE_BINDS if self.single else self._BINDS
         names = "|".join(name for name, _ in binds)
         used = set(re.findall(rf"\b(?:{names})\b", "\n".join(self.lines)))
-        if self.single:
-            header = [f"def {FUSED_ENTRY}(R, st, fp):"]
-        else:
-            header = ["def __batchsb(R, st, cd, PT):"]
+        entry = FUSED_ENTRY if self.single else "__batchsb"
+        header = [f"def {entry}(R, st, cd, PT):"]
         for name, expr in binds:
             if name in used:
                 header.append(f"    {name} = {expr}")
@@ -1294,20 +1289,14 @@ def _exec(source: str, filename: str, entry: str):
 
 
 def _build_superblock(
-    plan: _FunctionPlan,
+    compiled: FusedDispatch,
     config: MachineConfig,
-    compiler,
     unit: _Unit,
     cell_configs: Sequence[MachineConfig],
 ) -> Superblock:
-    """Generate and compile one nest's stepper(s).  ``compiler`` is the
-    block compiler whose register slots and dispatch indices the
-    stepper shares: a :class:`BlockCompiledFunction` for one cell, the
-    batch block compiler for N."""
-    codegen = _BatchSuperblockCodegen(
-        plan, config, compiler, unit, cell_configs
-    )
-    tag = f"{plan.name}:{unit.header}"
+    """Generate and compile one nest's stepper(s) for ``compiled``."""
+    codegen = _BatchSuperblockCodegen(compiled, config, unit, cell_configs)
+    tag = f"{compiled.plan.name}:{unit.header}"
     source = codegen.generate()
     run_profiled = source_profiled = None
     if codegen.single:
@@ -1334,53 +1323,42 @@ def _build_superblock(
     )
 
 
+def _fuse(compiled: FusedDispatch, config, cell_configs) -> FusedDispatch:
+    """Install a superblock per fusable loop nest of ``compiled``, built
+    innermost-first so outer loops absorb fused inner loops (verdicts
+    from the shared :mod:`repro.machine.fusion` analysis on cell 0,
+    exact for every cell because alignment pins opcode shape and
+    divergent WORK amounts are banned).  Inner loops keep their
+    standalone superblocks registered at their own headers — that is
+    where a run resumed after a mid-nest sample re-enters bulk
+    stepping."""
+    superblocks: list = [None] * len(compiled._blocks)
+    for unit in discover_units(compiled.function).values():
+        superblocks[compiled.block_index[unit.header]] = _build_superblock(
+            compiled, config, unit, cell_configs
+        )
+    compiled.fuse(tuple(superblocks))
+    return compiled
+
+
 def compile_fused(
     function: Function, config: Optional[MachineConfig] = None
 ) -> BlockCompiledFunction:
     """Compile one finalized IR function for the ``turbo`` and ``fast``
     engine names: the block engine's closure chains plus a one-cell
-    superblock per fusable loop nest, built innermost-first so outer
-    loops absorb fused inner loops.  Inner loops keep their standalone
-    superblocks registered at their own headers — that is where a run
-    resumed after a mid-nest sample re-enters bulk stepping."""
+    superblock per fusable loop nest."""
     config = config or MachineConfig()
-    base = compile_blocks(function, config)
-    plan = _FunctionPlan(function.name, [function])
-    superblocks: list = [None] * len(base._blocks)
-    for unit in discover_units(function).values():
-        superblocks[base.block_index[unit.header]] = _build_superblock(
-            plan, config, base, unit, (config,)
-        )
-    base.fuse(tuple(superblocks))
-    return base
+    return _fuse(compile_blocks(function, config), config, (config,))
 
 
 class BatchTurboCompiledFunction(FusedDispatch):
-    """One aligned function compiled for all cells: the per-block batch
-    chains plus a batch superblock per fusable loop nest.
+    """One aligned function compiled for all cells: the per-block chains
+    at N cells plus a batch superblock per fusable loop nest, run by
+    the shared dispatch loop with a batch frame."""
 
-    Unfused blocks dispatch through their per-block chains; a fused
-    header hands control to the generated stepper, which runs whole
-    iterations for all cells until the budget guard trips (or declines
-    with ``-1``) — per-block dispatch then replays to the exact
-    boundary and re-enters bulk at the next fused header.
-    """
-
-    def __init__(
-        self,
-        plan: _FunctionPlan,
-        blocks: tuple,
-        block_names: tuple,
-        entry_index: int,
-        register_count: int,
-        needs_overlay: bool,
-        superblocks: tuple,
-    ) -> None:
-        super().__init__(
-            blocks, block_names, entry_index, register_count, superblocks
-        )
-        self.plan = plan
-        self._needs_overlay = needs_overlay
+    def __init__(self, compiler: _BlockCompiler) -> None:
+        super().__init__(compiler)
+        self._needs_overlay = compiler.has_divergence
 
     def stats(self) -> dict:
         return {
@@ -1389,12 +1367,6 @@ class BatchTurboCompiledFunction(FusedDispatch):
         }
 
     def __call__(self, bm, args: Sequence[int] = ()):
-        function = self.plan.functions[0]
-        if len(args) != len(function.params):
-            raise IRError(
-                f"{function.name} expects {len(function.params)} args, "
-                f"got {len(args)}"
-            )
         st = _BatchFrame()
         st.counters = bm.cell_counters
         st.mem_loads = bm.load_ports
@@ -1419,58 +1391,12 @@ class BatchTurboCompiledFunction(FusedDispatch):
             ]
         else:
             st.D = ()
-        max_instructions = bm.config.max_instructions
-        st.max_instructions = max_instructions
-        cd = bm.bindings
-
-        R = [0] * self._register_count
-        for slot, value in enumerate(args):
-            R[slot] = int(value)
-
-        blocks = self._blocks
-        superblocks = list(self._superblocks)
-        sb_calls = [0] * len(superblocks)
-        sb_iters = [0] * len(superblocks)
-        declined = 0
-        bi = self._entry
-        try:
-            while True:
-                if st.retired > max_instructions:
-                    raise ExecutionLimitExceeded(
-                        f"{function.name}: exceeded {max_instructions} "
-                        f"instructions"
-                    )
-                sb = superblocks[bi]
-                if sb is not None:
-                    before = st.retired
-                    nxt = sb.run(R, st, cd, sb.ptables)
-                    if nxt >= 0:
-                        calls = sb_calls[bi] + 1
-                        sb_calls[bi] = calls
-                        sb_iters[bi] += (
-                            st.retired - before
-                        ) // sb.bound_retired
-                        if calls == _ADAPT_WARMUP and (
-                            sb_iters[bi] < calls * _ADAPT_MIN_ITERS
-                        ):
-                            superblocks[bi] = None
-                        bi = nxt
-                        continue
-                    declined += 1
-                st.next = _FELL_THROUGH
-                for op in blocks[bi]:
-                    op(R, st)
-                nxt = st.next
-                if nxt < 0:
-                    if nxt == _RETURNED:
-                        return st.value
-                    raise IRError(
-                        f"block {self._block_names[bi]} fell through "
-                        f"without terminator"
-                    )
-                bi = nxt
-        finally:
-            self._tally(superblocks, sb_calls, sb_iters, declined)
+        st.max_instructions = bm.config.max_instructions
+        # Batched runs never profile and never trace.
+        return self._dispatch(
+            args, st, bm.bindings, False,
+            list(self._superblocks) if self._fused else None,
+        )
 
 
 def compile_batch_turbo(
@@ -1478,31 +1404,16 @@ def compile_batch_turbo(
     plans: dict,
     config: MachineConfig,
     cell_configs: Sequence[MachineConfig],
+    ops: CellOps,
 ) -> BatchTurboCompiledFunction:
     """Compile one aligned function plan for all cells: the per-block
-    batch chains plus a batch superblock per fusable loop nest
-    (verdicts from the shared :mod:`repro.machine.fusion` analysis on
-    cell 0, exact for every cell because alignment pins opcode shape
-    and divergent WORK amounts are banned).  When some cells share a
-    config, the steppers also carry the leaders' line records and the
-    shadow loops, and run either way, plain or shadowed."""
-    compiler = _BatchBlockCompiler(plan, plans, config)
-    blocks = tuple(
-        compiler.compile_block(aligned)
-        for aligned in zip(*(list(f.blocks) for f in plan.functions))
-    )
-    function0 = plan.functions[0]
-    superblocks: list = [None] * len(blocks)
-    for unit in discover_units(function0).values():
-        superblocks[compiler.block_index[unit.header]] = _build_superblock(
-            plan, config, compiler, unit, cell_configs
-        )
-    return BatchTurboCompiledFunction(
-        plan,
-        blocks,
-        tuple(block.name for block in function0.blocks),
-        compiler.block_index[function0.entry.name],
-        len(compiler.slots),
-        compiler.has_divergence,
-        tuple(superblocks),
+    chains from the N-cell factory set ``ops``
+    (:data:`repro.machine.batch.N_CELLS`) plus a batch superblock per
+    fusable loop nest.  When some cells share a config, the steppers
+    also carry the leaders' line records and the shadow loops, and run
+    either way, plain or shadowed."""
+    return _fuse(
+        BatchTurboCompiledFunction(_BlockCompiler(plan, plans, config, ops)),
+        config,
+        cell_configs,
     )

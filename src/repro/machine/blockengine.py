@@ -1,5 +1,5 @@
-"""Block engine: per-block chains of pre-resolved op closures and the
-one dispatch loop every compiled engine name shares.
+"""Block engine: the one per-block compiler and the one dispatch loop,
+for a single run and for N batched sweep cells.
 
 The reference interpreter pays, for every executed instruction, an
 opcode if-chain plus one ``resolve()`` call per operand (a function
@@ -14,13 +14,21 @@ applied to our own hot loop.
 
 Relationship to the other engines:
 
+* One compiler serves every compiled run.  :class:`_BlockCompiler`
+  walks a function's blocks aligned across the cells of a run — a
+  1-tuple per instruction for a sequential run, N-tuples for a batched
+  sweep (:mod:`repro.machine.batch` aligns the cells and supplies the
+  per-cell op factories).  The cell count is a fact of the call: uniform
+  ALU work always takes this module's specialized factories, and the
+  ops whose closures differ by cell count take the :class:`CellOps` set
+  that matches it.  :class:`FusedDispatch` holds the one dispatch loop
+  both compiled forms run.
 * ``turbo`` (the default ``fast`` name runs it too) compiles these
   chains first, then fuses hot loop nests into generated superblock
-  steppers (:func:`repro.machine.batchturbo.compile_fused`, the one
-  fused-nest generator at one cell) that plug into
-  :class:`BlockCompiledFunction`'s dispatch loop.  Blocks outside a
-  fused loop, and every block of a traced run, take the per-block
-  path.
+  steppers (:mod:`repro.machine.batchturbo`, the one fused-nest
+  generator) that plug into the dispatch loop's superblock slots.
+  Blocks outside a fused loop, and every block of a traced run, take
+  the per-block path; batched sweeps do the same at N cells.
 * ``reference`` (``repro.machine.interpreter``) is the obviously-correct
   baseline.  This engine must match it bit-for-bit on cycles, PMU
   counters, LBR contents and PEBS sample sets — asserted across the
@@ -28,13 +36,14 @@ Relationship to the other engines:
 * ``translate`` (``repro.machine.translator``) generates Python source
   and ``exec``\\ s one function object per IR function.
 
-Cost folding follows the translator exactly: runs of constant-cost ALU
-instructions accumulate a pending cycle count that is materialized at
-the next *observer* (memory op, CALL, dynamic WORK, or terminator), and
-per-block retired/load/store counts are folded into the terminator.
-Nothing observes ``cycle`` or the counters between those points, so the
-folded schedule is bit-identical to the interpreter's per-instruction
-accumulation (all costs are integers).
+Cost folding follows the translator exactly, and is written once for
+both cell counts: runs of constant-cost ALU instructions accumulate a
+pending cycle count that is materialized at the next *observer* (memory
+op, CALL, dynamic WORK, or terminator), and per-block retired/load/store
+counts are folded into the terminator.  Nothing observes ``cycle`` or
+the counters between those points, so the folded schedule is
+bit-identical to the interpreter's per-instruction accumulation (all
+costs are integers).
 
 Demand loads and stores are issued through
 :meth:`MemorySystem.load_port` / :meth:`store_port`, which hand out the
@@ -44,12 +53,13 @@ attached and the plain slow-path methods when one is.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from repro.ir.nodes import Function, IRError
 from repro.ir.opcodes import BINOP_EXPR, Opcode
 from repro.machine.config import MachineConfig
 from repro.machine.context import ExecutionContext
+from repro.machine.fusion import ALU_OPS
 from repro.machine.interpreter import ExecutionLimitExceeded
 from repro.machine.sampler import NEVER
 
@@ -210,8 +220,41 @@ def _gep_op(dst: int, basespec, indexspec, scale: int):
     return op
 
 
-def _load_op(dst: int, aspec, pc: int, pending: int):
-    a_is_reg, a = aspec
+#: Operand spec kinds the compiler hands out: uniform register ("R"),
+#: divergent register ("D"), uniform constant ("C"), per-cell constants
+#: ("P").  Only "R" and "C" occur at one cell.
+_UNIFORM_KINDS = ("R", "C")
+
+
+def _uniform_spec(spec):
+    """Uniform spec -> the factories' ``(is_register, slot_or_const)``."""
+    kind, value = spec
+    return (kind == "R", value)
+
+
+def _uniform_alu_op(dst: int, op: Opcode, specs: list):
+    """The specialized closure of one uniform ALU instruction;
+    ``specs`` are ``(is_register, slot_or_const)`` pairs."""
+    if op in _BINOP_FACTORIES:
+        (am, a), (bm, b) = specs
+        return _BINOP_FACTORIES[op][(am, bm)](dst, a, b)
+    if op is Opcode.GEP:
+        base, index, (_, scale) = specs
+        return _gep_op(dst, base, index, scale)
+    if op is Opcode.CONST:
+        return _const_op(dst, specs[0][1])
+    if op is Opcode.MOV:
+        return _mov_op(dst, specs[0])
+    return _select_op(dst, *specs)
+
+
+# ----------------------------------------------------------------------
+# The one-cell factories of the ops whose closures differ by cell count
+# (see CellOps): they drive one memory system, record PEBS samples,
+# push the LBR and refresh the sampler.
+# ----------------------------------------------------------------------
+def _load_op(dst: int, aspec, divergent: bool, pc: int, pending: int):
+    a_is_reg, a = _uniform_spec(aspec)
     if a_is_reg:
         if pending:
 
@@ -267,7 +310,7 @@ def _store_op(aspec, vspec, pc: int, pending: int):
 
 
 def _prefetch_op(aspec, pc: int, pending: int):
-    a_is_reg, a = aspec
+    a_is_reg, a = _uniform_spec(aspec)
     if a_is_reg:
 
         def op(R, st, a=a, pc=pc, k=pending):
@@ -302,7 +345,10 @@ def _work_op(slot: int, pending: int, work_cpi: int):
     return op
 
 
-def _call_op(dst: int, callee: str, argspec: tuple, pc: int, pending: int):
+def _call_op(
+    dst: int, callee: str, argspec: tuple, pc: int, pending: int,
+    ret_divergent: bool,
+):
     def op(R, st, dst=dst, callee=callee, argspec=argspec, pc=pc, k=pending):
         st.cycle += k
         invoke = st.invoke
@@ -443,8 +489,8 @@ def _br_op(
     return op
 
 
-def _ret_op(aspec, pending, retired, nloads, nstores):
-    am, av = aspec
+def _ret_op(aspec, divergent, pending, retired, nloads, nstores):
+    am, av = _uniform_spec(aspec)
 
     def op(R, st, am=am, av=av, k=pending, rt=retired, nl=nloads, ns=nstores):
         st.cycle += k
@@ -465,105 +511,199 @@ def _ret_op(aspec, pending, retired, nloads, nstores):
     return op
 
 
+class CellOps(NamedTuple):
+    """The factories of the ops whose closures differ by cell count.
+
+    :data:`ONE_CELL` (below) drives one memory system and records PEBS
+    samples, LBR pushes and sampler refreshes; the N-cell set
+    (:data:`repro.machine.batch.N_CELLS`) visits every live cell's
+    hierarchy at its own clock.  Both take the same arguments, so one
+    compiler folds costs for either.  Operands that may diverge across
+    cells (load and prefetch addresses, return values, divergent ALU
+    inputs) arrive as ``(kind, value)`` specs; operands the batch
+    analysis keeps uniform (store address and value, branch condition,
+    call arguments) as ``(is_register, slot_or_const)``.  One cell
+    ignores the divergence flags, N cells the LBR pcs.
+    """
+
+    # Arguments, in order (``counts`` = pending, retired, nloads,
+    # nstores, the block's folded costs at its terminator):
+    load: Callable  # dst, aspec, divergent, pc, pending
+    store: Callable  # aspec, vspec, pc, pending
+    prefetch: Callable  # aspec, pc, pending
+    work: Callable  # slot, pending, work_cpi
+    call: Callable  # dst, callee, argspec, pc, pending, ret_divergent
+    jmp: Callable  # pc, target_pc, target_index, copies, *counts
+    br: Callable  # cspec, pc, then_pc, then_index, then_copies,
+    #               else_index, else_copies, *counts
+    ret: Callable  # aspec, divergent, *counts
+    copies: Callable  # upairs, dpairs: one edge's PHI parallel copy
+    alu: Optional[Callable] = None  # dst, opcode, specs: divergent ALU
+
+
+ONE_CELL = CellOps(
+    load=_load_op,
+    store=_store_op,
+    prefetch=_prefetch_op,
+    work=_work_op,
+    call=_call_op,
+    jmp=_jmp_op,
+    br=_br_op,
+    ret=_ret_op,
+    copies=lambda upairs, dpairs: _edge_copies(upairs),
+)
+
+
 # ----------------------------------------------------------------------
-# The per-function block compiler.
+# The per-block compiler.
 # ----------------------------------------------------------------------
+class _FunctionPlan:
+    """One function aligned across the cells of a run (one function at
+    one cell) + its divergence facts (filled in by
+    :func:`repro.machine.batch.analyze_modules`; empty at one cell)."""
+
+    __slots__ = ("name", "functions", "divergent", "ret_divergent")
+
+    def __init__(self, name: str, functions: list) -> None:
+        self.name = name
+        self.functions = functions
+        self.divergent: set = set()
+        self.ret_divergent = False
+
+
+def _aligned_phis(blocks):
+    return list(zip(*(b.phis() for b in blocks)))
+
+
+def _aligned_rest(blocks):
+    return list(zip(*(list(b.non_phi_instructions()) for b in blocks)))
+
+
 class _BlockCompiler:
-    def __init__(self, function: Function, config: MachineConfig) -> None:
-        self.function = function
+    """Compiles one function's blocks, aligned across the cells of a
+    run, to per-block op chains: uniform ALU work through the
+    specialized factories above, everything else through ``ops`` (the
+    :class:`CellOps` set that matches the cell count)."""
+
+    def __init__(
+        self, plan: _FunctionPlan, plans: dict, config: MachineConfig,
+        ops: CellOps,
+    ) -> None:
+        self.plan = plan
+        self.plans = plans
         self.config = config
+        self.ops = ops
+        first = plan.functions[0]
         # Register file layout: parameters take slots 0..n-1 (so the
         # runner can fill them positionally), then every dst in program
         # order — identical to the translator's R-numbering.
         self.slots: dict[str, int] = {}
-        for param in function.params:
+        for param in first.params:
             self.slots[param] = len(self.slots)
-        for instruction in function.instructions():
+        for instruction in first.instructions():
             if instruction.dst is not None and instruction.dst not in self.slots:
                 self.slots[instruction.dst] = len(self.slots)
         self.block_index = {
-            block.name: index for index, block in enumerate(function.blocks)
+            block.name: index for index, block in enumerate(first.blocks)
         }
-        self.start_pc = {
-            block.name: block.start_pc for block in function.blocks
-        }
+        self.start_pc = {block.name: block.start_pc for block in first.blocks}
+        # Whether a run needs the per-cell register overlays; per-cell
+        # immediates met while compiling set it too.  Never at one cell.
+        self.has_divergence = bool(plan.divergent) or plan.ret_divergent
 
     # ------------------------------------------------------------------
-    def spec(self, operand):
-        """Operand -> (is_register, slot_or_constant)."""
-        if type(operand) is int:
-            return (False, operand)
-        return (True, self.slots[operand])
+    def ospec(self, values) -> tuple:
+        """Aligned operand values across cells -> a ``(kind, value)``
+        spec (see :data:`_UNIFORM_KINDS`)."""
+        first = values[0]
+        if type(first) is str:
+            slot = self.slots[first]
+            if first in self.plan.divergent:
+                return ("D", slot)
+            return ("R", slot)
+        if all(value == first for value in values[1:]):
+            return ("C", first)
+        self.has_divergence = True
+        return ("P", tuple(values))
 
-    def edge(self, target_name: str, source_name: str) -> Optional[Callable]:
+    def arg(self, insts, j) -> tuple:
+        return self.ospec([inst.args[j] for inst in insts])
+
+    def uarg(self, insts, j) -> tuple:
+        """An operand the batch analysis keeps uniform."""
+        return _uniform_spec(self.arg(insts, j))
+
+    def edge(self, target_name: str, source_name: str):
         """PHI parallel-copy closure for the edge source -> target."""
-        target = self.function.block(target_name)
-        pairs = []
-        for phi in target.phis():
-            incoming = dict(phi.incomings)
-            if source_name not in incoming:
-                raise IRError(
-                    f"phi {phi.dst} in {target_name} lacks incoming "
-                    f"from {source_name}"
-                )
-            is_reg, src = self.spec(incoming[source_name])
-            pairs.append((self.slots[phi.dst], is_reg, src))
-        return _edge_copies(pairs)
+        targets = [f.block(target_name) for f in self.plan.functions]
+        upairs: list = []
+        dpairs: list = []
+        for phis in _aligned_phis(targets):
+            dst = phis[0].dst
+            values = []
+            for phi in phis:
+                incoming = dict(phi.incomings)
+                if source_name not in incoming:
+                    raise IRError(
+                        f"phi {dst} in {target_name} lacks incoming "
+                        f"from {source_name}"
+                    )
+                values.append(incoming[source_name])
+            spec = self.ospec(values)
+            if dst in self.plan.divergent:
+                dpairs.append((self.slots[dst], spec))
+            else:
+                is_reg, value = _uniform_spec(spec)
+                upairs.append((self.slots[dst], is_reg, value))
+        return self.ops.copies(upairs, dpairs)
+
+    def compile(self) -> tuple:
+        """Every block's op chain, in block order."""
+        return tuple(
+            self.compile_block(aligned)
+            for aligned in zip(*(f.blocks for f in self.plan.functions))
+        )
 
     # ------------------------------------------------------------------
-    def compile_block(self, block) -> tuple:
+    def compile_block(self, blocks) -> tuple:
         cfg = self.config
         alu = cfg.alu_cost
-        ops: list = []
+        make = self.ops
+        divergent = self.plan.divergent
+        name = blocks[0].name
+        chain: list = []
         pending = 0  # folded cycle cost awaiting the next observer
         retired = 0
         nloads = 0
         nstores = 0
 
-        for inst in block.non_phi_instructions():
+        for insts in _aligned_rest(blocks):
+            inst = insts[0]
             op = inst.op
-            if op in _BINOP_FACTORIES:
-                (am, a), (bm, b) = self.spec(inst.args[0]), self.spec(inst.args[1])
-                factory = _BINOP_FACTORIES[op][(am, bm)]
-                ops.append(factory(self.slots[inst.dst], a, b))
-                pending += alu
-                retired += 1
-            elif op is Opcode.GEP:
-                base, index, scale = inst.args
-                ops.append(
-                    _gep_op(
-                        self.slots[inst.dst],
-                        self.spec(base),
-                        self.spec(index),
-                        scale,
+            dst = inst.dst
+            dst_divergent = dst in divergent
+            if op in ALU_OPS:
+                specs = [self.arg(insts, j) for j in range(len(inst.args))]
+                if dst_divergent or any(
+                    kind not in _UNIFORM_KINDS for kind, _ in specs
+                ):
+                    chain.append(make.alu(self.slots[dst], op, specs))
+                else:
+                    chain.append(
+                        _uniform_alu_op(
+                            self.slots[dst],
+                            op,
+                            [_uniform_spec(spec) for spec in specs],
+                        )
                     )
-                )
-                pending += alu
-                retired += 1
-            elif op is Opcode.CONST:
-                ops.append(_const_op(self.slots[inst.dst], inst.args[0]))
-                pending += alu
-                retired += 1
-            elif op is Opcode.MOV:
-                ops.append(_mov_op(self.slots[inst.dst], self.spec(inst.args[0])))
-                pending += alu
-                retired += 1
-            elif op is Opcode.SELECT:
-                ops.append(
-                    _select_op(
-                        self.slots[inst.dst],
-                        self.spec(inst.args[0]),
-                        self.spec(inst.args[1]),
-                        self.spec(inst.args[2]),
-                    )
-                )
                 pending += alu
                 retired += 1
             elif op is Opcode.LOAD:
-                ops.append(
-                    _load_op(
-                        self.slots[inst.dst],
-                        self.spec(inst.args[0]),
+                chain.append(
+                    make.load(
+                        self.slots[dst],
+                        self.arg(insts, 0),
+                        dst_divergent,
                         inst.pc,
                         pending,
                     )
@@ -572,11 +712,9 @@ class _BlockCompiler:
                 retired += 1
                 nloads += 1
             elif op is Opcode.STORE:
-                ops.append(
-                    _store_op(
-                        self.spec(inst.args[0]),
-                        self.spec(inst.args[1]),
-                        inst.pc,
+                chain.append(
+                    make.store(
+                        self.uarg(insts, 0), self.uarg(insts, 1), inst.pc,
                         pending,
                     )
                 )
@@ -584,8 +722,8 @@ class _BlockCompiler:
                 retired += 1
                 nstores += 1
             elif op is Opcode.PREFETCH:
-                ops.append(
-                    _prefetch_op(self.spec(inst.args[0]), inst.pc, pending)
+                chain.append(
+                    make.prefetch(self.arg(insts, 0), inst.pc, pending)
                 )
                 pending = cfg.prefetch_cost
                 retired += 1
@@ -595,21 +733,25 @@ class _BlockCompiler:
                     pending += amount * cfg.work_cpi
                     retired += amount
                 else:
-                    ops.append(
-                        _work_op(self.slots[amount], pending, cfg.work_cpi)
+                    chain.append(
+                        make.work(self.slots[amount], pending, cfg.work_cpi)
                     )
                     pending = 0
             elif op is Opcode.CALL:
                 pending += cfg.branch_cost
                 retired += 1
-                argspec = tuple(self.spec(a) for a in inst.args)
-                ops.append(
-                    _call_op(
-                        self.slots[inst.dst],
-                        inst.targets[0],
-                        argspec,
+                callee = inst.targets[0]
+                callee_plan = self.plans.get(callee)
+                chain.append(
+                    make.call(
+                        self.slots[dst],
+                        callee,
+                        tuple(
+                            self.uarg(insts, j) for j in range(len(inst.args))
+                        ),
                         inst.pc,
                         pending,
+                        callee_plan is not None and callee_plan.ret_divergent,
                     )
                 )
                 pending = 0
@@ -617,12 +759,12 @@ class _BlockCompiler:
                 pending += cfg.branch_cost
                 retired += 1
                 target = inst.targets[0]
-                ops.append(
-                    _jmp_op(
+                chain.append(
+                    make.jmp(
                         inst.pc,
                         self.start_pc[target],
                         self.block_index[target],
-                        self.edge(target, block.name),
+                        self.edge(target, name),
                         pending,
                         retired,
                         nloads,
@@ -634,15 +776,15 @@ class _BlockCompiler:
                 pending += cfg.branch_cost
                 retired += 1
                 then_target, else_target = inst.targets
-                ops.append(
-                    _br_op(
-                        self.spec(inst.args[0]),
+                chain.append(
+                    make.br(
+                        self.uarg(insts, 0),
                         inst.pc,
                         self.start_pc[then_target],
                         self.block_index[then_target],
-                        self.edge(then_target, block.name),
+                        self.edge(then_target, name),
                         self.block_index[else_target],
-                        self.edge(else_target, block.name),
+                        self.edge(else_target, name),
                         pending,
                         retired,
                         nloads,
@@ -653,43 +795,55 @@ class _BlockCompiler:
             elif op is Opcode.RET:
                 pending += cfg.branch_cost
                 retired += 1
-                aspec = self.spec(inst.args[0]) if inst.args else (False, 0)
-                ops.append(_ret_op(aspec, pending, retired, nloads, nstores))
+                spec = self.arg(insts, 0) if inst.args else ("C", 0)
+                chain.append(
+                    make.ret(
+                        spec, self.plan.ret_divergent, pending, retired,
+                        nloads, nstores,
+                    )
+                )
                 pending = retired = nloads = nstores = 0
             else:  # pragma: no cover - exhaustive dispatch
                 raise IRError(f"unhandled opcode {op!r}")
-        return tuple(ops)
+        return tuple(chain)
 
 
 class FusedDispatch:
-    """What a compiled function's dispatch loop keeps besides its
-    per-block chains: one fused superblock slot per block (None when
-    unfused) and the run-profiling tallies of bulk stepping.  Shared by
-    the sequential form below and the batched one
-    (:class:`repro.machine.batchturbo.BatchTurboCompiledFunction`).
+    """A compiled function: its per-block chains, one fused superblock
+    slot per block (None when unfused), the run-profiling tallies of
+    bulk stepping, and the one dispatch loop.  The sequential form
+    (:class:`BlockCompiledFunction`) and the batched one
+    (:class:`repro.machine.batchturbo.BatchTurboCompiledFunction`) add
+    only their frame set-up.
 
     Telemetry's engine.run span reads the tallies; they live on the
     compiled function, never in the PMU counters, so traced==untraced
     bit-identity is untouched.
     """
 
-    def __init__(
-        self,
-        blocks: tuple,
-        block_names: tuple,
-        entry_index: int,
-        register_count: int,
-        superblocks: Optional[tuple] = None,
-    ) -> None:
-        self._blocks = blocks
-        self._block_names = block_names
-        self._entry = entry_index
-        self._register_count = register_count
-        self._superblocks = superblocks or (None,) * len(blocks)
+    def __init__(self, compiler: _BlockCompiler) -> None:
+        function = compiler.plan.functions[0]
+        self.function = function
+        self.plan = compiler.plan
+        self._blocks = compiler.compile()
+        self._block_names = tuple(block.name for block in function.blocks)
+        self._entry = compiler.block_index[function.entry.name]
+        self._register_count = len(compiler.slots)
+        # Compile-form metadata the fused steppers share: the
+        # register-file layout and the block-name -> dispatch-index map.
+        self.slots = compiler.slots
+        self.block_index = compiler.block_index
+        self._superblocks = (None,) * len(self._blocks)
+        self._fused = False
         self.bulk_calls = 0
         self.bulk_iters = 0
         self.guard_declines = 0
         self.adaptive_cleared = 0
+
+    def fuse(self, superblocks: tuple) -> None:
+        """Install the fused steppers, one slot per block."""
+        self._superblocks = superblocks
+        self._fused = any(sb is not None for sb in superblocks)
 
     def superblocks(self) -> list:
         """The fused loops (debug/test aid)."""
@@ -727,111 +881,49 @@ class FusedDispatch:
             if original is not None and current is None
         )
 
-
-class BlockCompiledFunction(FusedDispatch):
-    """An IR function compiled to per-block closure chains, plus an
-    optional fused superblock stepper per block (installed by
-    :func:`repro.machine.batchturbo.compile_fused`)."""
-
-    def __init__(
+    def _dispatch(
         self,
-        function: Function,
-        blocks: tuple,
-        block_names: tuple,
-        entry_index: int,
-        register_count: int,
-        slots: dict,
-        block_index: dict,
-    ) -> None:
-        super().__init__(blocks, block_names, entry_index, register_count)
-        self.function = function
-        # Compile-form metadata the fused steppers share: the
-        # register-file layout and the block-name -> dispatch-index map.
-        self.slots = slots
-        self.block_index = block_index
-        self._fused = False
+        args: Sequence[int],
+        st,
+        cd,
+        profiled: bool,
+        superblocks: Optional[list],
+    ):
+        """Run the function on frame ``st``: blocks that are not fused
+        headers dispatch their closure chain; a fused header hands
+        control to its stepper ``run(R, st, cd, PT)``, which runs
+        iterations in bulk until an observation-point guard trips — or
+        declines outright (``-1``: budget or sample imminent) so the
+        per-block path can honour the observation at the exact
+        reference boundary.
 
-    def fuse(self, superblocks: tuple) -> None:
-        """Install the fused steppers, one slot per block."""
-        self._superblocks = superblocks
-        self._fused = any(sb is not None for sb in superblocks)
-
-    def __call__(self, ctx: ExecutionContext, args: Sequence[int] = ()) -> int:
-        """Run the function: blocks that are not fused headers dispatch
-        their closure chain; a fused header hands control to its
-        stepper, which runs iterations in bulk until an
-        observation-point guard trips — or declines outright (``-1``:
-        sample imminent) so the per-block path can honour the
-        observation at the exact reference boundary."""
+        ``superblocks`` is a per-run copy of the slots, or None to
+        bypass bulk stepping.  A fused loop whose *dynamic* trip counts
+        turn out tiny (a hash-probe chain averaging 1-2 iterations)
+        pays more in per-bulk-call prologue than fusion saves, so after
+        a warmup its slot is cleared and dispatch falls back to the
+        per-block path — bit-identical either way, purely a time/space
+        trade.  Only a ``profiled`` run checks for a due sample."""
         function = self.function
         if len(args) != len(function.params):
             raise IRError(
                 f"{function.name} expects {len(function.params)} args, "
                 f"got {len(args)}"
             )
-        config = ctx.config
-        counters = ctx.counters
-        mem = ctx.mem
-        space = ctx.space
-        sampler = ctx.sampler
-
-        st = _Frame()
-        st.counters = counters
-        st.mem_load = mem.load_port()
-        st.mem_store = mem.store_port()
-        st.mem_prefetch = mem.prefetch_port()
-        st.sp_load = space.load
-        st.sp_store = space.store
-        st.lbr_push = ctx.lbr.push
-        st.invoke = ctx.invoke
-        st.sampler = sampler
-        if sampler is not None:
-            st.next_sample = sampler.next_at
-            st.take = sampler.take
-            st.pebs_threshold = config.effective_pebs_threshold()
-            st.record_load = sampler.record_load
-        else:
-            st.next_sample = NEVER
-            st.take = None
-            st.pebs_threshold = NEVER
-            st.record_load = None
-        max_instructions = config.max_instructions
-        st.max_instructions = max_instructions
-        st.cycle = int(counters.cycles)
-        st.retired = 0
-        st.loads = 0
-        st.stores = 0
-        st.taken = 0
-        st.value = 0
-
         R = [0] * self._register_count
         for slot, value in enumerate(args):  # params occupy slots 0..n-1
             R[slot] = int(value)
 
         blocks = self._blocks
-        # Trace armed -> observation points are everywhere; bulk
-        # stepping is disabled for the whole run (same bypass rule as
-        # the memory fast path).  The list is a per-run copy: a fused
-        # loop whose *dynamic* trip counts turn out tiny (a hash-probe
-        # chain averaging 1-2 iterations) pays more in per-bulk-call
-        # prologue than fusion saves, so after a warmup its slot is
-        # cleared and dispatch falls back to the per-block path —
-        # bit-identical either way, purely a time/space trade.
-        superblocks = (
-            list(self._superblocks)
-            if self._fused and mem.trace is None
-            else None
-        )
+        max_instructions = st.max_instructions
         if superblocks is not None:
-            front = mem.front()
             sb_calls = [0] * len(superblocks)
             sb_iters = [0] * len(superblocks)
-        profiled = sampler is not None
         declined = 0
         bi = self._entry
         try:
             while True:
-                if st.cycle >= st.next_sample:
+                if profiled and st.cycle >= st.next_sample:
                     st.next_sample = st.take(st.cycle)
                 if st.retired > max_instructions:
                     raise ExecutionLimitExceeded(
@@ -842,7 +934,7 @@ class BlockCompiledFunction(FusedDispatch):
                     if sb is not None:
                         run = sb.run_profiled if profiled else sb.run
                         before = st.retired
-                        nxt = run(R, st, front)
+                        nxt = run(R, st, cd, sb.ptables)
                         if nxt >= 0:
                             calls = sb_calls[bi] + 1
                             sb_calls[bi] = calls
@@ -873,6 +965,56 @@ class BlockCompiledFunction(FusedDispatch):
                 self._tally(superblocks, sb_calls, sb_iters, declined)
 
 
+class BlockCompiledFunction(FusedDispatch):
+    """An IR function compiled for one run: per-block closure chains,
+    plus an optional fused superblock stepper per block (installed by
+    :func:`repro.machine.batchturbo.compile_fused`)."""
+
+    def __call__(self, ctx: ExecutionContext, args: Sequence[int] = ()) -> int:
+        config = ctx.config
+        counters = ctx.counters
+        mem = ctx.mem
+        space = ctx.space
+        sampler = ctx.sampler
+
+        st = _Frame()
+        st.counters = counters
+        st.mem_load = mem.load_port()
+        st.mem_store = mem.store_port()
+        st.mem_prefetch = mem.prefetch_port()
+        st.sp_load = space.load
+        st.sp_store = space.store
+        st.lbr_push = ctx.lbr.push
+        st.invoke = ctx.invoke
+        st.sampler = sampler
+        if sampler is not None:
+            st.next_sample = sampler.next_at
+            st.take = sampler.take
+            st.pebs_threshold = config.effective_pebs_threshold()
+            st.record_load = sampler.record_load
+        else:
+            st.next_sample = NEVER
+            st.take = None
+            st.pebs_threshold = NEVER
+            st.record_load = None
+        st.max_instructions = config.max_instructions
+        st.cycle = int(counters.cycles)
+        st.retired = 0
+        st.loads = 0
+        st.stores = 0
+        st.taken = 0
+        st.value = 0
+        # Trace armed -> observation points are everywhere; bulk
+        # stepping is disabled for the whole run (same bypass rule as
+        # the memory fast path).
+        if self._fused and mem.trace is None:
+            return self._dispatch(
+                args, st, mem.front(), sampler is not None,
+                list(self._superblocks),
+            )
+        return self._dispatch(args, st, None, sampler is not None, None)
+
+
 def compile_blocks(
     function: Function, config: Optional[MachineConfig] = None
 ) -> BlockCompiledFunction:
@@ -883,16 +1025,11 @@ def compile_blocks(
                 f"{function.name}: module must be finalized before "
                 f"block compilation"
             )
-    compiler = _BlockCompiler(function, config or MachineConfig())
-    blocks = tuple(
-        compiler.compile_block(block) for block in function.blocks
-    )
     return BlockCompiledFunction(
-        function,
-        blocks,
-        tuple(block.name for block in function.blocks),
-        compiler.block_index[function.entry.name],
-        len(compiler.slots),
-        compiler.slots,
-        compiler.block_index,
+        _BlockCompiler(
+            _FunctionPlan(function.name, [function]),
+            {},
+            config or MachineConfig(),
+            ONE_CELL,
+        )
     )

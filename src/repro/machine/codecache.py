@@ -71,7 +71,9 @@ from repro.obs import telemetry as obs_telemetry
 #: Bump when the generated stepper code changes (or the payload
 #: layout does): it is the only codegen version in the key, so old
 #: entries then miss and are rewritten instead of being served.
-CODECACHE_SCHEMA = 4
+#: Schema 5: one-cell steppers take the ``(R, st, cd, PT)`` signature
+#: the N-cell ones have.
+CODECACHE_SCHEMA = 5
 
 #: Engines whose compiled form is cacheable; ``reference`` interprets.
 CACHEABLE_ENGINES = ("turbo", "fast", "translate")

@@ -9,25 +9,28 @@ the mutated source into a scratch module —
 the real engine module is never touched, so mutants are safe to build
 inside a running test session.
 
-The mutant plugs into the oracle as an extra engine via the ``runners``
-parameter: the returned factory builds a normal fast-engine
+A sequential mutant plugs into the oracle as an extra engine via the
+``runners`` parameter: the returned factory builds a normal fast-engine
 :class:`Machine` whose compiled-form cache is pre-populated from the
 mutated block compiler (no fused loops, so every block runs through the
 shared dispatch loop's per-block path), so every other layer (memory,
 PMU, tracing, sampling) is the production code — exactly the situation
-a real engine regression would create.
+a real engine regression would create.  The N-cell mutant is a
+``run_batch`` for :func:`repro.qa.oracle.check_batch`'s ``runner``.
 """
 
 from __future__ import annotations
 
 import inspect
+import sys
 import types
 
-from repro.machine import batchturbo, blockengine
+from repro.machine import batch, batchturbo, blockengine
 from repro.machine.machine import Machine
 from repro.qa.oracle import OracleConfig
 
-#: Off-by-one target: the block compiler's RET cost accounting.  Every
+#: Off-by-one target: the one block compiler's RET cost accounting
+#: (shared by every cell count; the mutant runs it at one cell).  Every
 #: program retires at least one RET, so any generated program exposes
 #: the defect (cycles drift by +1 per function return).
 _RET_NEEDLE = (
@@ -59,7 +62,13 @@ def _scratch_copy(
     module = types.ModuleType(f"repro.machine._qa_{label}")
     filename = f"<qa-mutant:{label}>"
     module.__file__ = filename
-    exec(compile(mutated, filename, "exec"), module.__dict__)
+    # Registered only while it executes: ``@dataclass`` looks its class's
+    # module up in ``sys.modules``.
+    sys.modules[module.__name__] = module
+    try:
+        exec(compile(mutated, filename, "exec"), module.__dict__)
+    finally:
+        del sys.modules[module.__name__]
     return module
 
 
@@ -134,16 +143,17 @@ def turbo_offbyone_runner(config: OracleConfig):
     return make
 
 
-#: Profiling-leak target: the dispatch loop's sample point.  Charging a
-#: cycle whenever a sample is taken makes sampling perturb timing, the
-#: one defect the engine differential cannot see when every engine
-#: shares it; only the oracle's profiled-vs-unprofiled axis catches it.
+#: Profiling-leak target: the shared dispatch loop's sample point
+#: (profiled runs only).  Charging a cycle whenever a sample is taken
+#: makes sampling perturb timing, the one defect the engine differential
+#: cannot see when every engine shares it; only the oracle's
+#: profiled-vs-unprofiled axis catches it.
 _SAMPLE_NEEDLE = (
-    "                if st.cycle >= st.next_sample:\n"
+    "                if profiled and st.cycle >= st.next_sample:\n"
     "                    st.next_sample = st.take(st.cycle)\n"
 )
 _SAMPLE_MUTATION = (
-    "                if st.cycle >= st.next_sample:\n"
+    "                if profiled and st.cycle >= st.next_sample:\n"
     "                    st.cycle += 1\n"
     "                    st.next_sample = st.take(st.cycle)\n"
 )
@@ -159,6 +169,42 @@ def sampleleak_blockengine() -> types.ModuleType:
         blockengine, _SAMPLE_NEEDLE, _SAMPLE_MUTATION,
         "sampleleak_blockengine", "the sample point",
     )
+
+
+#: Off-by-one target for N cells: the per-cell JMP terminator, an op
+#: only batched runs execute.  Every cell's clock drifts by +1 per JMP
+#: dispatched outside a fused loop (an entry block's jump to its loop,
+#: a fused loop's exit path), which only the batch axis can see.
+_BATCH_NEEDLE = (
+    "        R, st, ti=target_index, copies=copies, k=pending, rt=retired,\n"
+    "        nl=nloads, ns=nstores,\n"
+    "    ):\n"
+    "        cycles = st.cycles\n"
+    "        for i in range(len(cycles)):\n"
+    "            cycles[i] += k\n"
+)
+_BATCH_MUTATION = _BATCH_NEEDLE.replace(
+    "cycles[i] += k\n", "cycles[i] += k + 1\n"
+)
+
+
+def offbyone_batch() -> types.ModuleType:
+    """A scratch copy of :mod:`repro.machine.batch` whose N-cell JMP
+    terminator charges one cycle too many."""
+    mutant = _scratch_copy(
+        batch, _BATCH_NEEDLE, _BATCH_MUTATION, "offbyone_batch",
+        "the N-cell JMP terminator",
+    )
+    # The generated steppers raise the real ShadowMismatch; the copy's
+    # run_shadowed must catch that class, not its own.
+    mutant.ShadowMismatch = batch.ShadowMismatch
+    return mutant
+
+
+def batch_offbyone_runner():
+    """The off-by-one N-cell mutant's ``run_batch`` (pass to
+    :func:`repro.qa.oracle.check_batch` as ``runner``)."""
+    return offbyone_batch().run_batch
 
 
 def profiling_mutant_oracle_setup(base: OracleConfig = None):

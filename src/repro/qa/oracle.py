@@ -517,7 +517,9 @@ BATCH_AJ_DISTANCES = (2, 4, 8)
 
 
 def check_batch(
-    spec: dict, config: Optional[OracleConfig] = None
+    spec: dict,
+    config: Optional[OracleConfig] = None,
+    runner: Optional[Callable] = None,
 ) -> dict:
     """The batch≡sequential oracle axis.
 
@@ -540,12 +542,16 @@ def check_batch(
     a spec whose distances touch the same lines completes shadowed,
     any other aborts and re-runs plain — both must match sequential.
 
+    ``runner`` (default :func:`~repro.machine.batch.run_batch`) runs
+    the batch; the mutation self-test passes a deliberately broken one.
+
     Returns ``{"axes": {label: batched}, "shadowed": cells,
     "shadow_aborts": batches}`` for reporting; raises
     :class:`OracleFailure` on the first mismatch.
     """
     from repro.machine.batch import BatchCell, run_batch
 
+    runner = runner or run_batch
     config = config or OracleConfig()
     base = config.machine_config("fast")
 
@@ -578,7 +584,7 @@ def check_batch(
         ("batch-aj", aj_cells),
     ):
         try:
-            outcome = run_batch(make(), function=config.function)
+            outcome = runner(make(), function=config.function)
         except Exception as error:
             raise OracleFailure(
                 "exception", f"run_batch raised {error!r}", label
@@ -622,11 +628,13 @@ def check_batch(
 
 
 def batch_failure(
-    spec: dict, config: Optional[OracleConfig] = None
+    spec: dict,
+    config: Optional[OracleConfig] = None,
+    runner: Optional[Callable] = None,
 ) -> Optional[OracleFailure]:
     """Predicate form of :func:`check_batch`: the failure, or None."""
     try:
-        check_batch(spec, config)
+        check_batch(spec, config, runner)
     except OracleFailure as failure:
         return failure
     return None

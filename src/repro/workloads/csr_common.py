@@ -34,8 +34,8 @@ def csr_values(graph: CSRGraph) -> dict[str, list]:
     """row/col fill values; guard row entries point at the (guarded) end
     of col so stale prefetch slices stay in bounds."""
     return {
-        "row": graph.row + [graph.m] * GUARD_ELEMS,
-        "col": graph.col + [0] * GUARD_ELEMS,
+        "row": [*graph.row, *[graph.m] * GUARD_ELEMS],
+        "col": [*graph.col, *[0] * GUARD_ELEMS],
     }
 
 

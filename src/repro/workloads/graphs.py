@@ -14,18 +14,21 @@ injection-site results.  The simulated LLC is scaled correspondingly
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 
-@dataclass
+@dataclass(frozen=True)
 class CSRGraph:
-    """Compressed-sparse-row directed graph."""
+    """Compressed-sparse-row directed graph, immutable (row/col are
+    read-only views, see :func:`frozen_ints`), so the memoized graph is
+    shared by every caller."""
 
     name: str
     n: int
-    row: list[int]  # n+1 offsets
-    col: list[int]  # m destinations
+    row: Sequence[int]  # n+1 offsets
+    col: Sequence[int]  # m destinations
 
     @property
     def m(self) -> int:
@@ -37,6 +40,12 @@ class CSRGraph:
 
     def out_degree(self, u: int) -> int:
         return self.row[u + 1] - self.row[u]
+
+
+def frozen_ints(values: list[int]) -> memoryview:
+    """``values`` as an immutable sequence of 8-byte ints: a tuple of
+    Python ints would hold several times the memory."""
+    return memoryview(array("q", values)).toreadonly()
 
 
 # ----------------------------------------------------------------------
@@ -76,7 +85,9 @@ def random_destinations(
         for _ in range(degree):
             col.append(rng.randrange(n))
         row.append(len(col))
-    return CSRGraph(name=name, n=n, row=row, col=col)
+    return CSRGraph(
+        name=name, n=n, row=frozen_ints(row), col=frozen_ints(col)
+    )
 
 
 def uniform_graph(n: int, avg_degree: float, seed: int, name: str = "uniform") -> CSRGraph:
@@ -122,7 +133,9 @@ def road_graph(
             neighbours.append(rng.randrange(n))
         col.extend(neighbours)
         row.append(len(col))
-    return CSRGraph(name=name, n=n, row=row, col=col)
+    return CSRGraph(
+        name=name, n=n, row=frozen_ints(row), col=frozen_ints(col)
+    )
 
 
 def rmat_shape(scale: int, edgefactor: int) -> tuple[int, int]:
@@ -164,27 +177,39 @@ def rmat_graph(
     for u in range(n):
         col.extend(buckets[u])
         row.append(len(col))
-    return CSRGraph(name=name, n=n, row=row, col=col)
+    return CSRGraph(
+        name=name, n=n, row=frozen_ints(row), col=frozen_ints(col)
+    )
 
 
 # ----------------------------------------------------------------------
-# Content-addressed memoization of graph generation
+# Memoization of graph generation
 # ----------------------------------------------------------------------
-#: Process-wide store for generated graphs.  Lazily constructed (and
-#: imported lazily: repro.service imports the workload registry, so a
-#: top-level import here would be circular).  Suite runs build the same
-#: (workload, scale, seed) graph once per job otherwise — the R-MAT
-#: generator alone is a measurable fraction of a cold suite pass.
+class GraphStore:
+    """Process-wide memo of generated graphs: immutable
+    :class:`CSRGraph` objects by generator identity, plus the
+    ``graph_cache.hits`` / ``graph_cache.misses`` counters."""
+
+    def __init__(self) -> None:
+        # Imported here: repro.service imports the workload registry,
+        # so a top-level import would be circular.
+        from repro.service.metrics import MetricsRegistry
+
+        self.metrics = MetricsRegistry()
+        self.graphs: dict = {}
+
+
+#: Lazily constructed.  Suite runs build the same (workload, scale,
+#: seed) graph once per job otherwise — the R-MAT generator alone is a
+#: measurable fraction of a cold suite pass.
 _GRAPH_STORE = None
 
 
-def graph_store():
-    """The shared in-process graph store (a ``repro.service`` MemoryStore)."""
+def graph_store() -> GraphStore:
+    """The shared in-process graph store."""
     global _GRAPH_STORE
     if _GRAPH_STORE is None:
-        from repro.service.store import MemoryStore
-
-        _GRAPH_STORE = MemoryStore()
+        _GRAPH_STORE = GraphStore()
     return _GRAPH_STORE
 
 
@@ -254,45 +279,21 @@ class Dataset:
         raise ValueError(f"unknown dataset kind {self.kind!r}")
 
     def build(self) -> CSRGraph:
-        """The dataset's graph, memoized through the content-addressed
-        ``repro.service`` store keyed by (workload name, size, seed and
-        the other generator parameters).
-
-        A cache hit decodes a fresh :class:`CSRGraph` from the stored
-        JSON, so callers can never alias each other's row/col lists; a
-        miss returns the generated object directly and stores a
-        serialized copy (workload builders copy row/col into address
-        -space segments, never mutate the graph in place).
-        """
-        from repro.service.store import CacheKey
-
+        """The dataset's graph, memoized in :func:`graph_store` by
+        (workload name, size, seed and the other generator parameters).
+        Graphs are immutable, so every hit returns the one object."""
         store = graph_store()
-        key = CacheKey.make(
-            kind="graph",
-            workload=self.name,
-            scale=f"n{self.vertices}",
-            config="graph-generator-v1",
-            **self._cache_params(),
+        key = (
+            self.name,
+            self.vertices,
+            tuple(sorted(self._cache_params().items())),
         )
-        payload = store.get(key)
-        if payload is not None:
+        graph = store.graphs.get(key)
+        if graph is not None:
             store.metrics.inc("graph_cache.hits")
-            return CSRGraph(
-                name=payload["name"],
-                n=payload["n"],
-                row=payload["row"],
-                col=payload["col"],
-            )
+            return graph
         graph = self._generate()
-        store.put(
-            key,
-            {
-                "name": graph.name,
-                "n": graph.n,
-                "row": graph.row,
-                "col": graph.col,
-            },
-        )
+        store.graphs[key] = graph
         store.metrics.inc("graph_cache.misses")
         return graph
 

@@ -22,6 +22,7 @@ from repro.machine.batch import (
     FALLBACK_CODES,
     run_batch,
 )
+from repro.machine.batchturbo import compile_fused
 from repro.machine.fusion import (
     GuardedUnit,
     discover_units,
@@ -41,6 +42,7 @@ from repro.qa.generate import build_program
 from repro.qa.oracle import OracleConfig, check_batch
 from repro.workloads.registry import make_workload
 from tests.conftest import tiny_memory
+from tests.test_calls import build_two_function_module
 from tests.test_machine_batch import build_kernel, fast_config
 
 
@@ -187,9 +189,14 @@ class TestGuardedNestFusion:
 # Budget boundaries: guard bails must replay to the exact instruction
 # ----------------------------------------------------------------------
 class TestBudgetBoundaryReplay:
-    def test_budget_sweep_matches_sequential_at_every_boundary(self):
+    @staticmethod
+    def _sweep(build) -> None:
+        """Sweep ``max_instructions`` across a two-cell batch of
+        ``build()`` programs: at every boundary the batched run raises
+        exactly when the sequential runs raise, and matches them
+        bit-for-bit when it does not."""
         base = fast_config(tiny_memory())
-        module, space, _ = build_guarded_nest(outer=24, inner=4)
+        module, space, _ = build()
         total = (
             Machine(module, space, config=base)
             .run("main")
@@ -200,12 +207,13 @@ class TestBudgetBoundaryReplay:
         step = max(1, total // 30)
         for budget in range(1, total + step + 1, step):
             config = replace(base, max_instructions=budget)
+            configs = [
+                replace(config, memory=tiny_memory().scaled(scale))
+                for scale in (1, 4)
+            ]
             sequential = []
-            for scale in (1, 4):
-                cfg = replace(config, memory=tiny_memory().scaled(scale))
-                seq_module, seq_space, _ = build_guarded_nest(
-                    outer=24, inner=4
-                )
+            for cfg in configs:
+                seq_module, seq_space, _ = build()
                 try:
                     sequential.append(
                         ("ok",)
@@ -214,13 +222,7 @@ class TestBudgetBoundaryReplay:
                 except ExecutionLimitExceeded:
                     sequential.append(("limit",))
 
-            cells = []
-            for scale in (1, 4):
-                cfg = replace(config, memory=tiny_memory().scaled(scale))
-                cell_module, cell_space, _ = build_guarded_nest(
-                    outer=24, inner=4
-                )
-                cells.append(BatchCell(cell_module, cell_space, cfg))
+            cells = [BatchCell(*build()[:2], cfg) for cfg in configs]
             try:
                 outcome = run_batch(cells)
             except ExecutionLimitExceeded:
@@ -231,11 +233,20 @@ class TestBudgetBoundaryReplay:
                     ("ok", r.value, r.counters.as_dict())
                     for r in outcome.results
                 ]
-            # The superblock guard must decline bulk stepping before it
-            # could overrun the budget: at every boundary the batched
-            # run raises exactly when the sequential runs raise, and
-            # matches them bit-for-bit when it does not.
             assert batched == sequential, f"budget {budget}"
+
+    def test_budget_sweep_matches_sequential_at_every_boundary(self):
+        # The superblock guard must decline bulk stepping before it
+        # could overrun the budget.
+        self._sweep(lambda: build_guarded_nest(outer=24, inner=4))
+
+    def test_budget_sweep_on_per_block_chains(self):
+        # A CALL in the loop body keeps the loop unfused, so every
+        # block runs the N-cell per-block chains and the budget check
+        # is the shared dispatch loop's, in the caller and the callee.
+        module, _, _ = build_two_function_module(n=30)
+        assert not compile_fused(module.function("main")).superblocks()
+        self._sweep(lambda: build_two_function_module(n=30))
 
 
 # ----------------------------------------------------------------------

@@ -172,7 +172,7 @@ def test_schema_one_entries_are_not_served(cache_dir, monkeypatch):
     from repro.machine import batchturbo
     from tests.test_machine_batch import build_kernel
 
-    assert codecache.CODECACHE_SCHEMA == 4
+    assert codecache.CODECACHE_SCHEMA == 5
     config = _config(cache_dir)
     cache = codecache.resolve(cache_dir)
     with monkeypatch.context() as old:
@@ -224,7 +224,7 @@ def test_schema_two_entries_are_not_served(cache_dir, monkeypatch):
     from repro.ir.opcodes import BINOP_EXPR, Opcode
     from tests.test_machine_batch import build_kernel
 
-    assert codecache.CODECACHE_SCHEMA == 4
+    assert codecache.CODECACHE_SCHEMA == 5
     config = _config(cache_dir)
     cache = codecache.resolve(cache_dir)
     with monkeypatch.context() as old:

@@ -1,11 +1,13 @@
-"""Graph-generation memoization through the repro.service store.
+"""Graph-generation memoization in the in-process graph store.
 
 Suite runs used to regenerate identical graphs once per job; Dataset
 .build() now keys each generated graph by (workload, size, seed, and
-the generator parameters) in a content-addressed in-process store.
+the generator parameters) and holds the immutable graph itself.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
@@ -31,8 +33,7 @@ def test_second_build_hits_cache_and_is_equal():
     assert graph_store().metrics.get("graph_cache.misses") == 1
     second = ds.build()
     assert graph_store().metrics.get("graph_cache.hits") == 1
-    assert second is not first  # a hit decodes fresh objects
-    assert second.row is not first.row
+    assert second is first  # a hit shares the one immutable graph
     assert (second.name, second.n, second.row, second.col) == (
         first.name,
         first.n,
@@ -76,10 +77,13 @@ def test_rmat_dataset_keys_on_scale_and_edgefactor():
 
 
 def test_mutating_a_hit_does_not_poison_the_cache():
+    # Graphs are immutable: a hit cannot be mutated at all.
     ds = synthetic_dataset(500, 2.0, seed=9)
     ds.build()
     victim = ds.build()
-    victim.col[:] = [0] * len(victim.col)
-    clean = ds.build()
-    assert clean.col != victim.col or not victim.col
-    assert clean.col == ds._generate().col
+    for values in (victim.row, victim.col):
+        with pytest.raises(TypeError):
+            values[0] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        victim.col = ()
+    assert ds.build().col == ds._generate().col

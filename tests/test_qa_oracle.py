@@ -12,7 +12,9 @@ from repro.qa.mutants import (
     MUTANT_ENGINE,
     PROFILING_MUTANT_ENGINE,
     TURBO_MUTANT_ENGINE,
+    batch_offbyone_runner,
     mutant_oracle_setup,
+    offbyone_batch,
     offbyone_blockengine,
     offbyone_batchturbo,
     profiling_mutant_oracle_setup,
@@ -162,6 +164,31 @@ def test_turbo_mutant_module_is_scratch_copy():
     assert mutant is not real
     assert mutant.compile_fused is not real.compile_fused
     assert "offbyone" not in (real.__file__ or "")
+
+
+def test_batch_mutant_is_caught_by_the_batch_axis():
+    # The off-by-one sits in the N-cell JMP terminator, which only
+    # batched runs execute: the batch axis must see it, and the real
+    # run_batch must still pass the same program.
+    spec = generate_spec(0)
+    failure = batch_failure(spec, runner=batch_offbyone_runner())
+    assert failure is not None
+    assert failure.check == "batch-differential"
+    assert "cycles" in failure.detail
+    assert batch_failure(spec) is None
+
+
+def test_batch_mutant_module_is_scratch_copy():
+    import sys
+
+    import repro.machine.batch as real
+
+    mutant = offbyone_batch()
+    assert mutant is not real
+    assert mutant.run_batch is not real.run_batch
+    assert mutant.N_CELLS.jmp is not real.N_CELLS.jmp
+    assert mutant.ShadowMismatch is real.ShadowMismatch
+    assert mutant.__name__ not in sys.modules
 
 
 def test_mutant_module_is_scratch_copy():

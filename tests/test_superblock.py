@@ -151,7 +151,7 @@ class TestFusionShape:
         tcf = compile_fused(module.functions["main"])
         sb = tcf.superblocks()[0]
         for source in (sb.source, sb.source_profiled):
-            assert "def __fused(R, st, fp):" in source
+            assert "def __fused(R, st, cd, PT):" in source
             # The entry guard and the hoisted budget limit.
             assert "_gm = st.max_instructions" in source
             assert "return -1" in source
@@ -226,10 +226,10 @@ class TestDispatchContract:
         sb = tcf.superblocks()[0]
         original = sb.run
 
-        def counting(R, st, fp):
+        def counting(R, st, cd, PT):
             nonlocal calls
             calls += 1
-            return original(R, st, fp)
+            return original(R, st, cd, PT)
 
         sb.run = counting
         try:
@@ -247,10 +247,10 @@ class TestDispatchContract:
         sb = tcf.superblocks()[0]
         original = sb.run
 
-        def counting(R, st, fp):
+        def counting(R, st, cd, PT):
             nonlocal calls
             calls += 1
-            return original(R, st, fp)
+            return original(R, st, cd, PT)
 
         sb.run = counting
         try:
@@ -273,10 +273,10 @@ class TestDispatchContract:
         sb = tcf.superblocks()[0]
         original = sb.run
 
-        def counting(R, st, fp):
+        def counting(R, st, cd, PT):
             nonlocal calls
             calls += 1
-            return original(R, st, fp)
+            return original(R, st, cd, PT)
 
         sb.run = counting
         try:
