@@ -12,7 +12,10 @@ The drill the service exists to survive:
 4. assert the lapsed job is reaped and requeued (attempts grew, the
    requeue/lost counters ticked), every submitted job still reaches
    ``done``, and the suite result served over HTTP is **byte-identical**
-   to the single-process baseline.
+   to the single-process baseline;
+5. submit one more job: the submission must unlink the killed agent's
+   wake endpoint (a FIFO with no reader) and leave the survivor's, and
+   once the agents stop, their merged metrics must count a wake-up.
 
 Usage:
     python scripts/ci_queue_check.py [--scale tiny] [--lease 2.0]
@@ -30,7 +33,7 @@ from pathlib import Path
 
 import repro.api as api
 from repro.serve.controller import Controller
-from repro.serve.queue import ACTIVE_STATES
+from repro.serve.queue import ACTIVE_STATES, local_agent_prefix, wake_dir
 from repro.service.api import TuningService
 
 WORKLOADS = ("micro-tiny", "BFS-tiny", "IS-tiny")
@@ -74,7 +77,7 @@ def main() -> int:
     # ------------------------------------------------------------------
     # 1. Single-process baseline.
     # ------------------------------------------------------------------
-    print(f"[1/4] single-process baseline suite over {WORKLOADS} ...")
+    print(f"[1/5] single-process baseline suite over {WORKLOADS} ...")
     baseline = api.execute(suite_request, service=TuningService())
     baseline_json = baseline.to_json()
 
@@ -92,7 +95,7 @@ def main() -> int:
             # ----------------------------------------------------------
             # 2. Submit the batch over HTTP (suite first: the long job).
             # ----------------------------------------------------------
-            print(f"[2/4] submitting {1 + len(run_requests)} jobs to {base}")
+            print(f"[2/5] submitting {1 + len(run_requests)} jobs to {base}")
             _, suite_job = http_json(
                 base, "/v1/jobs", suite_request.to_payload()
             )
@@ -136,7 +139,7 @@ def main() -> int:
                 )
             victims[0].kill()
             victims[0].wait()
-            print(f"[3/4] SIGKILLed {owner} while it held {suite_job['id']}")
+            print(f"[3/5] SIGKILLed {owner} while it held {suite_job['id']}")
 
             # ----------------------------------------------------------
             # 4. The fleet must absorb the loss and finish everything.
@@ -176,14 +179,61 @@ def main() -> int:
                     "single-process baseline"
                 )
             print(
-                "[4/4] suite requeued (attempts="
+                "[4/5] suite requeued (attempts="
                 f"{suite_record.attempts}) and byte-identical to baseline; "
                 f"{len(job_ids)} jobs done"
             )
+
+            # ----------------------------------------------------------
+            # 5. The next submission clears the victim's wake endpoint.
+            # ----------------------------------------------------------
+            endpoints = wake_dir(controller.queue_dir)
+            victim_endpoint = endpoints / owner
+            survivor_endpoints = [
+                endpoints / f"{local_agent_prefix()}{p.pid}"
+                for p in controller.agents if p.pid != owner_pid
+            ]
+            if not victim_endpoint.exists():
+                raise SystemExit(
+                    f"FAIL: no wake endpoint {victim_endpoint} left by the "
+                    "killed agent"
+                )
+            _, extra = http_json(
+                base, "/v1/jobs",
+                api.RunRequest(
+                    workload=WORKLOADS[0], scale=args.scale, scheme="aj"
+                ).to_payload(),
+            )
+            if victim_endpoint.exists():
+                raise SystemExit(
+                    "FAIL: the submission left the dead agent's wake "
+                    f"endpoint {victim_endpoint}"
+                )
+            missing = [p for p in survivor_endpoints if not p.exists()]
+            if missing:
+                raise SystemExit(
+                    f"FAIL: live agents' wake endpoints vanished: {missing}"
+                )
+            if not controller.metrics.get("serve.wake.stale_removed"):
+                raise SystemExit("FAIL: serve.wake.stale_removed not counted")
+            wait_for(
+                lambda: controller.queue.get(extra["id"]).state == "done",
+                args.timeout, interval=0.05, what="the post-kill job",
+            )
         finally:
             controller.stop()
+        # Agents publish their counters when they exit.
+        wakeups = controller.merged_metrics().get("serve.wake.wakeups")
+        if not wakeups:
+            raise SystemExit("FAIL: no agent counted a wake-up")
+        print(
+            f"[5/5] dead agent's wake endpoint removed; {wakeups} wake-up(s)"
+        )
 
-    print("queue check OK: lease reclaim, retry, dedup, bit-identical result")
+    print(
+        "queue check OK: lease reclaim, retry, dedup, bit-identical result, "
+        "wake endpoints"
+    )
     return 0
 
 

@@ -1064,7 +1064,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lease", type=float, default=30.0)
     p.add_argument(
         "--poll", type=float, default=0.2,
-        help="idle poll interval in seconds",
+        help="fallback re-check interval in seconds (an idle agent is "
+        "woken at once by each new submission)",
     )
     p.add_argument(
         "--max-jobs", type=int, default=None,

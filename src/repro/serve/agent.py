@@ -8,6 +8,8 @@ queue and one content-addressed artifact cache:
 
 * **claim** the oldest runnable job (reaping lapsed leases on the way,
   so a SIGKILLed sibling's work is picked up by whoever claims next);
+  when the queue is empty, **wait** on the agent's wake endpoint until a
+  submission pokes it or the poll interval (``--poll``) runs out;
 * **execute** it through the frozen v1 :mod:`repro.api` dataclasses —
   the queue's journaled payloads *are* the wire format, so rehydrating
   a request and running it is one ``request_from_payload`` +
@@ -30,6 +32,18 @@ is paid once per (IR, engine, config) across the whole fleet, not once
 per process; ``codecache.hit/miss/invalidated`` counters ride the
 normal per-pid metric snapshots.
 
+Wake endpoint: before its first claim, :meth:`AgentWorker.run_forever`
+publishes a FIFO at ``<queue-dir>/wake/<agent-id>`` — made under a
+temporary name, opened for reading (and for writing, so the reader
+never sees end-of-file), then renamed into place — so a live endpoint
+always has a reader and a submission that lands after an empty claim
+always finds a byte waiting.  The poll interval is only the fallback
+that re-checks retry backoff (``not_before``), lapsed leases, and
+file systems without FIFOs; ids that do not carry this host's name
+(``--agent-id``) publish no endpoint and poll.  The agent unlinks its
+endpoint on exit, and SIGTERM/SIGINT poke it so an idle agent stops at
+once.
+
 Metrics: each agent owns one :class:`MetricsRegistry` shared by its
 queue handle and its :class:`TuningService` (``auto_flush=False``), and
 republishes it as ``metrics/metrics-<pid>.json`` after every job — the
@@ -39,7 +53,9 @@ controller merges these for ``/metrics`` and the cumulative
 
 from __future__ import annotations
 
+import contextlib
 import os
+import select
 import socket
 import threading
 import time
@@ -51,7 +67,13 @@ from repro.machine.config import MachineConfig
 from repro.obs import telemetry as obs_telemetry
 from repro.service.api import TuningService
 from repro.service.metrics import MetricsRegistry, write_snapshot
-from repro.serve.queue import JobQueue, JobRecord
+from repro.serve.queue import (
+    JobQueue,
+    JobRecord,
+    local_agent_prefix,
+    poke,
+    wake_dir,
+)
 
 #: Job-execution wall-clock histogram buckets (seconds).
 _JOB_SECONDS_BUCKETS = (
@@ -116,6 +138,8 @@ class AgentWorker:
                 machine_config=config,
                 auto_flush=False,
             )
+        #: ``(read fd, write fd)`` of the published wake endpoint.
+        self._wake: Optional[tuple[int, int]] = None
 
     # ------------------------------------------------------------------
     def run_one(self) -> bool:
@@ -134,16 +158,89 @@ class AgentWorker:
         """Drain the queue until stopped; returns jobs executed."""
         stop = stop or threading.Event()
         executed = 0
-        self.publish_metrics()
-        while not stop.is_set():
-            if self.run_one():
-                executed += 1
-                if max_jobs is not None and executed >= max_jobs:
-                    break
-            else:
-                stop.wait(self.poll_interval)
+        self._open_wake()
+        try:
+            self.publish_metrics()
+            while not stop.is_set():
+                if self.run_one():
+                    executed += 1
+                    if max_jobs is not None and executed >= max_jobs:
+                        break
+                else:
+                    self._idle(stop)
+        finally:
+            self._close_wake()
         self.publish_metrics()
         return executed
+
+    def wake(self) -> None:
+        """Poke this agent's own endpoint (a stop request uses it to
+        end an idle wait at once).  Safe from any thread or a signal
+        handler: it opens the endpoint by name, never this agent's
+        descriptors, which ``run_forever`` may be closing."""
+        if self._wake is not None:
+            poke(self._endpoint())
+
+    # ------------------------------------------------------------------
+    def _endpoint(self) -> Optional[Path]:
+        if not self.agent_id.startswith(local_agent_prefix()):
+            return None
+        return wake_dir(self.queue_dir) / self.agent_id
+
+    def _open_wake(self) -> None:
+        path = self._endpoint()
+        if path is None:
+            return
+        temp = path.with_name(f".{path.name}.tmp")
+        fds: list[int] = []
+        try:
+            path.parent.mkdir(exist_ok=True)
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(temp)  # left by a crashed agent with this id
+            os.mkfifo(temp, 0o600)
+            fds.append(os.open(temp, os.O_RDONLY | os.O_NONBLOCK))
+            fds.append(os.open(temp, os.O_WRONLY | os.O_NONBLOCK))
+            os.replace(temp, path)
+        except (OSError, AttributeError):  # AttributeError: no os.mkfifo
+            for fd in fds:
+                os.close(fd)
+            with contextlib.suppress(OSError):
+                os.unlink(temp)
+            self.metrics.inc("serve.wake.setup_failures")
+            return
+        self._wake = (fds[0], fds[1])
+
+    def _close_wake(self) -> None:
+        wake, self._wake = self._wake, None
+        if wake is None:
+            return
+        path = self._endpoint()
+        try:
+            # Only our own FIFO: a successor with this id may own the name.
+            if os.lstat(path).st_ino == os.fstat(wake[0]).st_ino:
+                os.unlink(path)
+        except OSError:
+            pass
+        for fd in wake:
+            os.close(fd)
+
+    def _idle(self, stop: threading.Event) -> None:
+        """Wait for a wake byte or the poll interval, whichever first."""
+        if self._wake is None:
+            stop.wait(self.poll_interval)
+            return
+        fd = self._wake[0]
+        ready, _, _ = select.select([fd], [], [], self.poll_interval)
+        if not ready:
+            self.metrics.inc("serve.wake.timeouts")
+            return
+        try:
+            while os.read(fd, 4096):
+                pass
+        except BlockingIOError:
+            pass
+        if not stop.is_set():
+            self.metrics.inc("serve.wake.wakeups")
 
     # ------------------------------------------------------------------
     def _execute(self, job: JobRecord) -> None:
@@ -232,6 +329,7 @@ def main_loop(worker: AgentWorker, max_jobs: Optional[int] = None) -> int:
 
     def _stop(signum, frame):  # pragma: no cover - signal plumbing
         stop.set()
+        worker.wake()
 
     if threading.current_thread() is threading.main_thread():
         signal.signal(signal.SIGTERM, _stop)

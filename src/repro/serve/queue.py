@@ -52,7 +52,17 @@ Job lifecycle::
 
 Every mutation is attributed: completes/fails/heartbeats must name the
 agent holding the lease, so a zombie agent whose job was reclaimed
-cannot clobber the rightful owner's result.
+cannot clobber the rightful owner's result.  Reads (``get``,
+``list_jobs``, ``stats`` and a resubmission of a ``done`` job) take no
+write lock: they run as plain SELECTs beside a writer's transaction.
+
+**Wake-ups** — each idle agent listens on a FIFO at
+``<queue-dir>/wake/<agent-id>`` (see :mod:`repro.serve.agent`).  A
+``submit`` that inserts or revives a job writes one byte to every
+endpoint of its own host after COMMIT, so an idle agent claims the job
+at once instead of at its next poll.  An endpoint with no reader (its
+agent died) is unlinked by the submitter; endpoints named for another
+host (agent ids carry the host name) are never touched.
 
 **Telemetry** — every job carries a ``trace_id`` correlation id, and
 when a :class:`~repro.obs.telemetry.Telemetry` sink is attached each
@@ -67,9 +77,12 @@ are deterministic rather than process-local.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
+import socket
 import sqlite3
+import stat
 import time
 import uuid
 from contextlib import contextmanager
@@ -153,6 +166,41 @@ _MIGRATIONS = (
      "ALTER TABLE jobs ADD COLUMN cancel_requested INTEGER NOT NULL"
      " DEFAULT 0"),
 )
+
+
+def wake_dir(queue_dir: str | os.PathLike) -> Path:
+    """Where the agents' wake endpoints (FIFOs) live for one queue."""
+    return Path(queue_dir) / "wake"
+
+
+def local_agent_prefix() -> str:
+    """Prefix of every default agent id on this host (``agent-<host>-``).
+
+    Only endpoints whose names carry it are opened or unlinked: on a
+    shared file system a FIFO of another host has no reader here, and
+    unlinking it would cut that host's agent off from its wake-ups.
+    """
+    return f"agent-{socket.gethostname()}-"
+
+
+def poke(path: str | os.PathLike) -> bool:
+    """Write one wake byte to the FIFO at ``path`` without blocking.
+
+    ``False`` means the FIFO has no reader (ENXIO): its agent is gone.
+    A full FIFO already holds a pending wake, and a missing one has
+    nobody to wake; both count as done.
+    """
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_NONBLOCK)
+    except OSError as error:
+        return error.errno != errno.ENXIO
+    try:
+        os.write(fd, b"\0")
+    except OSError:
+        pass  # EAGAIN: a wake is already pending.
+    finally:
+        os.close(fd)
+    return True
 
 
 class QueueFull(RuntimeError):
@@ -246,7 +294,6 @@ class JobQueue:
         # executescript() commits on its own; no transaction wrapper.
         conn = sqlite3.connect(self.db_path, timeout=30.0)
         try:
-            conn.execute("PRAGMA busy_timeout=30000")
             conn.executescript(_SCHEMA)
             columns = {
                 row[1] for row in conn.execute("PRAGMA table_info(jobs)")
@@ -266,9 +313,9 @@ class JobQueue:
     # ------------------------------------------------------------------
     @contextmanager
     def _tx(self) -> Iterator[sqlite3.Connection]:
+        # connect(timeout=) is sqlite's busy timeout for every statement.
         conn = sqlite3.connect(self.db_path, timeout=30.0, isolation_level=None)
         try:
-            conn.execute("PRAGMA busy_timeout=30000")
             conn.execute("BEGIN IMMEDIATE")
             yield conn
             conn.execute("COMMIT")
@@ -278,6 +325,17 @@ class JobQueue:
             except sqlite3.Error:
                 pass
             raise
+        finally:
+            conn.close()
+
+    @contextmanager
+    def _read(self) -> Iterator[sqlite3.Connection]:
+        """An autocommit connection: each SELECT is its own snapshot and
+        takes only a shared lock, so it never waits for another
+        process's ``BEGIN IMMEDIATE`` to finish (only for its COMMIT)."""
+        conn = sqlite3.connect(self.db_path, timeout=30.0, isolation_level=None)
+        try:
+            yield conn
         finally:
             conn.close()
 
@@ -373,11 +431,25 @@ class JobQueue:
         being swallowed by it.
         """
         now = self.clock()
+        pending: list = []
+        if dedup_key is not None:
+            # ``done`` is terminal, so a resubmission of finished work
+            # (the cache-hit path) is answered without the write lock.
+            with self._read() as conn:
+                row = conn.execute(
+                    f"SELECT {', '.join(_COLUMNS)} FROM jobs"
+                    " WHERE dedup_key=? AND state='done'",
+                    (dedup_key,),
+                ).fetchone()
+            if row is not None:
+                record = JobRecord.from_row(row)
+                self._dedup_hit(pending, record, now)
+                self._flush_events(pending)
+                return record, True
         encoded = json.dumps(request, sort_keys=True)
         budget = self.max_attempts if max_attempts is None else max(1, int(max_attempts))
         job_id = "j-" + uuid.uuid4().hex[:12]
         key = dedup_key if dedup_key is not None else job_id
-        pending: list = []
         with self._tx() as conn:
             self._reap(conn, now, pending)
             row = conn.execute(
@@ -420,9 +492,7 @@ class JobQueue:
                             (int(priority), now, record.id),
                         )
                         record = self._fetch(conn, record.id)
-                    self.metrics.inc("serve.deduped")
-                    self._note(pending, "point", record.trace_id, "dedup",
-                               span=record.id, job=record.id, t=now)
+                    self._dedup_hit(pending, record, now)
                     outcome = (record, True)
             else:
                 if self.max_depth is not None:
@@ -453,7 +523,40 @@ class JobQueue:
                            t=now, parent=job_id)
                 outcome = (self._fetch(conn, job_id), False)
         self._flush_events(pending)
+        if not outcome[1]:
+            self._wake_agents()
         return outcome
+
+    def _dedup_hit(self, pending: list, record: JobRecord, now: float) -> None:
+        self.metrics.inc("serve.deduped")
+        self._note(pending, "point", record.trace_id, "dedup",
+                   span=record.id, job=record.id, t=now)
+
+    def _wake_agents(self) -> None:
+        """Poke each wake FIFO of this host's agents; unlink the ones
+        whose agent is gone.  Anything else in ``wake/`` is ignored."""
+        prefix = local_agent_prefix()
+        try:
+            entries = os.scandir(wake_dir(self.queue_dir))
+        except OSError:
+            return
+        with entries:
+            for entry in entries:
+                if not entry.name.startswith(prefix):
+                    continue
+                try:
+                    mode = entry.stat(follow_symlinks=False).st_mode
+                except OSError:
+                    continue
+                if stat.S_ISFIFO(mode) and not poke(entry.path):
+                    self._unlink_stale(entry.path)
+
+    def _unlink_stale(self, path: str) -> None:
+        try:
+            os.unlink(path)
+        except FileNotFoundError:
+            return  # another submitter got there first
+        self.metrics.inc("serve.wake.stale_removed")
 
     # ------------------------------------------------------------------
     # Claim / heartbeat / transitions.
@@ -823,7 +926,7 @@ class JobQueue:
     # Introspection.
     # ------------------------------------------------------------------
     def get(self, job_id: str) -> Optional[JobRecord]:
-        with self._tx() as conn:
+        with self._read() as conn:
             return self._fetch(conn, job_id)
 
     def list_jobs(
@@ -844,13 +947,13 @@ class JobQueue:
             query += " WHERE " + " AND ".join(clauses)
         query += " ORDER BY created LIMIT ?"
         params.append(int(limit))
-        with self._tx() as conn:
+        with self._read() as conn:
             rows = conn.execute(query, params).fetchall()
         return [JobRecord.from_row(row) for row in rows]
 
     def stats(self) -> dict:
         """Job counts by state plus the live depth."""
-        with self._tx() as conn:
+        with self._read() as conn:
             rows = conn.execute(
                 "SELECT state, COUNT(*) FROM jobs GROUP BY state"
             ).fetchall()

@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import json
 import os
+import signal
+import socket
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +18,7 @@ import repro.api as api
 from repro.service.api import TuningService
 from repro.service.metrics import MetricsRegistry
 from repro.serve.agent import AgentWorker, default_agent_id, metrics_dir
-from repro.serve.queue import JobQueue
+from repro.serve.queue import JobQueue, wake_dir
 
 
 def _submit(queue: JobQueue, request) -> str:
@@ -201,6 +207,189 @@ class TestRunForever:
         stop.set()
         thread.join(timeout=5.0)
         assert not thread.is_alive()
+
+
+def _local_id(suffix: str) -> str:
+    """An agent id that names this host, as default ids do."""
+    return f"agent-{socket.gethostname()}-{suffix}"
+
+
+def _wait_for(predicate, timeout: float = 30.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.01)
+
+
+def _reader(path: Path) -> int:
+    """A hand-made endpoint: a FIFO with an open, non-blocking reader."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    os.mkfifo(path)
+    return os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+
+
+def _pending(fd: int) -> bytes:
+    try:
+        return os.read(fd, 4096)
+    except BlockingIOError:
+        return b""
+
+
+class TestWake:
+    """Submissions wake an idle agent; the poll is only the fallback."""
+
+    def _idle_agent(self, queue_dir, suffix: str):
+        worker = AgentWorker(
+            queue_dir, agent_id=_local_id(suffix), poll_interval=60.0
+        )
+        endpoint = wake_dir(queue_dir) / worker.agent_id
+        stop = threading.Event()
+        thread = threading.Thread(
+            target=worker.run_forever,
+            kwargs={"stop": stop, "max_jobs": 1},
+            daemon=True,
+        )
+        thread.start()
+        _wait_for(endpoint.exists)
+        time.sleep(0.5)  # past the first empty claim, into the wait
+        return worker, endpoint, stop, thread
+
+    def test_submission_wakes_an_idle_agent(self, queue_dir):
+        worker, endpoint, stop, thread = self._idle_agent(queue_dir, "w1")
+        job_id = _submit(
+            JobQueue(queue_dir),
+            api.RunRequest(workload="micro-tiny", scale="tiny"),
+        )
+        thread.join(timeout=10.0)
+        stop.set()
+        assert not thread.is_alive(), "the agent slept out its poll"
+        assert worker.queue.get(job_id).state == "done"
+        assert worker.metrics.get("serve.wake.wakeups") == 1
+        assert not endpoint.exists()  # unlinked on exit
+
+    def test_revived_failed_job_wakes_an_idle_agent(self, queue_dir):
+        queue = JobQueue(queue_dir, backoff=0.0)
+        bad = {"kind": "RunRequest", "v": 1, "workload": "no-such-workload"}
+        record, _ = queue.submit("RunRequest", bad, dedup_key="bad",
+                                 max_attempts=1)
+        AgentWorker(queue_dir, agent_id="agent-first").run_one()
+        assert queue.get(record.id).state == "failed"
+        worker, _, stop, thread = self._idle_agent(queue_dir, "w2")
+        revived, deduped = queue.submit("RunRequest", bad, dedup_key="bad",
+                                        max_attempts=1)
+        assert not deduped and revived.state == "queued"
+        thread.join(timeout=10.0)
+        stop.set()
+        assert not thread.is_alive(), "the revive did not wake the agent"
+        final = queue.get(record.id)
+        assert final.state == "failed" and final.agent is None
+        assert worker.metrics.get("serve.wake.wakeups") == 1
+
+    def test_idle_agent_does_not_spin(self, queue_dir):
+        """With nothing submitted the agent re-checks once per poll:
+        holding its own write end, it never sees the FIFO's EOF."""
+        worker = AgentWorker(
+            queue_dir, agent_id=_local_id("idle"), poll_interval=0.05
+        )
+        stop = threading.Event()
+        thread = threading.Thread(
+            target=worker.run_forever, kwargs={"stop": stop}, daemon=True
+        )
+        thread.start()
+        time.sleep(0.5)
+        stop.set()
+        worker.wake()
+        thread.join(timeout=2.0)
+        assert not thread.is_alive()
+        assert not worker.metrics.get("serve.wake.wakeups")
+        assert 1 <= worker.metrics.get("serve.wake.timeouts") <= 11
+
+    def test_dedup_hit_writes_no_wake_byte(self, queue_dir):
+        queue = JobQueue(queue_dir)
+        fd = _reader(wake_dir(queue_dir) / _local_id("t1"))
+        try:
+            record, _ = queue.submit("X", {"n": 1}, dedup_key="k")
+            assert _pending(fd) == b"\0"
+            _, deduped = queue.submit("X", {"n": 1}, dedup_key="k")
+            assert deduped and _pending(fd) == b""
+            job = queue.claim("a")
+            queue.complete(job.id, "a", {})
+            _, deduped = queue.submit("X", {"n": 1}, dedup_key="k")
+            assert deduped and _pending(fd) == b""
+        finally:
+            os.close(fd)
+
+    def test_sigterm_stops_an_idle_agent_at_once(self, queue_dir):
+        agent_id = _local_id("sig")
+        endpoint = wake_dir(queue_dir) / agent_id
+        src = Path(api.__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH")])
+        )
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "agent",
+             "--queue-dir", str(queue_dir), "--agent-id", agent_id,
+             "--poll", "60", "--no-telemetry"],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            _wait_for(endpoint.exists, timeout=60.0)
+            time.sleep(0.2)
+            started = time.monotonic()
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=2.0) == 0
+            assert time.monotonic() - started < 2.0
+            assert not endpoint.exists()
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+
+
+class TestStaleEndpoints:
+    """A submission survives whatever it finds in ``wake/``."""
+
+    def test_fifo_without_reader_is_unlinked(self, queue_dir):
+        queue = JobQueue(queue_dir)
+        stale = wake_dir(queue_dir) / _local_id("dead")
+        stale.parent.mkdir(parents=True)
+        os.mkfifo(stale)
+        record, deduped = queue.submit("X", {"n": 1})
+        assert record.state == "queued" and not deduped
+        assert not stale.exists()
+        assert queue.metrics.get("serve.wake.stale_removed") == 1
+
+    def test_regular_file_is_ignored(self, queue_dir):
+        queue = JobQueue(queue_dir)
+        plain = wake_dir(queue_dir) / _local_id("file")
+        plain.parent.mkdir(parents=True)
+        plain.write_bytes(b"x")
+        queue.submit("X", {"n": 1})
+        assert plain.read_bytes() == b"x"
+        assert not queue.metrics.get("serve.wake.stale_removed")
+
+    def test_other_hosts_endpoint_is_left_alone(self, queue_dir):
+        queue = JobQueue(queue_dir)
+        foreign = wake_dir(queue_dir) / (
+            f"agent-{socket.gethostname()}x-elsewhere-1"
+        )
+        foreign.parent.mkdir(parents=True)
+        os.mkfifo(foreign)
+        queue.submit("X", {"n": 1})
+        assert foreign.exists()
+        assert not queue.metrics.get("serve.wake.stale_removed")
+
+    def test_agent_without_fifo_support_polls(self, queue_dir, monkeypatch):
+        monkeypatch.delattr(os, "mkfifo")
+        worker = AgentWorker(
+            queue_dir, agent_id=_local_id("nofifo"), poll_interval=0.01
+        )
+        _submit(worker.queue, api.RunRequest(workload="micro-tiny",
+                                             scale="tiny"))
+        assert worker.run_forever(max_jobs=1) == 1
+        assert worker.metrics.get("serve.wake.setup_failures") == 1
+        assert not list(wake_dir(queue_dir).iterdir())
 
 
 def test_default_agent_id_is_unique_per_process():

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -29,7 +31,7 @@ from repro.serve.httpd import (
     ServeHTTPServer,
     render_metrics_text,
 )
-from repro.serve.queue import JobQueue
+from repro.serve.queue import JobQueue, local_agent_prefix, wake_dir
 from repro.service.api import TuningService
 from repro.service.metrics import MetricsRegistry
 
@@ -294,6 +296,27 @@ def test_access_log_emits_structured_json(served, caplog):
 # Metrics exposition
 # ----------------------------------------------------------------------
 class TestMetricsText:
+    def test_wake_counters_are_exposed(self, served):
+        """Wake-ups, idle-poll timeouts and stale endpoints removed by a
+        submission are all counted where ``/metrics`` renders them."""
+        base, _, queue_dir = served
+        stale = wake_dir(queue_dir) / f"{local_agent_prefix()}dead"
+        os.mkfifo(stale)
+        _finished_job(base)
+        assert not stale.exists()
+        names = [
+            f"repro_serve_wake_{name}_total"
+            for name in ("wakeups", "timeouts", "stale_removed")
+        ]
+        deadline = time.monotonic() + 10.0
+        while True:
+            with urllib.request.urlopen(f"{base}/metrics") as response:
+                text = response.read().decode()
+            if all(f"\n{name} " in text for name in names):
+                break
+            assert time.monotonic() < deadline, text
+            time.sleep(0.05)
+
     def test_content_type_declares_version(self, served):
         base, _, _ = served
         with urllib.request.urlopen(f"{base}/metrics") as response:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sqlite3
+import threading
+
 import pytest
 
 from repro.service.metrics import MetricsRegistry
@@ -107,6 +110,51 @@ class TestDedup:
         b, _ = queue.submit("X", REQ)
         assert a.id != b.id
         assert queue.stats()["total"] == 2
+
+
+class TestReadsTakeNoWriteLock:
+    """Status reads and resubmissions of finished work are plain
+    SELECTs: another process's open write transaction does not hold
+    them up (it blocks only writers)."""
+
+    @staticmethod
+    def _while_write_locked(queue, fn):
+        holder = sqlite3.connect(queue.db_path, isolation_level=None)
+        holder.execute("BEGIN IMMEDIATE")
+        out = {}
+        thread = threading.Thread(
+            target=lambda: out.setdefault("value", fn()), daemon=True
+        )
+        try:
+            thread.start()
+            thread.join(timeout=2.0)
+            finished = not thread.is_alive()
+        finally:
+            holder.execute("ROLLBACK")
+            holder.close()
+            thread.join(timeout=35.0)
+        assert finished, "read waited for another connection's write lock"
+        return out["value"]
+
+    def test_get_list_and_stats(self, queue):
+        record, _ = queue.submit("X", REQ, dedup_key="k")
+        assert self._while_write_locked(
+            queue, lambda: queue.get(record.id)
+        ).id == record.id
+        assert len(self._while_write_locked(queue, queue.list_jobs)) == 1
+        assert self._while_write_locked(queue, queue.stats)["total"] == 1
+
+    def test_resubmitting_a_done_job(self, queue):
+        record, _ = queue.submit("X", REQ, dedup_key="k")
+        job = queue.claim("a")
+        queue.complete(job.id, "a", {"value": 7})
+        deduped_before = queue.metrics.get("serve.deduped") or 0
+        again, deduped = self._while_write_locked(
+            queue, lambda: queue.submit("X", REQ, dedup_key="k")
+        )
+        assert deduped and again.id == record.id
+        assert again.result == {"value": 7}
+        assert queue.metrics.get("serve.deduped") == deduped_before + 1
 
 
 class TestRetryAndBackoff:
