@@ -346,7 +346,9 @@ class ServeHandler(BaseHTTPRequestHandler):
             self._send_json(200, record.as_dict())
             return
         if record.state == "done":
-            self._send_json(200, record.result)
+            # complete() stored json.dumps(payload, sort_keys=True), the
+            # bytes _send_json would make of it again: serve them as is.
+            self._send_text(200, record.result_text, "application/json")
         elif record.state == "cancelled":
             self._send_json(
                 410,

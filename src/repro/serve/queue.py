@@ -209,7 +209,9 @@ class QueueFull(RuntimeError):
 
 @dataclass
 class JobRecord:
-    """One job row, decoded.  ``request``/``result`` are payload dicts."""
+    """One job row.  ``request`` is decoded; the result stays the JSON
+    text ``complete`` stored (``result_text``), since serving it needs
+    no decode, and :attr:`result` decodes it on each read."""
 
     id: str
     dedup_key: str
@@ -224,7 +226,7 @@ class JobRecord:
     queued_at: float
     not_before: float
     lease_expires: Optional[float]
-    result: Optional[dict]
+    result_text: Optional[str]
     error: Optional[str]
     trace_id: Optional[str] = None
     priority: int = 0
@@ -234,9 +236,15 @@ class JobRecord:
     def from_row(cls, row) -> "JobRecord":
         data = dict(zip(_COLUMNS, row))
         data["request"] = json.loads(data["request"])
-        if data["result"] is not None:
-            data["result"] = json.loads(data["result"])
+        data["result_text"] = data.pop("result")
         return cls(**data)
+
+    @property
+    def result(self) -> Optional[dict]:
+        """The result payload (``None`` until ``done``)."""
+        if self.result_text is None:
+            return None
+        return json.loads(self.result_text)
 
     def as_dict(self, include_request: bool = False) -> dict:
         """JSON-safe status view (what ``GET /v1/jobs/<id>`` serves)."""

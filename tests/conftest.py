@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-import warnings
 
 import pytest
 
@@ -12,8 +11,6 @@ from repro.ir.nodes import Module
 from repro.machine.config import MachineConfig
 from repro.mem.address import AddressSpace
 from repro.mem.config import CacheConfig, MemoryConfig
-
-warnings.filterwarnings("ignore", category=RuntimeWarning, module="scipy")
 
 
 # ----------------------------------------------------------------------

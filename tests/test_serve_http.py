@@ -139,6 +139,27 @@ def test_http_round_trip_is_byte_identical(served, request_obj):
     assert direct.to_json() == json.dumps(served_payload, sort_keys=True)
 
 
+@pytest.mark.parametrize(
+    "request_obj",
+    [REQUESTS[0], REQUESTS[3]],
+    ids=["ProfileResult", "RunResult"],
+)
+def test_result_is_served_as_stored_bytes(served, request_obj):
+    """``/v1/results/<id>`` sends the stored result text without a
+    decode/encode round trip, and the bytes equal what that round trip
+    made of it."""
+    base, queue = served
+    _, submitted = _post(base, request_obj.to_payload())
+    _await_result(base, submitted["id"])
+    stored = queue.get(submitted["id"]).result_text
+    with urllib.request.urlopen(
+        f"{base}/v1/results/{submitted['id']}"
+    ) as response:
+        assert response.headers["Content-Type"] == "application/json"
+        body = response.read()
+    assert body == json.dumps(json.loads(stored), sort_keys=True).encode()
+
+
 def test_duplicate_submission_dedups_over_http(served):
     base, _ = served
     payload = api.RunRequest(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import sqlite3
 import threading
 
@@ -93,6 +94,21 @@ class TestDedup:
         again, deduped = queue.submit("X", REQ, dedup_key="same")
         assert deduped and again.state == "done"
         assert again.result == {"value": 7}
+
+    def test_dedup_answer_does_not_decode_the_result(
+        self, queue, monkeypatch
+    ):
+        queue.submit("X", REQ, dedup_key="same")
+        job = queue.claim("a")
+        queue.complete(job.id, "a", {"value": 7})
+        decoded = []
+        loads = json.loads
+        monkeypatch.setattr(
+            json, "loads", lambda text: decoded.append(text) or loads(text)
+        )
+        again, deduped = queue.submit("X", REQ, dedup_key="same")
+        assert deduped and again.result_text == '{"value": 7}'
+        assert again.result_text not in decoded
 
     def test_terminal_failure_is_revived_by_resubmit(self, queue, clock):
         record, _ = queue.submit("X", REQ, dedup_key="same", max_attempts=1)
